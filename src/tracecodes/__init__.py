@@ -49,6 +49,7 @@ from .codes import (
     codeword,
     count_symbol,
     count_trace_pair,
+    enumeration_cost,
     exhaustive_cwe,
     griesmer_lower_bound,
     scaled_defining_set_equivalent,

@@ -53,10 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="maximum field size p^m")
         sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
-                        help="maximum symbol evaluations for enumeration")
+                        help="maximum symbol evaluations for enumeration: one "
+                             "codeword of length n per orbit representative; "
+                             "exceeding it exits 3 before enumerating")
         sp.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: all cores for large "
-                             "jobs, serial for small ones)")
+                        help="worker processes that split one enumeration, or "
+                             "run the pairs of a sweep (default: all cores for "
+                             "large jobs, serial for small ones)")
         sp.add_argument("--modulus", type=str, default=None,
                         help="comma-separated modulus coefficients, low degree first")
 
@@ -123,7 +126,7 @@ def cmd_build(args, out=None, err=None) -> int:
     t0 = time.perf_counter()
     ctx = _make_ctx(args)
     dset = _build_dset(ctx, args.defining_set, args.b)
-    workers = _resolve_workers(args, ctx.r * len(dset))
+    workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
     summary = codes.summarize(cwe, ctx.p)
     doc = report.code_document(
@@ -161,7 +164,12 @@ def cmd_verify(args, out=None, err=None) -> int:
     verdicts: list[verification.Verdict] = []
     t0 = time.perf_counter()
     ctx = _make_ctx(args)
-    workers = _resolve_workers(args, ctx.r * ctx.r)
+    cwe = None
+    if scope in ("cwe", "griesmer", "all") and args.m > 2:
+        # one enumeration serves both the cwe and the griesmer checks
+        dset = codes.build_defining_set(ctx, 1)
+        workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
+        cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
     if scope in ("sums", "all"):
         verdicts += verification.verify_gauss_sums(args.p, args.m, size_cap=args.size_cap)
         verdicts += verification.verify_quadratic_sums(ctx, samples=args.samples)
@@ -170,11 +178,9 @@ def cmd_verify(args, out=None, err=None) -> int:
         if scope in ("counts", "all"):
             verdicts += verification.verify_counts(ctx)
         if scope in ("cwe", "all"):
-            verdicts += verification.verify_cwe(ctx, budget=args.budget,
-                                                workers=workers)
+            verdicts += verification.verify_cwe(ctx, cwe=cwe)
         if scope in ("griesmer", "all"):
-            verdicts += verification.verify_griesmer(ctx, budget=args.budget,
-                                                     workers=workers)
+            verdicts += verification.verify_griesmer(ctx, cwe=cwe)
         if scope in ("equivalence", "all"):
             verdicts += verification.verify_equivalence(ctx)
     doc = {

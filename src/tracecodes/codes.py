@@ -1,17 +1,19 @@
 """Defining sets, codewords and the exhaustive-enumeration oracle.
 
 The code attached to a defining set D is the image of a |-> (Tr(a*x)
-for x in D) over all a in F_r.  Enumeration streams codewords and folds
-them into a composition-count mapping, never materializing the full
-codeword matrix; the dimension falls out of the zero-composition
-frequency (the kernel of the linear map a |-> codeword), so no codeword
-hashing is needed.
+for x in D) over all a in F_r.  Enumeration computes one codeword per
+orbit of a |-> c*a^(p^i) (c in F_p^*) and folds its composition into a
+composition-count mapping with the orbit's weight, never materializing
+the full codeword matrix; the dimension falls out of the
+zero-composition frequency (the kernel of the linear map a |->
+codeword), so no codeword hashing is needed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .errors import (
@@ -20,8 +22,9 @@ from .errors import (
     EmptyConstraintError,
     MixedContextError,
     NonPowerCodewordCountError,
+    NotFrobeniusStableError,
 )
-from .fields import FieldContext, make_field
+from .fields import FieldContext
 
 DEFAULT_BUDGET = 10**8
 
@@ -170,16 +173,45 @@ class WeightDistribution:
 # Exhaustive enumeration
 # ----------------------------------------------------------------------
 
-def _accumulate_range(ctx: FieldContext, dset: DefiningSet, lo: int, hi: int) -> dict:
-    """Fold codewords for exponents lo <= log(a) < hi into a term map."""
-    p = ctx.p
-    rm1 = ctx.r - 1
-    tr = ctx.trace_table
-    tr_exp = [tr[e] for e in ctx.exp]
-    zero_in = 1 if 0 in dset.elements else 0
-    d_logs = [ctx.log[x] for x in dset.elements if x != 0]
+def _frobenius_orbits(p: int, size: int) -> list[tuple[int, int]]:
+    """(representative, orbit size) for every orbit of t |-> p*t on
+    Z/size, representatives ascending."""
+    seen = bytearray(size)
+    reps = []
+    for la in range(size):
+        if seen[la]:
+            continue
+        s = 0
+        t = la
+        while not seen[t]:
+            seen[t] = 1
+            s += 1
+            t = t * p % size
+        reps.append((la, s))
+    return reps
+
+
+def _orbit_count(p: int, m: int) -> int:
+    """Number of orbits of t |-> p*t on Z/((p^m - 1)/(p - 1)), by
+    Burnside: the map has order m and p^i fixes gcd(p^i - 1, size)
+    residues."""
+    size = (p**m - 1) // (p - 1)
+    return sum(gcd(p**i - 1, size) for i in range(m)) // m
+
+
+def enumeration_cost(ctx: FieldContext, dset: DefiningSet) -> int:
+    """Symbol evaluations :func:`exhaustive_cwe` performs: one codeword
+    of length n per orbit representative."""
+    return _orbit_count(ctx.p, ctx.m) * len(dset.elements)
+
+
+def _orbit_terms(job) -> dict:
+    """Compositions of the representatives' codewords, each weighted by
+    its orbit size.  Takes plain data only, so a pool worker needs no
+    field context."""
+    p, rm1, tr_exp, d_logs, zero_in, reps = job
     terms: dict[tuple[int, ...], int] = {}
-    for la in range(lo, hi):
+    for la, s in reps:
         counts = [0] * p
         counts[0] = zero_in
         for dl in d_logs:
@@ -188,50 +220,63 @@ def _accumulate_range(ctx: FieldContext, dset: DefiningSet, lo: int, hi: int) ->
                 t -= rm1
             counts[tr_exp[t]] += 1
         key = tuple(counts)
-        terms[key] = terms.get(key, 0) + 1
+        terms[key] = terms.get(key, 0) + s
     return terms
-
-
-def _cwe_chunk(args) -> dict:
-    p, m, modulus, ds_args, lo, hi = args
-    ctx = make_field(p, m, modulus=modulus)
-    tv, tsv, excl = ds_args
-    dset = build_defining_set_general(ctx, trace_value=tv, trace_square_value=tsv,
-                                      exclude_zero=excl)
-    return _accumulate_range(ctx, dset, lo, hi)
 
 
 def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_BUDGET,
                    workers: int = 1) -> CompleteWeightEnumerator:
     """Exact complete weight enumerator over all p^m codeword indices.
 
-    The index space partitions across workers; per-worker term maps
-    merge by frequency addition, so the result is identical for every
-    worker count.
+    Enumerates one codeword per orbit of a |-> c*a^(p^i), c in F_p^*:
+    Tr(c*a*x) = c*Tr(a*x) relabels symbols, and for a Frobenius-stable D
+    the codeword of a^p is a permutation of that of a.  With N =
+    (r - 1)/(p - 1), nonzero a = alpha^la up to F_p^* is la mod N, and
+    Frobenius acts as la |-> p*la, so an orbit of size s on Z/N stands
+    for s*(p - 1) elements.  D is checked for Frobenius stability first.
+
+    ``budget`` bounds :func:`enumeration_cost` and is checked before any
+    enumeration.  ``workers`` > 1 splits the representatives across that
+    many processes, each sent plain lists; the merged result is identical
+    for every worker count.
     """
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
-    n = len(dset.elements)
-    cost = ctx.r * n
+    p, n = ctx.p, len(dset.elements)
+    cost = enumeration_cost(ctx, dset)
     if cost > budget:
         raise BudgetExceededError(
             f"{cost} symbol evaluations exceed the budget of {budget}")
     rm1 = ctx.r - 1
-    if workers <= 1 or rm1 < 2 * workers:
-        terms = _accumulate_range(ctx, dset, 0, rm1)
+    d_logs = [ctx.log[x] for x in dset.elements if x != 0]
+    log_set = set(d_logs)
+    if any(dl * p % rm1 not in log_set for dl in d_logs):
+        raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
+    tr = ctx.trace_table
+    tr_exp = [tr[e] for e in ctx.exp]
+    zero_in = 1 if 0 in dset.elements else 0
+    reps = _frobenius_orbits(p, rm1 // (p - 1))
+    if workers <= 1 or len(reps) < 2 * workers:
+        rep_terms = _orbit_terms((p, rm1, tr_exp, d_logs, zero_in, reps))
     else:
-        bounds = [rm1 * i // workers for i in range(workers + 1)]
-        ds_args = (dset.trace_value, dset.trace_square_value, dset.exclude_zero)
-        jobs = [(ctx.p, ctx.m, ctx.modulus, ds_args, bounds[i], bounds[i + 1])
+        jobs = [(p, rm1, tr_exp, d_logs, zero_in, reps[i::workers])
                 for i in range(workers)]
-        terms = {}
+        rep_terms = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_cwe_chunk, jobs):
+            for chunk in pool.map(_orbit_terms, jobs):
                 for key, freq in chunk.items():
-                    terms[key] = terms.get(key, 0) + freq
-    zero_comp = tuple([n] + [0] * (ctx.p - 1))
+                    rep_terms[key] = rep_terms.get(key, 0) + freq
+    # scaling by c sends symbol v to c*v: entry w of the relabelled
+    # composition is entry w/c of the original
+    relabels = [[w * pow(c, -1, p) % p for w in range(p)] for c in range(1, p)]
+    terms: dict[tuple[int, ...], int] = {}
+    for comp, freq in rep_terms.items():
+        for perm in relabels:
+            key = tuple([comp[w] for w in perm])
+            terms[key] = terms.get(key, 0) + freq
+    zero_comp = tuple([n] + [0] * (p - 1))
     terms[zero_comp] = terms.get(zero_comp, 0) + 1  # a = 0
-    return CompleteWeightEnumerator(p=ctx.p, n=n, terms=terms)
+    return CompleteWeightEnumerator(p=p, n=n, terms=terms)
 
 
 # ----------------------------------------------------------------------

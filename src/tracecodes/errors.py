@@ -52,3 +52,8 @@ class FrequencyMismatchError(TraceCodesError):
 
 class RhoZeroError(TraceCodesError):
     """The nonzero-symbol decomposition was asked for the zero symbol."""
+
+
+class NotFrobeniusStableError(TraceCodesError):
+    """A defining set is not closed under x |-> x^p, so orbit-reduced
+    enumeration would be wrong for it."""

@@ -212,11 +212,15 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
 # ----------------------------------------------------------------------
 
 def verify_cwe(ctx: FieldContext, budget: int = codes.DEFAULT_BUDGET,
-               workers: int = 1) -> list[Verdict]:
+               workers: int = 1,
+               cwe: Optional[codes.CompleteWeightEnumerator] = None) -> list[Verdict]:
     """Closed-form complete weight enumerator and weight table against
-    exhaustive enumeration."""
-    dset = codes.build_defining_set(ctx, 1)
-    brute = codes.exhaustive_cwe(ctx, dset, budget=budget, workers=workers)
+    exhaustive enumeration of the b = 1 code; ``cwe``, when given, is
+    that enumeration and nothing is enumerated here."""
+    brute = cwe
+    if brute is None:
+        brute = codes.exhaustive_cwe(ctx, codes.build_defining_set(ctx, 1),
+                                     budget=budget, workers=workers)
     pred = closedform.prediction(ctx.p, ctx.m)
     verdicts = []
     if pred.cwe.terms == brute.terms:
@@ -246,9 +250,12 @@ def verify_cwe(ctx: FieldContext, budget: int = codes.DEFAULT_BUDGET,
 
 
 def verify_griesmer(ctx: FieldContext, budget: int = codes.DEFAULT_BUDGET,
-                    workers: int = 1) -> list[Verdict]:
+                    workers: int = 1,
+                    cwe: Optional[codes.CompleteWeightEnumerator] = None) -> list[Verdict]:
+    """Brute [n, k, d] and Griesmer/MDS flags against the closed forms;
+    ``cwe`` as in :func:`verify_cwe`."""
     dset = codes.build_defining_set(ctx, 1)
-    summary = codes.code_summary(ctx, dset, budget=budget, workers=workers)
+    summary = codes.code_summary(ctx, dset, cwe=cwe, budget=budget, workers=workers)
     pred = closedform.classify_optimality(ctx.p, ctx.m)
     ok = (summary.n, summary.k, summary.d) == (pred.n, pred.k, pred.d) \
         and summary.griesmer_optimal == pred.griesmer_optimal \

@@ -80,6 +80,22 @@ def test_verify_all_small_field(capsys):
     assert any(n.startswith("scaled-set-equivalence") for n in names)
 
 
+def test_verify_all_enumerates_once(capsys, monkeypatch):
+    from tracecodes import codes
+    calls = []
+    original = codes.exhaustive_cwe
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "exhaustive_cwe", counting)
+    rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", "all")
+    assert rc == 0
+    assert json.loads(out)["all_passed"] is True
+    assert len(calls) == 1
+
+
 def test_verify_sums_flags_sign_convention(capsys):
     rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "1", "--scope", "sums")
     assert rc == 0

@@ -1,12 +1,14 @@
 import pytest
 
 from tracecodes import (
+    DefiningSet,
     build_defining_set,
     build_defining_set_general,
     code_summary,
     codeword,
     count_symbol,
     count_trace_pair,
+    enumeration_cost,
     exhaustive_cwe,
     irreducible_polynomials,
     make_field,
@@ -19,6 +21,7 @@ from tracecodes.errors import (
     DegreeTooSmallError,
     EmptyConstraintError,
     MixedContextError,
+    NotFrobeniusStableError,
 )
 
 from expected_enumerators import CWE_3_6, CWE_5_3, CWE_5_4
@@ -145,6 +148,26 @@ def test_budget_guard(fields):
     dset = build_defining_set(ctx, 1)
     with pytest.raises(BudgetExceededError):
         exhaustive_cwe(ctx, dset, budget=100)
+
+
+def test_budget_counts_enumeration_cost(fields):
+    ctx = fields(3, 6)
+    dset = build_defining_set(ctx, 1)
+    cost = enumeration_cost(ctx, dset)
+    assert cost < ctx.r * len(dset)
+    assert exhaustive_cwe(ctx, dset, budget=cost).terms == CWE_3_6
+    with pytest.raises(BudgetExceededError):
+        exhaustive_cwe(ctx, dset, budget=cost - 1)
+
+
+def test_non_frobenius_stable_set_rejected(fields):
+    ctx = fields(3, 3)
+    assert ctx.pow(ctx.alpha, 3) != ctx.alpha
+    dset = DefiningSet(ctx=ctx, elements=(ctx.alpha,), trace_value=None,
+                       trace_square_value=None, exclude_zero=True,
+                       in_closed_form_scope=False)
+    with pytest.raises(NotFrobeniusStableError):
+        exhaustive_cwe(ctx, dset)
 
 
 def test_workers_give_identical_terms(fields):
