@@ -211,32 +211,25 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
 # Code-level checks
 # ----------------------------------------------------------------------
 
-def verify_cwe(ctx: FieldContext, budget: int = codes.DEFAULT_BUDGET,
-               workers: int = 1,
-               cwe: Optional[codes.CompleteWeightEnumerator] = None) -> list[Verdict]:
+def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
     """Closed-form complete weight enumerator and weight table against
-    exhaustive enumeration of the b = 1 code; ``cwe``, when given, is
-    that enumeration and nothing is enumerated here."""
-    brute = cwe
-    if brute is None:
-        brute = codes.exhaustive_cwe(ctx, codes.build_defining_set(ctx, 1),
-                                     budget=budget, workers=workers)
+    ``cwe``, the exhaustive enumeration of the b = 1 code."""
     pred = closedform.prediction(ctx.p, ctx.m)
     verdicts = []
-    if pred.cwe.terms == brute.terms:
+    if pred.cwe.terms == cwe.terms:
         verdicts.append(Verdict(
             name=f"cwe p={ctx.p} m={ctx.m}", passed=True,
-            details=f"{len(brute.terms)} distinct composition patterns matched "
+            details=f"{len(cwe.terms)} distinct composition patterns matched "
                     f"({pred.pair_reading} pair reading)"))
     else:
-        missing = {k: v for k, v in brute.terms.items() if pred.cwe.terms.get(k) != v}
+        missing = {k: v for k, v in cwe.terms.items() if pred.cwe.terms.get(k) != v}
         k0, v0 = next(iter(sorted(missing.items())))
         verdicts.append(Verdict(
             name=f"cwe p={ctx.p} m={ctx.m}", passed=False,
             details="composition frequencies differ",
             data={"composition": list(k0), "brute": v0,
                   "closed": pred.cwe.terms.get(k0, 0)}))
-    brute_wd = brute.weight_distribution()
+    brute_wd = cwe.weight_distribution()
     if pred.wd.counts == brute_wd.counts and pred.k == brute_wd.k:
         verdicts.append(Verdict(
             name=f"weight-distribution p={ctx.p} m={ctx.m}", passed=True,
@@ -249,13 +242,10 @@ def verify_cwe(ctx: FieldContext, budget: int = codes.DEFAULT_BUDGET,
     return verdicts
 
 
-def verify_griesmer(ctx: FieldContext, budget: int = codes.DEFAULT_BUDGET,
-                    workers: int = 1,
-                    cwe: Optional[codes.CompleteWeightEnumerator] = None) -> list[Verdict]:
-    """Brute [n, k, d] and Griesmer/MDS flags against the closed forms;
-    ``cwe`` as in :func:`verify_cwe`."""
-    dset = codes.build_defining_set(ctx, 1)
-    summary = codes.code_summary(ctx, dset, cwe=cwe, budget=budget, workers=workers)
+def verify_griesmer(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
+    """Brute [n, k, d] and Griesmer/MDS flags from ``cwe``, the exhaustive
+    enumeration of the b = 1 code, against the closed forms."""
+    summary = codes.summarize(cwe, ctx.p)
     pred = closedform.classify_optimality(ctx.p, ctx.m)
     ok = (summary.n, summary.k, summary.d) == (pred.n, pred.k, pred.d) \
         and summary.griesmer_optimal == pred.griesmer_optimal \
