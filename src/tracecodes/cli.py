@@ -21,15 +21,13 @@ from typing import Optional, Sequence
 
 from . import closedform, codes, report, verification
 from .errors import BudgetExceededError, TraceCodesError
-from .fields import DEFAULT_SIZE_CAP, make_field
+from .fields import DEFAULT_SIZE_CAP, check_characteristic, check_modulus, make_field
 
 SCOPES = ("cwe", "sums", "counts", "griesmer", "equivalence", "all")
 CODE_SCOPES = {"cwe", "counts", "griesmer", "equivalence"}
 
 
-def _parse_modulus(text: Optional[str]) -> Optional[tuple[int, ...]]:
-    if text is None:
-        return None
+def _parse_modulus(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError as exc:
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes that split one enumeration, or "
                              "run the pairs of a sweep (default: all cores for "
                              "large jobs, serial for small ones)")
-        sp.add_argument("--modulus", type=str, default=None,
+        sp.add_argument("--modulus", type=_parse_modulus, default=None,
                         help="comma-separated modulus coefficients, low degree first")
 
     sp = sub.add_parser("build", help="enumerate one code exhaustively")
@@ -101,8 +99,7 @@ def _resolve_workers(args, cost: int) -> int:
 
 
 def _make_ctx(args):
-    return make_field(args.p, args.m, modulus=_parse_modulus(args.modulus),
-                      size_cap=args.size_cap)
+    return make_field(args.p, args.m, modulus=args.modulus, size_cap=args.size_cap)
 
 
 def _build_dset(ctx, kind: str, b: int):
@@ -140,13 +137,14 @@ def cmd_build(args, out=None, err=None) -> int:
 
 def cmd_predict(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
+    check_characteristic(args.p)
     pred = closedform.prediction(args.p, args.m)
     summary = codes.CodeSummary(n=pred.summary.n, k=pred.summary.k, d=pred.summary.d,
                                 griesmer_sum=pred.summary.griesmer_sum,
                                 griesmer_optimal=pred.summary.griesmer_optimal,
                                 mds=pred.summary.mds)
-    modulus = _parse_modulus(args.modulus)
-    params = report.params_dict(args.p, args.m, modulus or (), b=args.b)
+    modulus = () if args.modulus is None else check_modulus(args.p, args.m, args.modulus)
+    params = report.params_dict(args.p, args.m, modulus, b=args.b)
     params["regime"] = pred.regime.index
     params["pair_reading"] = pred.pair_reading
     doc = report.code_document(params=params, summary=summary, cwe=pred.cwe, wd=pred.wd)
@@ -200,21 +198,21 @@ def _sweep_pair(args, p: int, m: int) -> tuple[dict, bool]:
     dset = codes.build_defining_set(ctx, args.b)
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget)
     summary = codes.summarize(cwe, p)
-    verdicts = []
-    if args.b % p != 0:
-        pred = closedform.prediction(p, m)
-        verdicts.append(verification.Verdict(
+    pred = closedform.prediction(p, m)
+    brute_wd = cwe.weight_distribution()
+    verdicts = [
+        verification.Verdict(
             name="cwe", passed=pred.cwe.terms == cwe.terms,
             details="closed-form enumerator matches" if pred.cwe.terms == cwe.terms
-            else "closed-form enumerator differs"))
-        brute_wd = cwe.weight_distribution()
-        verdicts.append(verification.Verdict(
+            else "closed-form enumerator differs"),
+        verification.Verdict(
             name="weight-distribution", passed=pred.wd.counts == brute_wd.counts,
             details="closed-form weight table matches" if pred.wd.counts == brute_wd.counts
-            else "closed-form weight table differs"))
+            else "closed-form weight table differs"),
+    ]
     doc = report.code_document(
         params=report.params_dict(p, m, ctx.modulus, b=args.b, defining_set=dset),
-        summary=summary, cwe=cwe, wd=cwe.weight_distribution(),
+        summary=summary, cwe=cwe, wd=brute_wd,
         extra={"verification": [v.as_dict() for v in verdicts]})
     if args.compare_defining_set:
         comp_set = _build_dset(ctx, args.compare_defining_set, args.b)
@@ -246,6 +244,11 @@ def cmd_sweep(args, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"bad sweep lists: {exc}", file=err)
         return 2
+    for p in p_list:
+        if p > 1 and args.b % p == 0:
+            print(f"sweep --b {args.b} is divisible by p={p}: the closed forms "
+                  f"need b nonzero in F_{p}", file=err)
+            return 2
     pairs = [(p, m) for p in p_list for m in m_list]
     workers = _resolve_workers(args, sum(p**m for p, m in pairs))
     results = []

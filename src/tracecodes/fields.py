@@ -9,7 +9,13 @@ the prime subfield.
 A :class:`FieldContext` fixes the modulus polynomial and a primitive
 element and precomputes power, discrete-log and trace tables, so that
 multiplication, inversion, the absolute trace and the quadratic
-character are all O(1) lookups.  Construction is deterministic: the
+character are all O(1) lookups.  Addition is a lookup as well: reading
+the base-p digits of an index in base 2p - 1 (its "spread") makes the
+digit-wise sum of two elements a plain integer sum with no carries, and
+two half-tables of size at most (2p - 1)^ceil(m/2) map such a sum back
+to an index.  The same encoding drives the power walk, since
+multiplication by the primitive element is F_p-linear, so the tables
+are built in time linear in p^m.  Construction is deterministic: the
 default modulus is the lexicographically first monic irreducible
 polynomial (tail coefficients read low-degree-first as a base-p
 integer) and the primitive element is the smallest index of full
@@ -186,6 +192,36 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
             yield tuple(coeffs)
 
 
+def check_characteristic(p: int) -> None:
+    """Raise unless p is an odd prime."""
+    if not is_prime(p):
+        raise NotPrimeError(f"p={p} is not prime")
+    if p == 2:
+        raise EvenCharacteristicError("p must be an odd prime")
+
+
+def check_modulus(p: int, m: int, modulus: Sequence[int]) -> tuple[int, ...]:
+    """The modulus with its coefficients reduced mod p; ValueError unless
+    it is monic of degree m and irreducible over F_p."""
+    f = tuple(c % p for c in modulus)
+    if len(f) != m + 1 or f[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {m}")
+    if not is_irreducible(f, p):
+        raise ValueError(f"modulus {f} is reducible over F_{p}")
+    return f
+
+
+def _digit_table(digits: int, radix: int, base: int, p: int, scale: int = 1) -> list[int]:
+    """Entry i: the ``digits`` base-``radix`` digits of i, each taken mod
+    p, read in base ``base`` and multiplied by ``scale``."""
+    table = [0]
+    weight = scale
+    for _ in range(digits):
+        table = [v + (c % p) * weight for c in range(radix) for v in table]
+        weight *= base
+    return table
+
+
 # ----------------------------------------------------------------------
 # Field context
 # ----------------------------------------------------------------------
@@ -218,10 +254,7 @@ class FieldContext:
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
                  size_cap: int = DEFAULT_SIZE_CAP):
-        if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
-        if p == 2:
-            raise EvenCharacteristicError("p must be an odd prime")
+        check_characteristic(p)
         if m < 1:
             raise DegreeTooSmallError(f"extension degree m={m} must be >= 1")
         r = p**m
@@ -234,16 +267,12 @@ class FieldContext:
         self.params = FieldParams(p, m, r, self.m_p)
 
         if modulus is None:
-            modulus = next(irreducible_polynomials(p, m))
+            self.modulus = next(irreducible_polynomials(p, m))
         else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = tuple(modulus)
+            self.modulus = check_modulus(p, m, modulus)
 
         self.alpha = self._find_primitive()
+        self._build_spread_tables()
         self._build_power_tables()
         self._build_trace_table()
 
@@ -275,45 +304,69 @@ class FieldContext:
                 return cand
         raise AssertionError("no primitive element found")  # unreachable
 
+    def _build_spread_tables(self) -> None:
+        p, m = self.p, self.m
+        self._h = h = (m + 1) // 2  # digits in the low half of an index
+        base = 2 * p - 1
+        self._ph = p**h
+        self._bh = base**h
+        # spread: base-p digits of an index reread in base 2p - 1
+        self._sl = _digit_table(h, p, base, p)
+        self._sh = _digit_table(m - h, p, base, p, self._bh)
+        # reduce: base-(2p - 1) digits taken mod p and read in base p
+        self._rl = _digit_table(h, base, p, p)
+        self._rh = _digit_table(m - h, base, p, p, self._ph)
+        # every digit p - d of _neg_base - spread(x) lies in [1, p]
+        self._neg_base = sum(p * base**j for j in range(m))
+
+    def _spread(self, x: int) -> int:
+        return self._sl[x % self._ph] + self._sh[x // self._ph]
+
+    def _reduce(self, s: int) -> int:
+        return self._rl[s % self._bh] + self._rh[s // self._bh]
+
     def _build_power_tables(self) -> None:
-        rm1 = self.r - 1
+        # t -> alpha*t is F_p-linear: with t = lo + hi*p^h, tabulate the
+        # spread images of alpha*lo and of alpha*hi*x^h from the images
+        # of c*x^j, then each step of the walk is two lookups and a reduce
+        p, m, r, h = self.p, self.m, self.r, self._h
+        rows = [[self._spread(self._mul_raw(self.alpha, c * p**j)) for c in range(p)]
+                for j in range(m)]
+        low, high = self._linear_table(rows[:h]), self._linear_table(rows[h:])
+        ph, bh, rl, rh = self._ph, self._bh, self._rl, self._rh
+        rm1 = r - 1
         exp = [0] * rm1
-        log = [-1] * self.r
+        log = [-1] * r
         cur = 1
         for k in range(rm1):
             exp[k] = cur
             log[cur] = k
-            cur = self._mul_raw(cur, self.alpha)
+            s = low[cur % ph] + high[cur // ph]
+            cur = rl[s % bh] + rh[s // bh]
         if cur != 1:
             raise AssertionError("primitive element order check failed")
         self.exp = exp
         self.log = log
 
+    def _linear_table(self, rows: list[list[int]]) -> list[int]:
+        """Spread images of every digit vector, by linearity: entry i sums
+        rows[j][c_j] over the base-p digits c_j of i."""
+        table = [0]
+        for row in rows:
+            table = [self._spread(self._reduce(v + u)) for u in row for v in table]
+        return table
+
     def _build_trace_table(self) -> None:
-        p, m, r = self.p, self.m, self.r
-        # traces of the polynomial basis 1, x, ..., x^{m-1}
-        basis_traces = []
+        p, m = self.p, self.m
+        table = [0]
         for j in range(m):
-            e = p**j
-            acc = e
-            frob = e
-            for _ in range(m - 1):
-                frob = self._pow_raw(frob, p)
-                acc = self.add(acc, frob)
-            if acc >= p:
+            # Tr(x^j) = sum over k of the conjugates (x^j)^(p^k)
+            bt = x_j = p**j
+            for k in range(1, m):
+                bt = self.add(bt, self.pow(x_j, p**k))
+            if bt >= p:
                 raise AssertionError("trace left the prime subfield")
-            basis_traces.append(acc)
-        table = [0] * r
-        for idx in range(r):
-            v = idx
-            s = 0
-            j = 0
-            while v:
-                v, c = divmod(v, p)
-                if c:
-                    s += c * basis_traces[j]
-                j += 1
-            table[idx] = s % p
+            table = [(v + c * bt) % p for c in range(p) for v in table]
         self.trace_table = table
 
     # -- element encoding ----------------------------------------------
@@ -339,26 +392,12 @@ class FieldContext:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        p = self.p
-        s = 0
-        mult = 1
-        while x or y:
-            s += ((x % p + y % p) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return s
+        ph, sl, sh = self._ph, self._sl, self._sh
+        s = sl[x % ph] + sh[x // ph] + sl[y % ph] + sh[y // ph]
+        return self._rl[s % self._bh] + self._rh[s // self._bh]
 
     def neg(self, x: int) -> int:
-        p = self.p
-        s = 0
-        mult = 1
-        while x:
-            x, c = divmod(x, p)
-            if c:
-                s += (p - c) * mult
-            mult *= p
-        return s
+        return self._reduce(self._neg_base - self._spread(x))
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

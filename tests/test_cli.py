@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tracecodes.cli import main
 from tracecodes.report import cwe_monomial_string, weight_poly_string
 from tracecodes.verification import Verdict, exit_code_for
@@ -171,3 +173,39 @@ def test_render_helpers():
                             counts={0: 1, 14: 120, 15: 96, 16: 300, 19: 80, 20: 28})
     assert weight_poly_string(wd) == WE_STRING_5_4
     assert cwe_monomial_string((33, 24, 24), 162) == "162 z0^33 z1^24 z2^24"
+
+
+def test_sweep_rejects_b_divisible_by_p(capsys, monkeypatch):
+    from tracecodes import cli
+    built = []
+    monkeypatch.setattr(cli, "make_field", lambda *a, **k: built.append(a))
+    for m_list in ("4", "3"):
+        rc, out, err = run(capsys, "sweep", "--p-list", "3,5", "--m-list", m_list, "--b", "5")
+        assert rc == 2
+        assert out == ""
+        assert "p=5" in err
+    assert built == []
+
+
+def test_predict_rejects_bad_modulus(capsys):
+    for modulus in ("1,1,1", "1,0,1,0,1", "2,1,0,0,2"):  # wrong degree, reducible, not monic
+        rc, out, err = run(capsys, "predict", "--p", "3", "--m", "4", "--modulus", modulus)
+        assert rc == 2
+        assert out == ""
+        assert "modulus" in err
+    with pytest.raises(SystemExit) as exc:  # argparse rejects it
+        main(["predict", "--p", "3", "--m", "4", "--modulus", "x,1"])
+    assert exc.value.code == 2
+
+
+def test_predict_echoes_valid_modulus(capsys):
+    rc, out, _ = run(capsys, "predict", "--p", "3", "--m", "4", "--modulus", "2,1,0,0,1")
+    assert rc == 0
+    assert json.loads(out)["params"]["modulus"] == [2, 1, 0, 0, 1]
+
+
+def test_predict_rejects_even_or_composite_p(capsys):
+    for p in ("2", "9"):
+        rc, out, _ = run(capsys, "predict", "--p", p, "--m", "4")
+        assert rc == 2
+        assert out == ""

@@ -1,0 +1,55 @@
+"""Golden-output test: the exact stdout bytes of a small fixed CLI grid.
+
+Each case's expected stdout is stored in ``tests/golden/<name>.out``.  A
+refactor that keeps the JSON documents byte-identical passes; any change
+to a value, an ordering or the formatting fails here.  To regenerate the
+files after an intended output change, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from tracecodes.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# one build per (m parity, p | m) regime: 1: (3,6); 2: (5,4), (7,4); 3: (3,3);
+# 4: (5,3), (3,5)
+CASES = {
+    "build-3-6": ["build", "--p", "3", "--m", "6"],
+    "build-5-4-b2": ["build", "--p", "5", "--m", "4", "--b", "2"],
+    "build-3-3-modulus": ["build", "--p", "3", "--m", "3", "--modulus", "2,0,1,1"],
+    "build-5-3-workers2": ["build", "--p", "5", "--m", "3", "--workers", "2"],
+    "build-3-5-d1": ["build", "--p", "3", "--m", "5", "--defining-set", "d1"],
+    "build-7-4-b3-modulus": ["build", "--p", "7", "--m", "4", "--b", "3", "--modulus", "3,5,0,0,1"],
+    "build-3-4-text": ["build", "--p", "3", "--m", "4", "--format", "text"],
+    "predict-3-4": ["predict", "--p", "3", "--m", "4"],
+    "verify-3-4-all": ["verify", "--p", "3", "--m", "4", "--scope", "all"],
+    "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden_bytes(capsys, name):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(argv)
+        if rc != 0:
+            sys.exit(f"{name}: exit {rc}")
+        (GOLDEN / f"{name}.out").write_bytes(buf.getvalue().encode())
+        print(f"wrote {name}.out", file=sys.stderr)
