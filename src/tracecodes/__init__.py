@@ -20,7 +20,6 @@ from .charsums import (
 )
 from .closedform import (
     CwePrediction,
-    OptimalityReport,
     PairCounts,
     Regime,
     TraceProfile,
@@ -45,10 +44,7 @@ from .codes import (
     WeightDistribution,
     build_defining_set,
     build_defining_set_general,
-    code_summary,
     codeword,
-    count_symbol,
-    count_trace_pair,
     enumeration_cost,
     exhaustive_cwe,
     griesmer_lower_bound,

@@ -41,13 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "enumerators, closed-form predictions and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_pm=True):
-        if need_pm:
-            sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-            sp.add_argument("--m", type=int, required=True, help="extension degree")
+    def add_field(sp):
+        sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
+        sp.add_argument("--m", type=int, required=True, help="extension degree")
         sp.add_argument("--b", type=int, default=1,
                         help="defining trace value (default 1)")
         sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.add_argument("--modulus", type=_parse_modulus, default=None,
+                        help="comma-separated modulus coefficients, low degree first")
+
+    def add_limits(sp):
         sp.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="maximum field size p^m")
         sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
@@ -58,26 +61,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes that split one enumeration, or "
                              "run the pairs of a sweep (default: all cores for "
                              "large jobs, serial for small ones)")
-        sp.add_argument("--modulus", type=_parse_modulus, default=None,
-                        help="comma-separated modulus coefficients, low degree first")
 
     sp = sub.add_parser("build", help="enumerate one code exhaustively")
-    add_common(sp)
+    add_field(sp)
+    add_limits(sp)
     sp.add_argument("--defining-set", choices=("main", "d1", "d2"), default="main",
                     help="main: Tr(x)=b and Tr(x^2)=0; d1: Tr(x)=b; "
                          "d2: x nonzero with Tr(x^2)=0")
 
     sp = sub.add_parser("predict", help="closed-form prediction, no enumeration")
-    add_common(sp)
+    add_field(sp)
 
     sp = sub.add_parser("verify", help="brute force versus closed forms")
-    add_common(sp)
+    add_field(sp)
+    add_limits(sp)
     sp.add_argument("--scope", choices=SCOPES, default="all")
     sp.add_argument("--samples", type=int, default=100,
                     help="random quadratics for the exponential-sum identity")
 
     sp = sub.add_parser("sweep", help="grid of builds with verification (JSON lines)")
-    add_common(sp, need_pm=False)
+    sp.add_argument("--b", type=int, default=1,
+                    help="defining trace value (default 1)")
+    add_limits(sp)
     sp.add_argument("--p-list", type=str, required=True,
                     help="comma-separated characteristics")
     sp.add_argument("--m-list", type=str, required=True,
@@ -110,6 +115,15 @@ def _build_dset(ctx, kind: str, b: int):
     return codes.build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
 
 
+def _b_vanishes(args, p: int, err) -> bool:
+    """Report and return whether --b is 0 in F_p, where no closed form applies."""
+    if args.b % p:
+        return False
+    print(f"{args.command} --b {args.b} is divisible by p={p}: the closed forms "
+          f"need b nonzero in F_{p}", file=err)
+    return True
+
+
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
         print(report.render_json(doc), file=out)
@@ -137,17 +151,16 @@ def cmd_build(args, out=None, err=None) -> int:
 
 def cmd_predict(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     check_characteristic(args.p)
+    if _b_vanishes(args, args.p, err):
+        return 2
     pred = closedform.prediction(args.p, args.m)
-    summary = codes.CodeSummary(n=pred.summary.n, k=pred.summary.k, d=pred.summary.d,
-                                griesmer_sum=pred.summary.griesmer_sum,
-                                griesmer_optimal=pred.summary.griesmer_optimal,
-                                mds=pred.summary.mds)
     modulus = () if args.modulus is None else check_modulus(args.p, args.m, args.modulus)
     params = report.params_dict(args.p, args.m, modulus, b=args.b)
     params["regime"] = pred.regime.index
     params["pair_reading"] = pred.pair_reading
-    doc = report.code_document(params=params, summary=summary, cwe=pred.cwe, wd=pred.wd)
+    doc = report.code_document(params=params, summary=pred.summary, cwe=pred.cwe, wd=pred.wd)
     _emit(doc, args.format, out)
     return 0
 
@@ -159,13 +172,17 @@ def cmd_verify(args, out=None, err=None) -> int:
     if scope in CODE_SCOPES and args.m <= 2:
         print(f"scope {scope!r} needs extension degree m > 2", file=err)
         return 2
+    check_characteristic(args.p)
+    enumerates = scope in ("cwe", "griesmer", "all") and args.m > 2
+    if enumerates and _b_vanishes(args, args.p, err):
+        return 2
     verdicts: list[verification.Verdict] = []
     t0 = time.perf_counter()
     ctx = _make_ctx(args)
     cwe = None
-    if scope in ("cwe", "griesmer", "all") and args.m > 2:
+    if enumerates:
         # one enumeration serves both the cwe and the griesmer checks
-        dset = codes.build_defining_set(ctx, 1)
+        dset = codes.build_defining_set(ctx, args.b)
         workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
         cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
     if scope in ("sums", "all"):
@@ -245,9 +262,7 @@ def cmd_sweep(args, out=None, err=None) -> int:
         print(f"bad sweep lists: {exc}", file=err)
         return 2
     for p in p_list:
-        if p > 1 and args.b % p == 0:
-            print(f"sweep --b {args.b} is divisible by p={p}: the closed forms "
-                  f"need b nonzero in F_{p}", file=err)
+        if p > 1 and _b_vanishes(args, p, err):
             return 2
     pairs = [(p, m) for p in p_list for m in m_list]
     workers = _resolve_workers(args, sum(p**m for p, m in pairs))

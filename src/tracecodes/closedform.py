@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .charsums import quadratic_gauss_sum
-from .codes import CompleteWeightEnumerator, WeightDistribution, griesmer_lower_bound
+from .codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
 from .errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
 from .fields import FieldContext, legendre
 
@@ -574,24 +574,10 @@ def predict_weight_distribution(p: int, m: int) -> WeightDistribution:
 # Optimality classification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OptimalityReport:
-    n: int
-    k: int
-    d: int
-    griesmer_sum: int
-    griesmer_optimal: bool
-    mds: bool
-
-
-def classify_optimality(p: int, m: int) -> OptimalityReport:
+def classify_optimality(p: int, m: int) -> CodeSummary:
     """Predicted [n, k, d] with Griesmer and MDS classification; the
     minimum distance is the smallest positive-frequency table weight."""
-    wd = predict_weight_distribution(p, m)
-    d = wd.minimum_distance()
-    gsum = griesmer_lower_bound(wd.k, d, p)
-    return OptimalityReport(n=wd.n, k=wd.k, d=d, griesmer_sum=gsum,
-                            griesmer_optimal=(gsum == wd.n), mds=(d == wd.n - wd.k + 1))
+    return predict_weight_distribution(p, m).summary(p)
 
 
 @dataclass
@@ -605,7 +591,7 @@ class CwePrediction:
     k: int
     cwe: CompleteWeightEnumerator
     wd: WeightDistribution
-    summary: OptimalityReport
+    summary: CodeSummary
     pair_reading: str
 
 
@@ -619,6 +605,5 @@ def prediction(p: int, m: int) -> CwePrediction:
     if derived.counts != wd.counts:
         raise FrequencyMismatchError(
             "weight table disagrees with the expanded enumerator")
-    summary = classify_optimality(p, m)
     return CwePrediction(p=p, m=m, regime=regime, n=cwe.n, k=m, cwe=cwe,
-                         wd=wd, summary=summary, pair_reading=reading)
+                         wd=wd, summary=wd.summary(p), pair_reading=reading)

@@ -104,8 +104,8 @@ def codeword(ctx: FieldContext, dset: DefiningSet, a: int) -> tuple[int, ...]:
     """(Tr(a*x) for x in D), in D's fixed coordinate order."""
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
-    tr = ctx.trace_table
-    return tuple(tr[ctx.mul(a, x)] for x in dset.elements)
+    tr, mul = ctx.trace_table, ctx.mul
+    return tuple([tr[mul(a, x)] for x in dset.elements])
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +167,13 @@ class WeightDistribution:
 
     def minimum_distance(self) -> int:
         return min(w for w, c in self.counts.items() if w > 0 and c > 0)
+
+    def summary(self, p: int) -> "CodeSummary":
+        """[n, k, d] plus the Griesmer and MDS classification."""
+        d = self.minimum_distance()
+        gsum = griesmer_lower_bound(self.k, d, p)
+        return CodeSummary(n=self.n, k=self.k, d=d, griesmer_sum=gsum,
+                           griesmer_optimal=(gsum == self.n), mds=(d == self.n - self.k + 1))
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +290,6 @@ def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_B
 # Counts
 # ----------------------------------------------------------------------
 
-def count_symbol(ctx: FieldContext, dset: DefiningSet, a: int, value: int) -> int:
-    """Number of coordinates of the codeword of a that equal the given
-    prime-field value."""
-    if dset.ctx is not ctx:
-        raise MixedContextError("defining set belongs to a different field context")
-    value %= ctx.p
-    tr = ctx.trace_table
-    return sum(1 for x in dset.elements if tr[ctx.mul(a, x)] == value)
-
-
 def trace_pair_table(ctx: FieldContext) -> dict[tuple[int, int], int]:
     """Counts of x with (Tr(x^2), Tr(x)) = (A, B), for every pair."""
     tr = ctx.trace_table
@@ -304,15 +301,6 @@ def trace_pair_table(ctx: FieldContext) -> dict[tuple[int, int], int]:
         key = (tr[ctx.mul(x, x)], tr[x])
         table[key] += 1
     return table
-
-
-def count_trace_pair(ctx: FieldContext, sq_value: int, trace_value: int) -> int:
-    """Exhaustive count of x with Tr(x^2) = sq_value and Tr(x) = trace_value."""
-    sq_value %= ctx.p
-    trace_value %= ctx.p
-    tr = ctx.trace_table
-    return sum(1 for x in range(ctx.r)
-               if tr[ctx.mul(x, x)] == sq_value and tr[x] == trace_value)
 
 
 # ----------------------------------------------------------------------
@@ -340,38 +328,17 @@ def griesmer_lower_bound(k: int, d: int, p: int) -> int:
 
 
 def summarize(cwe: CompleteWeightEnumerator, p: int) -> CodeSummary:
-    wd = cwe.weight_distribution()
-    n, k = wd.n, wd.k
-    d = wd.minimum_distance()
-    gsum = griesmer_lower_bound(k, d, p)
-    return CodeSummary(n=n, k=k, d=d, griesmer_sum=gsum,
-                       griesmer_optimal=(gsum == n), mds=(d == n - k + 1))
-
-
-def code_summary(ctx: FieldContext, dset: DefiningSet,
-                 cwe: Optional[CompleteWeightEnumerator] = None,
-                 budget: int = DEFAULT_BUDGET, workers: int = 1) -> CodeSummary:
-    """[n, k, d] plus Griesmer/MDS classification from exhaustive data."""
-    if cwe is None:
-        cwe = exhaustive_cwe(ctx, dset, budget=budget, workers=workers)
-    return summarize(cwe, ctx.p)
+    return cwe.weight_distribution().summary(p)
 
 
 def scaled_defining_set_equivalent(ctx: FieldContext, b: int) -> bool:
-    """Whether the code built on {x : Tr(x) = b, Tr(x^2) = 0} has exactly
-    the same codewords as the one built on the b = 1 set, after the
-    coordinate reordering induced by x |-> b*x."""
+    """Whether {x : Tr(x) = b, Tr(x^2) = 0} is b times the b = 1 set.
+
+    Then the code on it is the b = 1 code with its coordinates permuted:
+    the codeword of a at b*x is the codeword of a*b at x, and a |-> a*b
+    permutes F_r."""
     b %= ctx.p
     if b == 0:
         raise ValueError("b must be a nonzero prime-field value")
-    if ctx.m <= 2:
-        raise DegreeTooSmallError("code construction needs extension degree m > 2")
-    base = build_defining_set(ctx, 1)
-    scaled_coords = tuple(ctx.mul(b, x) for x in base.elements)
-    tr = ctx.trace_table
-    words_base = set()
-    words_scaled = set()
-    for a in range(ctx.r):
-        words_base.add(tuple(tr[ctx.mul(a, x)] for x in base.elements))
-        words_scaled.add(tuple(tr[ctx.mul(a, y)] for y in scaled_coords))
-    return words_base == words_scaled
+    scaled = {ctx.mul(b, x) for x in build_defining_set(ctx, 1).elements}
+    return set(build_defining_set(ctx, b).elements) == scaled

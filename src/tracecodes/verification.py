@@ -185,22 +185,22 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
 
     dset = codes.build_defining_set(ctx, 1)
     n = len(dset)
-    tr = ctx.trace_table
+    closed: dict[closedform.TraceProfile, list[int]] = {}
     for a in range(1, ctx.r):
-        counts = [0] * p
-        for x in dset.elements:
-            counts[tr[ctx.mul(a, x)]] += 1
+        word = codes.codeword(ctx, dset, a)
         prof = closedform.TraceProfile.from_element(ctx, a)
-        for rho in range(p):
-            want = closedform.symbol_count_closed(p, m, prof, rho)
-            if counts[rho] != want:
+        if prof not in closed:
+            closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
+                            for rho in range(p)]
+        for rho, want in enumerate(closed[prof]):
+            got = word.count(rho)
+            if got != want:
                 verdicts.append(Verdict(
                     name=f"symbol-count-decomposition p={p} m={m}", passed=False,
-                    details=f"a={a} rho={rho}: brute {counts[rho]} != closed {want}",
-                    data={"a": a, "rho": rho, "brute": counts[rho], "closed": want}))
+                    details=f"a={a} rho={rho}: brute {got} != closed {want}",
+                    data={"a": a, "rho": rho, "brute": got, "closed": want}))
                 return verdicts
-    zero_ok = all(codes.count_symbol(ctx, dset, 0, rho) == (n if rho == 0 else 0)
-                  for rho in range(p))
+    zero_ok = codes.codeword(ctx, dset, 0).count(0) == n
     verdicts.append(Verdict(
         name=f"symbol-count-decomposition p={p} m={m}", passed=zero_ok,
         details=f"exact for all {ctx.r - 1} nonzero codeword indices and all symbols"))
@@ -213,7 +213,7 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
 
 def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
     """Closed-form complete weight enumerator and weight table against
-    ``cwe``, the exhaustive enumeration of the b = 1 code."""
+    ``cwe``, the exhaustive enumeration of the code for a nonzero b."""
     pred = closedform.prediction(ctx.p, ctx.m)
     verdicts = []
     if pred.cwe.terms == cwe.terms:
@@ -244,7 +244,7 @@ def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[V
 
 def verify_griesmer(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
     """Brute [n, k, d] and Griesmer/MDS flags from ``cwe``, the exhaustive
-    enumeration of the b = 1 code, against the closed forms."""
+    enumeration of the code for a nonzero b, against the closed forms."""
     summary = codes.summarize(cwe, ctx.p)
     pred = closedform.classify_optimality(ctx.p, ctx.m)
     ok = (summary.n, summary.k, summary.d) == (pred.n, pred.k, pred.d) \

@@ -15,7 +15,7 @@ from tracecodes import (
     build_defining_set,
     build_defining_set_general,
     classify_optimality,
-    count_symbol,
+    codeword,
     cyclotomic_number_direct,
     cyclotomic_numbers_order2,
     discriminant_pair_counts,
@@ -252,7 +252,7 @@ def test_criterion_11_symbol_count_decomposition():
                     (p, m, a, rho)
                 checked += 1
         for rho in range(p):
-            assert count_symbol(ctx, dset, 0, rho) == (n if rho == 0 else 0)
+            assert codeword(ctx, dset, 0).count(rho) == (n if rho == 0 else 0)
     _report(11, f"symbol-count decomposition exact for {checked} (a, rho) "
                 f"cases over F_27 and F_625, zero symbol included")
 

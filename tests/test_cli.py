@@ -209,3 +209,62 @@ def test_predict_rejects_even_or_composite_p(capsys):
         rc, out, _ = run(capsys, "predict", "--p", p, "--m", "4")
         assert rc == 2
         assert out == ""
+
+
+def test_predict_rejects_b_divisible_by_p(capsys, monkeypatch):
+    from tracecodes import closedform
+    predicted = []
+    monkeypatch.setattr(closedform, "prediction", lambda *a: predicted.append(a))
+    for b in ("0", "5", "-10"):
+        rc, out, err = run(capsys, "predict", "--p", "5", "--m", "4", "--b", b)
+        assert rc == 2
+        assert out == ""
+        assert "p=5" in err
+    assert predicted == []
+
+
+def test_predict_echoes_nonzero_b(capsys):
+    rc, out, _ = run(capsys, "predict", "--p", "5", "--m", "4", "--b", "3")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["params"]["b"] == 3
+    assert (doc["summary"]["n"], doc["summary"]["k"], doc["summary"]["d"]) == (20, 4, 14)
+
+
+def test_verify_enumerates_the_set_of_b(capsys, monkeypatch):
+    from tracecodes import codes
+    enumerated = []
+    original = codes.exhaustive_cwe
+
+    def recording(ctx, dset, **kwargs):
+        enumerated.append(dset.trace_value)
+        return original(ctx, dset, **kwargs)
+
+    monkeypatch.setattr(codes, "exhaustive_cwe", recording)
+    rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "3", "--b", "2", "--scope", "cwe")
+    assert rc == 0
+    assert json.loads(out)["all_passed"] is True
+    assert enumerated == [2]
+
+
+def test_verify_rejects_b_divisible_by_p(capsys):
+    for scope in ("cwe", "griesmer", "all"):
+        for b in ("0", "5"):
+            rc, out, err = run(capsys, "verify", "--p", "5", "--m", "3", "--b", b,
+                               "--scope", scope)
+            assert rc == 2
+            assert out == ""
+            assert "p=5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--p", "3", "--m", "4", "--size-cap", "5"],
+    ["predict", "--p", "3", "--m", "4", "--budget", "1"],
+    ["predict", "--p", "3", "--m", "4", "--workers", "9"],
+    ["sweep", "--p-list", "3", "--m-list", "3", "--modulus", "9,9,9"],
+    ["sweep", "--p-list", "3", "--m-list", "3", "--format", "text"],
+])
+def test_unhonoured_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

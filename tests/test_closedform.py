@@ -5,9 +5,9 @@ from tracecodes import (
     TraceProfile,
     build_defining_set,
     classify_optimality,
+    codeword,
     correction_sums,
     correction_sums_at_zero,
-    count_symbol,
     discriminant_pair_counts,
     exhaustive_cwe,
     gauss_int,
@@ -162,7 +162,22 @@ def test_symbol_count_closed_vs_brute(fields):
             prof = TraceProfile.from_element(ctx, a)
             for rho in range(p):
                 assert symbol_count_closed(p, m, prof, rho) == \
-                    count_symbol(ctx, dset, a, rho), (p, m, a, rho)
+                    codeword(ctx, dset, a).count(rho), (p, m, a, rho)
+
+
+def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
+    from tracecodes import closedform
+    from tracecodes.verification import verify_counts
+    ctx = fields(3, 4)
+    target = TraceProfile.from_element(ctx, ctx.alpha)
+    first_a = min(a for a in range(1, ctx.r)
+                  if TraceProfile.from_element(ctx, a) == target)
+    original = closedform.symbol_count_closed
+    monkeypatch.setattr(closedform, "symbol_count_closed",
+                        lambda p, m, prof, rho: original(p, m, prof, rho) + (prof == target))
+    failed = [v for v in verify_counts(ctx) if not v.passed]
+    assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
+    assert (failed[0].data["a"], failed[0].data["rho"]) == (first_a, 0)
 
 
 def test_rho_zero_guard(fields):

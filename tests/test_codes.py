@@ -4,10 +4,7 @@ from tracecodes import (
     DefiningSet,
     build_defining_set,
     build_defining_set_general,
-    code_summary,
     codeword,
-    count_symbol,
-    count_trace_pair,
     enumeration_cost,
     exhaustive_cwe,
     irreducible_polynomials,
@@ -108,13 +105,13 @@ def test_dimension_from_kernel(fields):
 
 
 def test_code_summaries(fields):
-    s = code_summary(fields(5, 3), build_defining_set(fields(5, 3), 1))
+    s = summarize(exhaustive_cwe(fields(5, 3), build_defining_set(fields(5, 3), 1)), 5)
     assert (s.n, s.k, s.d) == (6, 3, 4)
     assert s.mds and s.griesmer_optimal
-    s = code_summary(fields(3, 3), build_defining_set(fields(3, 3), 1))
+    s = summarize(exhaustive_cwe(fields(3, 3), build_defining_set(fields(3, 3), 1)), 3)
     assert (s.n, s.k, s.d) == (3, 3, 1)
     assert s.mds and s.griesmer_optimal
-    s = code_summary(fields(7, 3), build_defining_set(fields(7, 3), 1))
+    s = summarize(exhaustive_cwe(fields(7, 3), build_defining_set(fields(7, 3), 1)), 7)
     assert (s.n, s.k, s.d) == (6, 3, 4)
     assert s.mds and s.griesmer_optimal
 
@@ -123,24 +120,24 @@ def test_count_symbol(fields):
     ctx = fields(3, 6)
     dset = build_defining_set(ctx, 1)
     n = len(dset)
-    assert count_symbol(ctx, dset, 0, 0) == n
-    assert count_symbol(ctx, dset, 0, 1) == 0
+    assert codeword(ctx, dset, 0).count(0) == n
+    assert codeword(ctx, dset, 0).count(1) == 0
     for a in (1, 2):  # prime-subfield indices: the codeword is constant a
         for rho in range(3):
             want = n if rho == a else 0
-            assert count_symbol(ctx, dset, a, rho) == want
+            assert codeword(ctx, dset, a).count(rho) == want
     for a in (5, 17, 100):
-        assert sum(count_symbol(ctx, dset, a, rho) for rho in range(3)) == n
+        assert sum(codeword(ctx, dset, a).count(rho) for rho in range(3)) == n
 
 
 def test_trace_pair_counts(fields):
     ctx = fields(5, 4)
-    assert count_trace_pair(ctx, 0, 1) == 20
+    assert trace_pair_table(ctx)[(0, 1)] == 20
     table = trace_pair_table(ctx)
     assert sum(table.values()) == 5**4
     assert table[(0, 1)] == 20
     ctx = fields(3, 6)
-    assert count_trace_pair(ctx, 0, 0) == 99
+    assert trace_pair_table(ctx)[(0, 0)] == 99
 
 
 def test_budget_guard(fields):
@@ -184,6 +181,26 @@ def test_scaled_set_equivalence(fields):
     assert scaled_defining_set_equivalent(ctx, 2)
     with pytest.raises(ValueError):
         scaled_defining_set_equivalent(ctx, 0)
+
+
+def test_scaled_sets_have_the_b1_enumerator(fields):
+    # what scaled_defining_set_equivalent's set check implies, end to end
+    for p, m in [(3, 3), (3, 5), (3, 6), (5, 4), (3, 8), (7, 5)]:
+        ctx = fields(p, m)
+        base = exhaustive_cwe(ctx, build_defining_set(ctx, 1)).terms
+        for b in range(2, p):
+            assert scaled_defining_set_equivalent(ctx, b), (p, m, b)
+            assert exhaustive_cwe(ctx, build_defining_set(ctx, b)).terms == base, (p, m, b)
+
+
+def test_scaled_set_equivalence_builds_each_set(fields, monkeypatch):
+    from tracecodes import codes
+    from tracecodes.verification import verify_equivalence
+    original = codes.build_defining_set
+    monkeypatch.setattr(codes, "build_defining_set", lambda ctx, b=1: original(ctx, 1))
+    [verdict] = verify_equivalence(fields(5, 4))
+    assert not verdict.passed
+    assert verdict.details == "mismatch at b=[2, 3, 4]"
 
 
 def test_representation_independence():

@@ -29,6 +29,8 @@ CASES = {
     "build-3-4-text": ["build", "--p", "3", "--m", "4", "--format", "text"],
     "predict-3-4": ["predict", "--p", "3", "--m", "4"],
     "verify-3-4-all": ["verify", "--p", "3", "--m", "4", "--scope", "all"],
+    "verify-5-4-equivalence": ["verify", "--p", "5", "--m", "4", "--scope", "equivalence"],
+    "verify-5-3-b2-cwe": ["verify", "--p", "5", "--m", "3", "--b", "2", "--scope", "cwe"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
 }
 
