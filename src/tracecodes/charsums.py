@@ -10,8 +10,10 @@ combinations that ever reach the code-level formulas.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
@@ -104,28 +106,38 @@ def gauss_sum_closed_cyclotomic(p: int, m: int) -> CyclotomicInteger:
 
 
 def gauss_sum_direct(ctx: FieldContext) -> CyclotomicInteger:
-    """sum of eta(x) * zeta^Tr(x) over x in F_r^*, by direct summation."""
-    p = ctx.p
-    tr = ctx.trace_table
-    counts = [0] * p
-    for k, x in enumerate(ctx.exp):
-        if k % 2 == 0:
-            counts[tr[x]] += 1
-        else:
-            counts[tr[x]] -= 1
-    return CyclotomicInteger.from_exponent_counts(p, counts)
+    """sum of eta(x) * zeta^Tr(x) over x in F_r^*, by direct summation:
+    x = alpha^k is a square exactly when k is even."""
+    te = ctx.trace_exp
+    squares, non_squares = Counter(te[0::2]), Counter(te[1::2])
+    counts = [squares[v] - non_squares[v] for v in range(ctx.p)]
+    return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
 
 
 def quadratic_exponential_sum(ctx: FieldContext, a2: int, a1: int, a0: int) -> CyclotomicInteger:
-    """sum of zeta^Tr(a2*x^2 + a1*x + a0) over all x, by direct summation."""
+    """sum of zeta^Tr(a2*x^2 + a1*x + a0) over all x, by direct summation.
+
+    Only the additivity of the trace is used: for x = alpha^k the
+    exponent is Tr(a2*x^2) + Tr(a1*x) + Tr(a0), that is trace_exp at
+    log a2 + 2k plus trace_exp at log a1 + k (both mod N = r - 1) plus
+    Tr(a0).  Over k in [0, N) the first term is the rotation of
+    trace_exp by log a2 read with stride 2, twice over (N is even), and
+    the second the rotation by log a1; x = 0 contributes Tr(a0)."""
     if a2 == 0:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
-    p = ctx.p
-    tr = ctx.trace_table
+    p, te, log = ctx.p, ctx.trace_exp, ctx.log
+    l2 = log[a2]
+    quad = (te[l2:] + te[:l2])[::2] * 2
+    if a1 == 0:
+        sums = Counter(quad)
+    else:
+        l1 = log[a1]
+        sums = Counter(map(add, quad, te[l1:] + te[:l1]))
+    c = ctx.trace(a0)
     counts = [0] * p
-    for x in range(ctx.r):
-        y = ctx.add(ctx.mul(a2, ctx.mul(x, x)), ctx.add(ctx.mul(a1, x), a0))
-        counts[tr[y]] += 1
+    counts[c] = 1  # x = 0
+    for v, freq in sums.items():
+        counts[(v + c) % p] += freq
     return CyclotomicInteger.from_exponent_counts(p, counts)
 
 
@@ -152,19 +164,21 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, a2: int, a1: int, a0: in
 
 def cyclotomic_number_direct(ctx: FieldContext, i: int, j: int) -> int:
     """Number of x in class i with x + 1 in class j, where class 0 holds
-    the nonzero squares and class 1 the non-squares.  Exhaustive scan."""
+    the nonzero squares and class 1 the non-squares.  Exhaustive scan.
+
+    Adding 1 steps the constant coefficient, the low base-p digit of an
+    index: x + 1 is the next index, or p - 1 back when that digit is
+    p - 1.  So the indices with low digit d pair off with those with low
+    digit d + 1 mod p, and each pair is read from the log parities."""
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("class indices must be 0 or 1")
-    count = 0
-    for x in range(1, ctx.r):
-        if (0 if ctx.quadratic_character(x) == 1 else 1) != i:
-            continue
-        y = ctx.add(x, 1)
-        if y == 0:
-            continue
-        if (0 if ctx.quadratic_character(y) == 1 else 1) == j:
-            count += 1
-    return count
+    p = ctx.p
+    cls = list(map((2).__rmod__, ctx.log))
+    cls[0] = 2  # zero is in neither class
+    pairs = Counter()
+    for d in range(p):
+        pairs.update(zip(cls[d::p], cls[(d + 1) % p::p]))
+    return pairs[(i, j)]
 
 
 def cyclotomic_numbers_order2(r: int) -> dict[tuple[int, int], int]:

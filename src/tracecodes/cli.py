@@ -16,15 +16,21 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from . import closedform, codes, report, verification
 from .errors import BudgetExceededError, TraceCodesError
-from .fields import DEFAULT_SIZE_CAP, check_characteristic, check_modulus, make_field
+from .fields import (
+    DEFAULT_SIZE_CAP,
+    check_characteristic,
+    check_modulus,
+    check_size,
+    make_field,
+)
 
 SCOPES = ("cwe", "sums", "counts", "griesmer", "equivalence", "all")
 CODE_SCOPES = {"cwe", "counts", "griesmer", "equivalence"}
+DEFAULT_SAMPLES = 100
 
 
 def _parse_modulus(text: str) -> tuple[int, ...]:
@@ -76,8 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(sp)
     add_limits(sp)
     sp.add_argument("--scope", choices=SCOPES, default="all")
-    sp.add_argument("--samples", type=int, default=100,
-                    help="random quadratics for the exponential-sum identity")
+    sp.add_argument("--samples", type=int, default=None,
+                    help=f"random quadratics for the exponential-sum identity "
+                         f"(default {DEFAULT_SAMPLES}; sums and all scopes only)")
+    # None tells an explicit flag from the default: a scope that never
+    # reads --b, --budget, --workers or --samples rejects it
+    sp.set_defaults(b=None, budget=None)
 
     sp = sub.add_parser("sweep", help="grid of builds with verification (JSON lines)")
     sp.add_argument("--b", type=int, default=1,
@@ -107,6 +117,28 @@ def _make_ctx(args):
     return make_field(args.p, args.m, modulus=args.modulus, size_cap=args.size_cap)
 
 
+def _set_size(p: int, m: int, kind: str, b: int) -> int:
+    """|D| of the --defining-set ``kind``, m > 2, from the closed
+    trace-pair counts: no field is built."""
+    if kind == "d1":
+        return p ** (m - 1)
+    if kind == "main":
+        return closedform.trace_pair_count_closed(p, m, 0, b)
+    return sum(closedform.trace_pair_count_closed(p, m, 0, t) for t in range(p)) - 1
+
+
+def _check_budget_before_field(args, kind: str, b: int, budget: int) -> None:
+    """Raise BudgetExceededError before any field is built when the
+    enumeration would exceed ``budget``; the cost is
+    codes.enumeration_cost of the set, from p, m and b alone.  Degrees
+    m <= 2 keep their own exit paths and the check in exhaustive_cwe."""
+    if args.m <= 2:
+        return
+    check_size(args.p, args.m, args.size_cap)
+    codes.check_budget(codes._orbit_count(args.p, args.m) * _set_size(args.p, args.m, kind, b),
+                       budget)
+
+
 def _build_dset(ctx, kind: str, b: int):
     if kind == "main":
         return codes.build_defining_set(ctx, b)
@@ -115,11 +147,11 @@ def _build_dset(ctx, kind: str, b: int):
     return codes.build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
 
 
-def _b_vanishes(args, p: int, err) -> bool:
+def _b_vanishes(command: str, b: int, p: int, err) -> bool:
     """Report and return whether --b is 0 in F_p, where no closed form applies."""
-    if args.b % p:
+    if b % p:
         return False
-    print(f"{args.command} --b {args.b} is divisible by p={p}: the closed forms "
+    print(f"{command} --b {b} is divisible by p={p}: the closed forms "
           f"need b nonzero in F_{p}", file=err)
     return True
 
@@ -135,6 +167,8 @@ def cmd_build(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     t0 = time.perf_counter()
+    check_characteristic(args.p)
+    _check_budget_before_field(args, args.defining_set, args.b, args.budget)
     ctx = _make_ctx(args)
     dset = _build_dset(ctx, args.defining_set, args.b)
     workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
@@ -153,7 +187,7 @@ def cmd_predict(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     check_characteristic(args.p)
-    if _b_vanishes(args, args.p, err):
+    if _b_vanishes(args.command, args.b, args.p, err):
         return 2
     pred = closedform.prediction(args.p, args.m)
     modulus = () if args.modulus is None else check_modulus(args.p, args.m, args.modulus)
@@ -174,20 +208,32 @@ def cmd_verify(args, out=None, err=None) -> int:
         return 2
     check_characteristic(args.p)
     enumerates = scope in ("cwe", "griesmer", "all") and args.m > 2
-    if enumerates and _b_vanishes(args, args.p, err):
+    sums = scope in ("sums", "all")
+    for flag, value, read in (("--b", args.b, enumerates), ("--budget", args.budget, enumerates),
+                              ("--workers", args.workers, enumerates),
+                              ("--samples", args.samples, sums)):
+        if value is not None and not read:
+            print(f"verify --scope {scope} at m={args.m} does not read {flag}", file=err)
+            return 2
+    b = 1 if args.b is None else args.b
+    budget = codes.DEFAULT_BUDGET if args.budget is None else args.budget
+    if enumerates and _b_vanishes(args.command, b, args.p, err):
         return 2
     verdicts: list[verification.Verdict] = []
     t0 = time.perf_counter()
+    if enumerates:
+        _check_budget_before_field(args, "main", b, budget)
     ctx = _make_ctx(args)
     cwe = None
     if enumerates:
         # one enumeration serves both the cwe and the griesmer checks
-        dset = codes.build_defining_set(ctx, args.b)
+        dset = codes.build_defining_set(ctx, b)
         workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
-        cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
-    if scope in ("sums", "all"):
-        verdicts += verification.verify_gauss_sums(args.p, args.m, size_cap=args.size_cap)
-        verdicts += verification.verify_quadratic_sums(ctx, samples=args.samples)
+        cwe = codes.exhaustive_cwe(ctx, dset, budget=budget, workers=workers)
+    if sums:
+        verdicts += verification.verify_gauss_sums(ctx)
+        verdicts += verification.verify_quadratic_sums(
+            ctx, samples=DEFAULT_SAMPLES if args.samples is None else args.samples)
         verdicts += verification.verify_cyclotomic_numbers(ctx)
     if args.m > 2:
         if scope in ("counts", "all"):
@@ -262,12 +308,14 @@ def cmd_sweep(args, out=None, err=None) -> int:
         print(f"bad sweep lists: {exc}", file=err)
         return 2
     for p in p_list:
-        if p > 1 and _b_vanishes(args, p, err):
+        if p > 1 and _b_vanishes(args.command, args.b, p, err):
             return 2
     pairs = [(p, m) for p in p_list for m in m_list]
     workers = _resolve_workers(args, sum(p**m for p, m in pairs))
     results = []
     if workers > 1 and len(pairs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(pairs))) as pool:
             futures = [pool.submit(_sweep_pair_safe, args, p, m) for p, m in pairs]
             results = [f.result() for f in futures]  # input order preserved

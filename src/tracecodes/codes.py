@@ -11,8 +11,8 @@ codeword), so no codeword hashing is needed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -47,6 +47,12 @@ class DefiningSet:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def logs(self) -> list[int]:
+        """Discrete logs of the nonzero elements, in coordinate order."""
+        log = self.ctx.log
+        return [log[x] for x in self.elements if x]
 
     @property
     def label(self) -> str:
@@ -101,11 +107,20 @@ def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
 
 
 def codeword(ctx: FieldContext, dset: DefiningSet, a: int) -> tuple[int, ...]:
-    """(Tr(a*x) for x in D), in D's fixed coordinate order."""
+    """(Tr(a*x) for x in D), in D's fixed coordinate order.
+
+    For nonzero a and x the symbol is trace_exp[(log a + log x) % N],
+    N = r - 1; with log a + log x < 2N, index log a + log x - N names
+    the same entry, negative or not.  Tr(a*x) is 0 when a or x is 0."""
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
-    tr, mul = ctx.trace_table, ctx.mul
-    return tuple([tr[mul(a, x)] for x in dset.elements])
+    if a == 0:
+        return (0,) * len(dset.elements)
+    te, shift = ctx.trace_exp, ctx.log[a] - (ctx.r - 1)
+    word = [te[shift + dl] for dl in dset.logs]
+    if len(word) < len(dset.elements):
+        word.insert(dset.elements.index(0), 0)
+    return tuple(word)
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +227,13 @@ def enumeration_cost(ctx: FieldContext, dset: DefiningSet) -> int:
     return _orbit_count(ctx.p, ctx.m) * len(dset.elements)
 
 
+def check_budget(cost: int, budget: int) -> None:
+    """BudgetExceededError when ``cost`` symbol evaluations exceed ``budget``."""
+    if cost > budget:
+        raise BudgetExceededError(
+            f"{cost} symbol evaluations exceed the budget of {budget}")
+
+
 def _orbit_terms(job) -> dict:
     """Compositions of the representatives' codewords, each weighted by
     its orbit size.  Takes plain data only, so a pool worker needs no
@@ -221,11 +243,9 @@ def _orbit_terms(job) -> dict:
     for la, s in reps:
         counts = [0] * p
         counts[0] = zero_in
+        shift = la - rm1  # as in codeword: index shift + dl is (la + dl) % rm1
         for dl in d_logs:
-            t = la + dl
-            if t >= rm1:
-                t -= rm1
-            counts[tr_exp[t]] += 1
+            counts[tr_exp[shift + dl]] += 1
         key = tuple(counts)
         terms[key] = terms.get(key, 0) + s
     return terms
@@ -250,22 +270,20 @@ def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_B
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
     p, n = ctx.p, len(dset.elements)
-    cost = enumeration_cost(ctx, dset)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"{cost} symbol evaluations exceed the budget of {budget}")
+    check_budget(enumeration_cost(ctx, dset), budget)
     rm1 = ctx.r - 1
-    d_logs = [ctx.log[x] for x in dset.elements if x != 0]
+    d_logs = dset.logs
     log_set = set(d_logs)
     if any(dl * p % rm1 not in log_set for dl in d_logs):
         raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
-    tr = ctx.trace_table
-    tr_exp = [tr[e] for e in ctx.exp]
-    zero_in = 1 if 0 in dset.elements else 0
+    tr_exp = ctx.trace_exp
+    zero_in = n - len(d_logs)
     reps = _frobenius_orbits(p, rm1 // (p - 1))
     if workers <= 1 or len(reps) < 2 * workers:
         rep_terms = _orbit_terms((p, rm1, tr_exp, d_logs, zero_in, reps))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(p, rm1, tr_exp, d_logs, zero_in, reps[i::workers])
                 for i in range(workers)]
         rep_terms = {}

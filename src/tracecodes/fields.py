@@ -26,6 +26,7 @@ safe to share between threads or worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -211,6 +212,14 @@ def check_modulus(p: int, m: int, modulus: Sequence[int]) -> tuple[int, ...]:
     return f
 
 
+def check_size(p: int, m: int, size_cap: int) -> int:
+    """The field size p^m; SizeCapExceededError when it exceeds size_cap."""
+    r = p**m
+    if r > size_cap:
+        raise SizeCapExceededError(f"p^m = {r} exceeds size cap {size_cap}")
+    return r
+
+
 def _digit_table(digits: int, radix: int, base: int, p: int, scale: int = 1) -> list[int]:
     """Entry i: the ``digits`` base-``radix`` digits of i, each taken mod
     p, read in base ``base`` and multiplied by ``scale``."""
@@ -250,6 +259,8 @@ class FieldContext:
         Power and discrete-log tables for alpha (log[0] is -1).
     trace_table : list[int]
         Absolute trace of every element, as a prime-field value.
+    trace_exp : list[int]
+        Absolute trace of alpha^k for k in [0, r - 1), built on first use.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
@@ -257,9 +268,7 @@ class FieldContext:
         check_characteristic(p)
         if m < 1:
             raise DegreeTooSmallError(f"extension degree m={m} must be >= 1")
-        r = p**m
-        if r > size_cap:
-            raise SizeCapExceededError(f"p^m = {r} exceeds size cap {size_cap}")
+        r = check_size(p, m, size_cap)
         self.p = p
         self.m = m
         self.r = r
@@ -368,6 +377,13 @@ class FieldContext:
                 raise AssertionError("trace left the prime subfield")
             table = [(v + c * bt) % p for c in range(p) for v in table]
         self.trace_table = table
+
+    @cached_property
+    def trace_exp(self) -> list[int]:
+        """Tr(alpha^k) for k in [0, r - 1).  With N = r - 1, the trace of
+        a*x for nonzero a, x is trace_exp[(log a + log x) % N], so sums
+        and codewords over F_r^* read rotated slices of this one list."""
+        return list(map(self.trace_table.__getitem__, self.exp))
 
     # -- element encoding ----------------------------------------------
 

@@ -1,10 +1,26 @@
-"""Direct enumeration oracle for the complete weight enumerator.
+"""Reference implementations that walk the field one element at a time.
 
-Folds the codeword of every a in F_r, one field multiplication per
-coordinate, with no use of the orbit symmetry that
-:func:`tracecodes.exhaustive_cwe` relies on.  O(r * n): for tests on
+:func:`direct_cwe_terms` folds the codeword of every a in F_r, one field
+multiplication per coordinate, with no use of the orbit symmetry that
+:func:`tracecodes.exhaustive_cwe` relies on.  The character sums and
+:func:`codeword` call ``ctx.add``/``ctx.mul`` per element instead of
+reading ``ctx.trace_exp`` in bulk.  O(r * n) and O(r): for tests on
 small fields only.
 """
+
+from tracecodes import is_irreducible
+from tracecodes.cyclotomic import CyclotomicInteger
+
+
+def irreducible_from(p, m, tail):
+    """The first monic irreducible of degree m at or after the given tail,
+    tails read low-degree-first as base-p integers and wrapping around."""
+    for k in range(p**m):
+        t = (tail + k) % p**m
+        coeffs = [(t // p**j) % p for j in range(m)] + [1]
+        if is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial")
 
 
 def direct_cwe_terms(ctx, dset) -> dict:
@@ -28,6 +44,41 @@ def direct_cwe_terms(ctx, dset) -> dict:
     zero_comp = tuple([len(dset)] + [0] * (p - 1))
     terms[zero_comp] = terms.get(zero_comp, 0) + 1  # a = 0
     return terms
+
+
+def codeword(ctx, dset, a):
+    tr = ctx.trace_table
+    return tuple(tr[ctx.mul(a, x)] for x in dset.elements)
+
+
+# -- character sums, one field operation per element ------------------------
+
+def gauss_sum_direct(ctx):
+    counts = [0] * ctx.p
+    for x in range(1, ctx.r):
+        counts[ctx.trace(x)] += ctx.quadratic_character(x)
+    return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
+
+
+def quadratic_exponential_sum(ctx, a2, a1, a0):
+    counts = [0] * ctx.p
+    for x in range(ctx.r):
+        y = ctx.add(ctx.mul(a2, ctx.mul(x, x)), ctx.add(ctx.mul(a1, x), a0))
+        counts[ctx.trace(y)] += 1
+    return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
+
+
+def cyclotomic_number_direct(ctx, i, j):
+    count = 0
+    for x in range(1, ctx.r):
+        if (0 if ctx.quadratic_character(x) == 1 else 1) != i:
+            continue
+        y = ctx.add(x, 1)
+        if y == 0:
+            continue
+        if (0 if ctx.quadratic_character(y) == 1 else 1) == j:
+            count += 1
+    return count
 
 
 # -- table-free field construction ------------------------------------------

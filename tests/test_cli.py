@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +272,76 @@ def test_unhonoured_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("scope,flags,named", [
+    ("counts", ["--b", "0", "--budget", "1", "--samples", "0"], "--b"),
+    ("counts", ["--budget", "1"], "--budget"),
+    ("sums", ["--b", "2"], "--b"),
+    ("sums", ["--workers", "2"], "--workers"),
+    ("equivalence", ["--budget", "100"], "--budget"),
+    ("equivalence", ["--samples", "5"], "--samples"),
+    ("cwe", ["--samples", "5"], "--samples"),
+    ("griesmer", ["--samples", "5"], "--samples"),
+])
+def test_verify_rejects_flags_its_scope_never_reads(capsys, monkeypatch, scope, flags, named):
+    from tracecodes import cli
+    built = []
+    monkeypatch.setattr(cli, "make_field", lambda *a, **k: built.append(a))
+    rc, out, err = run(capsys, "verify", "--p", "5", "--m", "3", "--scope", scope, *flags)
+    assert rc == 2
+    assert out == ""
+    assert named in err
+    assert built == []
+
+
+def test_verify_accepts_flags_its_scope_reads(capsys):
+    for scope, flags in [("sums", ["--samples", "5"]),
+                         ("all", ["--samples", "5", "--b", "2", "--budget", "1000",
+                                  "--workers", "1"]),
+                         ("cwe", ["--b", "3", "--budget", "1000", "--workers", "1"])]:
+        rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "3", "--scope", scope, *flags)
+        assert rc == 0
+        assert json.loads(out)["all_passed"] is True
+
+
+def test_budget_fires_before_any_field_is_built(capsys, monkeypatch):
+    from tracecodes import cli
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("make_field called")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    for argv in (["build", "--p", "3", "--m", "12", "--budget", "1000"],
+                 ["build", "--p", "3", "--m", "12", "--defining-set", "d2", "--budget", "1000"],
+                 ["verify", "--p", "3", "--m", "12", "--scope", "cwe", "--budget", "1000"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3
+        assert out == ""
+        assert "budget" in err
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4),
+                                 (5, 5), (7, 3), (7, 4), (11, 3), (13, 3)])
+def test_cost_before_field_equals_enumeration_cost(fields, p, m):
+    from tracecodes import cli, codes
+    ctx = fields(p, m)
+    for kind in ("main", "d1", "d2"):
+        for b in range(p):
+            want = codes.enumeration_cost(ctx, cli._build_dset(ctx, kind, b))
+            assert codes._orbit_count(p, m) * cli._set_size(p, m, kind, b) == want, (kind, b)
+
+
+def test_budget_keeps_the_small_degree_and_size_cap_exits(capsys):
+    rc, _, err = run(capsys, "build", "--p", "5", "--m", "2", "--budget", "1")
+    assert rc == 2 and "m > 2" in err
+    rc, _, err = run(capsys, "build", "--p", "3", "--m", "16", "--budget", "1")
+    assert rc == 2 and "size cap" in err
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, tracecodes.cli; sys.exit('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,23 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecodes import is_irreducible, make_field
+from tracecodes import make_field
 
 import oracle
 
 # every (p, m) with r = p^m <= 2*10^4 for the drawn primes
 PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 10) if p**m <= 2 * 10**4]
-
-
-def _irreducible_from(p, m, tail):
-    """The first monic irreducible of degree m at or after the given tail,
-    tails read low-degree-first as base-p integers and wrapping around."""
-    for k in range(p**m):
-        t = (tail + k) % p**m
-        coeffs = [(t // p**j) % p for j in range(m)] + [1]
-        if is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial")
 
 
 def _assert_tables_match_oracle(ctx):
@@ -38,7 +27,8 @@ def test_tables_match_oracle(pair, data):
     p, m = pair
     modulus = None
     if data.draw(st.booleans(), label="random modulus"):
-        modulus = _irreducible_from(p, m, data.draw(st.integers(0, p**m - 1), label="tail"))
+        tail = data.draw(st.integers(0, p**m - 1), label="tail")
+        modulus = oracle.irreducible_from(p, m, tail)
     _assert_tables_match_oracle(make_field(p, m, modulus=modulus))
 
 

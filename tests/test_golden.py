@@ -31,6 +31,10 @@ CASES = {
     "verify-3-4-all": ["verify", "--p", "3", "--m", "4", "--scope", "all"],
     "verify-5-4-equivalence": ["verify", "--p", "5", "--m", "4", "--scope", "equivalence"],
     "verify-5-3-b2-cwe": ["verify", "--p", "5", "--m", "3", "--b", "2", "--scope", "cwe"],
+    "verify-5-4-sums-modulus": ["verify", "--p", "5", "--m", "4", "--scope", "sums",
+                                "--samples", "300", "--modulus", "3,0,0,0,1"],
+    "verify-3-5-all-modulus": ["verify", "--p", "3", "--m", "5", "--scope", "all",
+                               "--samples", "250", "--modulus", "2,2,0,0,0,1"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
 }
 

@@ -1,0 +1,107 @@
+"""Direct character sums and codewords that read ``ctx.trace_exp`` in
+bulk, against the per-element walks in ``tests/oracle.py``."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracecodes import (
+    build_defining_set,
+    build_defining_set_general,
+    codeword,
+    cyclotomic_number_direct,
+    exhaustive_cwe,
+    gauss_sum_direct,
+    make_field,
+    quadratic_exponential_sum,
+)
+
+import oracle
+
+# every (p, m) with r = p^m <= 2*10^4 for the drawn primes
+PAIRS = [(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 10) if p**m <= 2 * 10**4]
+
+
+def _field(data, p, m):
+    """F_{p^m} on the default modulus or on a drawn irreducible one."""
+    modulus = None
+    if data.draw(st.booleans(), label="random modulus"):
+        tail = data.draw(st.integers(0, p**m - 1), label="tail")
+        modulus = oracle.irreducible_from(p, m, tail)
+    return make_field(p, m, modulus=modulus)
+
+
+def _dset(ctx, kind, b):
+    """{Tr(x) = b, Tr(x^2) = 0}, {Tr(x) = b} or {x != 0, Tr(x^2) = 0},
+    for any m; 0 is in the first two when b = 0."""
+    if kind == "main":
+        return build_defining_set_general(ctx, trace_value=b, trace_square_value=0)
+    if kind == "d1":
+        return build_defining_set_general(ctx, trace_value=b)
+    return build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(PAIRS), data=st.data())
+def test_bulk_sums_match_walks(pair, data):
+    p, m = pair
+    ctx = _field(data, p, m)
+    top = ctx.r - 1
+    assert gauss_sum_direct(ctx) == oracle.gauss_sum_direct(ctx)
+    # a2 in the prime field, a1 = 0 and a0 = 0 are drawn as often as a
+    # uniform element
+    a2s = st.one_of(st.integers(1, p - 1), st.integers(1, top))
+    coeffs = st.one_of(st.just(0), st.integers(0, top))
+    for _ in range(3):
+        a2 = data.draw(a2s, label="a2")
+        a1, a0 = data.draw(coeffs, label="a1"), data.draw(coeffs, label="a0")
+        assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
+            oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(PAIRS), kind=st.sampled_from(("main", "d1", "d2")),
+       data=st.data())
+def test_bulk_codewords_match_walk(pair, kind, data):
+    p, m = pair
+    ctx = _field(data, p, m)
+    dset = _dset(ctx, kind, data.draw(st.integers(0, p - 1), label="b"))
+    for _ in range(5):
+        a = data.draw(st.one_of(st.just(0), st.integers(0, ctx.r - 1)), label="a")
+        assert codeword(ctx, dset, a) == oracle.codeword(ctx, dset, a), a
+
+
+@pytest.mark.parametrize("p,m", PAIRS)
+def test_corners_match_walks(fields, p, m):
+    """a1 = 0, a0 = 0, a2 in the prime field, a = 0 and 0 in D, on every
+    pair at the default modulus; the cyclotomic numbers too."""
+    ctx = fields(p, m)
+    top = ctx.r - 1
+    for a2, a1, a0 in [(1, 0, 0), (p - 1, 0, top), (top, top, 0), (ctx.alpha, 1, 1)]:
+        assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
+            oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
+    for dset in (_dset(ctx, "main", 0), _dset(ctx, "d1", 0), _dset(ctx, "d2", 1)):
+        for a in (0, 1, ctx.alpha, top):
+            assert codeword(ctx, dset, a) == oracle.codeword(ctx, dset, a), a
+    for i in (0, 1):
+        for j in (0, 1):
+            assert cyclotomic_number_direct(ctx, i, j) == \
+                oracle.cyclotomic_number_direct(ctx, i, j), (i, j)
+
+
+def test_zero_is_in_the_b0_sets():
+    ctx = make_field(3, 4)
+    assert 0 in _dset(ctx, "main", 0).elements
+    assert 0 in _dset(ctx, "d1", 0).elements
+    assert 0 not in _dset(ctx, "d2", 0).elements
+
+
+def test_one_trace_exp_per_context():
+    ctx = make_field(5, 3)
+    assert "trace_exp" not in vars(ctx)  # built on first use only
+    exhaustive_cwe(ctx, build_defining_set(ctx, 1))
+    table = vars(ctx)["trace_exp"]
+    assert table == [ctx.trace(x) for x in ctx.exp]
+    gauss_sum_direct(ctx)
+    codeword(ctx, build_defining_set(ctx, 1), 2)
+    assert ctx.trace_exp is table
