@@ -195,14 +195,16 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
         if prof not in closed:
             closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
                             for rho in range(p)]
-        for rho, want in enumerate(closed[prof]):
-            got = word.count(rho)
-            if got != want:
-                verdicts.append(Verdict(
-                    name=f"symbol-count-decomposition p={p} m={m}", passed=False,
-                    details=f"a={a} rho={rho}: brute {got} != closed {want}",
-                    data={"a": a, "rho": rho, "brute": got, "closed": want}))
-                return verdicts
+        want = closed[prof]
+        got = [word.count(rho) for rho in range(1, p)]
+        got.insert(0, n - sum(got))  # each coordinate holds one symbol
+        if got != want:
+            rho = next(r for r in range(p) if got[r] != want[r])
+            verdicts.append(Verdict(
+                name=f"symbol-count-decomposition p={p} m={m}", passed=False,
+                details=f"a={a} rho={rho}: brute {got[rho]} != closed {want[rho]}",
+                data={"a": a, "rho": rho, "brute": got[rho], "closed": want[rho]}))
+            return verdicts
     zero_ok = codes.codeword(ctx, dset, 0).count(0) == n
     verdicts.append(Verdict(
         name=f"symbol-count-decomposition p={p} m={m}", passed=zero_ok,
