@@ -44,10 +44,10 @@ from .codes import (
     WeightDistribution,
     build_defining_set,
     build_defining_set_general,
-    codeword,
     enumeration_cost,
     exhaustive_cwe,
     griesmer_lower_bound,
+    orbit_compositions,
     scaled_defining_set_equivalent,
     summarize,
     trace_pair_table,

@@ -19,7 +19,7 @@ import time
 from typing import Optional, Sequence
 
 from . import closedform, codes, report, verification
-from .errors import BudgetExceededError, TraceCodesError
+from .errors import BudgetExceededError, EmptyDefiningSetError, TraceCodesError
 from .fields import (
     DEFAULT_SIZE_CAP,
     check_characteristic,
@@ -127,16 +127,19 @@ def _set_size(p: int, m: int, kind: str, b: int) -> int:
     return sum(closedform.trace_pair_count_closed(p, m, 0, t) for t in range(p)) - 1
 
 
-def _check_budget_before_field(args, kind: str, b: int, budget: int) -> None:
+def _check_budget_before_field(p: int, m: int, size_cap: int, kind: str, b: int,
+                               budget: int) -> int:
     """Raise BudgetExceededError before any field is built when the
-    enumeration would exceed ``budget``; the cost is
+    enumeration would exceed ``budget``, and return its cost,
     codes.enumeration_cost of the set, from p, m and b alone.  Degrees
-    m <= 2 keep their own exit paths and the check in exhaustive_cwe."""
-    if args.m <= 2:
-        return
-    check_size(args.p, args.m, args.size_cap)
-    codes.check_budget(codes._orbit_count(args.p, args.m) * _set_size(args.p, args.m, kind, b),
-                       budget)
+    m <= 2 keep their own exit paths and the check in exhaustive_cwe,
+    and count 0 here."""
+    if m <= 2:
+        return 0
+    check_size(p, m, size_cap)
+    cost = codes._orbit_count(p, m) * _set_size(p, m, kind, b)
+    codes.check_budget(cost, budget)
+    return cost
 
 
 def _build_dset(ctx, kind: str, b: int):
@@ -168,9 +171,13 @@ def cmd_build(args, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     t0 = time.perf_counter()
     check_characteristic(args.p)
-    _check_budget_before_field(args, args.defining_set, args.b, args.budget)
+    _check_budget_before_field(args.p, args.m, args.size_cap, args.defining_set, args.b,
+                               args.budget)
     ctx = _make_ctx(args)
     dset = _build_dset(ctx, args.defining_set, args.b)
+    if not dset.elements:
+        raise EmptyDefiningSetError(
+            f"defining set {{{dset.label}}} is empty over F_{args.p}^{args.m}: no code to build")
     workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
     summary = codes.summarize(cwe, ctx.p)
@@ -222,7 +229,7 @@ def cmd_verify(args, out=None, err=None) -> int:
     verdicts: list[verification.Verdict] = []
     t0 = time.perf_counter()
     if enumerates:
-        _check_budget_before_field(args, "main", b, budget)
+        _check_budget_before_field(args.p, args.m, args.size_cap, "main", b, budget)
     ctx = _make_ctx(args)
     cwe = None
     if enumerates:
@@ -288,6 +295,15 @@ def _sweep_pair(args, p: int, m: int) -> tuple[dict, bool]:
     return doc, all(v.passed for v in verdicts)
 
 
+def _sweep_pair_cost(args, p: int, m: int) -> int:
+    """Check p, the size cap and the budget of every set of one sweep
+    pair before its field is built; return their enumeration cost."""
+    check_characteristic(p)
+    kinds = ["main"] + ([args.compare_defining_set] if args.compare_defining_set else [])
+    return sum(_check_budget_before_field(p, m, args.size_cap, kind, args.b, args.budget)
+               for kind in kinds)
+
+
 def _sweep_pair_safe(args, p: int, m: int):
     """Pool-friendly wrapper: per-pair failures are recorded, not raised,
     so a sweep continues past bad pairs."""
@@ -311,19 +327,27 @@ def cmd_sweep(args, out=None, err=None) -> int:
         if p > 1 and _b_vanishes(args.command, args.b, p, err):
             return 2
     pairs = [(p, m) for p in p_list for m in m_list]
-    workers = _resolve_workers(args, sum(p**m for p, m in pairs))
-    results = []
-    if workers > 1 and len(pairs) > 1:
+    results = {}
+    cost = 0
+    for pair in pairs:
+        try:
+            cost += _sweep_pair_cost(args, *pair)
+        except TraceCodesError as exc:
+            results[pair] = (None, False, str(exc))
+    todo = [pair for pair in pairs if pair not in results]
+    workers = _resolve_workers(args, cost)
+    if workers > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(pairs))) as pool:
-            futures = [pool.submit(_sweep_pair_safe, args, p, m) for p, m in pairs]
-            results = [f.result() for f in futures]  # input order preserved
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            futures = [pool.submit(_sweep_pair_safe, args, p, m) for p, m in todo]
+            results.update(zip(todo, [f.result() for f in futures]))
     else:
-        results = [_sweep_pair_safe(args, p, m) for p, m in pairs]
+        results.update((pair, _sweep_pair_safe(args, *pair)) for pair in todo)
     any_failed = False
     rows = []
-    for (p, m), (doc, ok, error) in zip(pairs, results):
+    for p, m in pairs:
+        doc, ok, error = results[(p, m)]
         if error is not None:
             print(f"sweep pair ({p},{m}): {error}", file=err)
             any_failed = True

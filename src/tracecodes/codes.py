@@ -1,16 +1,17 @@
-"""Defining sets, codewords and the exhaustive-enumeration oracle.
+"""Defining sets, codeword compositions and the exhaustive-enumeration oracle.
 
 The code attached to a defining set D is the image of a |-> (Tr(a*x)
-for x in D) over all a in F_r.  Enumeration computes one codeword per
-orbit of a |-> c*a^(p^i) (c in F_p^*) and folds its composition into a
-composition-count mapping with the orbit's weight, never materializing
-the full codeword matrix; the dimension falls out of the
-zero-composition frequency (the kernel of the linear map a |->
-codeword), so no codeword hashing is needed.
+for x in D) over all a in F_r.  :func:`orbit_compositions` counts the
+symbols of one codeword per orbit of a |-> c*a^(p^i) (c in F_p^*),
+never materializing the full codeword matrix; :func:`exhaustive_cwe`
+folds those compositions with the orbit weights, and the dimension
+falls out of the zero-composition frequency (the kernel of the linear
+map a |-> codeword), so no codeword hashing is needed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -66,26 +67,28 @@ class DefiningSet:
         return ", ".join(parts)
 
 
+def _square_traces(ctx: FieldContext) -> list[int]:
+    """Tr(x^2) for x = alpha^k, at index k: x^2 = alpha^(2k), and as r - 1
+    is even, trace_exp[2k mod (r - 1)] reads trace_exp[0::2] twice over.
+    x = 0, where Tr(0^2) = 0, is left to the caller."""
+    return ctx.trace_exp[0::2] * 2
+
+
 def build_defining_set_general(ctx: FieldContext, trace_value: Optional[int] = None,
                                trace_square_value: Optional[int] = None,
                                exclude_zero: bool = False) -> DefiningSet:
     """All x satisfying the conjunction of the present constraints."""
     if trace_value is None and trace_square_value is None:
         raise EmptyConstraintError("at least one trace constraint is required")
-    tr = ctx.trace_table
+    elems = range(1 if exclude_zero else 0, ctx.r)
     if trace_value is not None:
         trace_value %= ctx.p
+        tr = ctx.trace_table
+        elems = [x for x in elems if tr[x] == trace_value]
     if trace_square_value is not None:
         trace_square_value %= ctx.p
-    elems = []
-    for x in range(ctx.r):
-        if exclude_zero and x == 0:
-            continue
-        if trace_value is not None and tr[x] != trace_value:
-            continue
-        if trace_square_value is not None and tr[ctx.mul(x, x)] != trace_square_value:
-            continue
-        elems.append(x)
+        sq, log = _square_traces(ctx), ctx.log
+        elems = [x for x in elems if (sq[log[x]] if x else 0) == trace_square_value]
     return DefiningSet(ctx=ctx, elements=tuple(elems), trace_value=trace_value,
                        trace_square_value=trace_square_value, exclude_zero=exclude_zero,
                        in_closed_form_scope=False)
@@ -104,23 +107,6 @@ def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
     return DefiningSet(ctx=ctx, elements=dset.elements, trace_value=b,
                        trace_square_value=0, exclude_zero=False,
                        in_closed_form_scope=(b != 0))
-
-
-def codeword(ctx: FieldContext, dset: DefiningSet, a: int) -> tuple[int, ...]:
-    """(Tr(a*x) for x in D), in D's fixed coordinate order.
-
-    For nonzero a and x the symbol is trace_exp[(log a + log x) % N],
-    N = r - 1; with log a + log x < 2N, index log a + log x - N names
-    the same entry, negative or not.  Tr(a*x) is 0 when a or x is 0."""
-    if dset.ctx is not ctx:
-        raise MixedContextError("defining set belongs to a different field context")
-    if a == 0:
-        return (0,) * len(dset.elements)
-    te, shift = ctx.trace_exp, ctx.log[a] - (ctx.r - 1)
-    word = [te[shift + dl] for dl in dset.logs]
-    if len(word) < len(dset.elements):
-        word.insert(dset.elements.index(0), 0)
-    return tuple(word)
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +208,8 @@ def _orbit_count(p: int, m: int) -> int:
 
 
 def enumeration_cost(ctx: FieldContext, dset: DefiningSet) -> int:
-    """Symbol evaluations :func:`exhaustive_cwe` performs: one codeword
-    of length n per orbit representative."""
+    """Symbol evaluations :func:`orbit_compositions` performs: one
+    codeword of length n per orbit representative."""
     return _orbit_count(ctx.p, ctx.m) * len(dset.elements)
 
 
@@ -234,66 +220,71 @@ def check_budget(cost: int, budget: int) -> None:
             f"{cost} symbol evaluations exceed the budget of {budget}")
 
 
-def _orbit_terms(job) -> dict:
-    """Compositions of the representatives' codewords, each weighted by
-    its orbit size.  Takes plain data only, so a pool worker needs no
-    field context."""
+def relabelling(p: int, c: int) -> list[int]:
+    """Scaling a codeword by c in F_p^* sends symbol v to c*v: the scaled
+    composition is ``[comp[w] for w in relabelling(p, c)]``, comp read at w/c."""
+    return [w * pow(c, -1, p) % p for w in range(p)]
+
+
+def _walk_orbits(job) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(la, s, composition of the codeword of alpha^la) per representative.
+    Takes plain data only, so a pool worker needs no field context."""
     p, rm1, tr_exp, d_logs, zero_in, reps = job
-    terms: dict[tuple[int, ...], int] = {}
+    out = []
     for la, s in reps:
         counts = [0] * p
         counts[0] = zero_in
-        shift = la - rm1  # as in codeword: index shift + dl is (la + dl) % rm1
+        shift = la - rm1  # index shift + dl names entry (la + dl) % rm1, negative or not
         for dl in d_logs:
             counts[tr_exp[shift + dl]] += 1
-        key = tuple(counts)
-        terms[key] = terms.get(key, 0) + s
-    return terms
+        out.append((la, s, tuple(counts)))
+    return out
 
 
-def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_BUDGET,
-                   workers: int = 1) -> CompleteWeightEnumerator:
-    """Exact complete weight enumerator over all p^m codeword indices.
+def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
+                       workers: int = 1) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(la, s, composition of the codeword of alpha^la) for each orbit of
+    la |-> p*la on Z/N, N = (r - 1)/(p - 1), la ascending.
 
-    Enumerates one codeword per orbit of a |-> c*a^(p^i), c in F_p^*:
-    Tr(c*a*x) = c*Tr(a*x) relabels symbols, and for a Frobenius-stable D
-    the codeword of a^p is a permutation of that of a.  With N =
-    (r - 1)/(p - 1), nonzero a = alpha^la up to F_p^* is la mod N, and
-    Frobenius acts as la |-> p*la, so an orbit of size s on Z/N stands
-    for s*(p - 1) elements.  D is checked for Frobenius stability first.
-
-    ``budget`` bounds :func:`enumeration_cost` and is checked before any
-    enumeration.  ``workers`` > 1 splits the representatives across that
-    many processes, each sent plain lists; the merged result is identical
-    for every worker count.
+    The orbit, of size s, stands for the s*(p - 1) elements
+    a = c*(alpha^la)^(p^i), c = alpha^(j*N) in F_p^*: for a Frobenius-stable
+    D (checked first) a's codeword permutes that of c*alpha^la, whose
+    composition is the representative's under :func:`relabelling`.
+    ``workers`` > 1 splits the representatives across that many
+    processes; the result is identical for every worker count.
     """
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
-    p, n = ctx.p, len(dset.elements)
-    check_budget(enumeration_cost(ctx, dset), budget)
-    rm1 = ctx.r - 1
+    p, rm1 = ctx.p, ctx.r - 1
     d_logs = dset.logs
     log_set = set(d_logs)
     if any(dl * p % rm1 not in log_set for dl in d_logs):
         raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
-    tr_exp = ctx.trace_exp
-    zero_in = n - len(d_logs)
+    zero_in = len(dset.elements) - len(d_logs)
     reps = _frobenius_orbits(p, rm1 // (p - 1))
+    job = (p, rm1, ctx.trace_exp, d_logs, zero_in)
     if workers <= 1 or len(reps) < 2 * workers:
-        rep_terms = _orbit_terms((p, rm1, tr_exp, d_logs, zero_in, reps))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return _walk_orbits(job + (reps,))
+    from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(p, rm1, tr_exp, d_logs, zero_in, reps[i::workers])
-                for i in range(workers)]
-        rep_terms = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_orbit_terms, jobs):
-                for key, freq in chunk.items():
-                    rep_terms[key] = rep_terms.get(key, 0) + freq
-    # scaling by c sends symbol v to c*v: entry w of the relabelled
-    # composition is entry w/c of the original
-    relabels = [[w * pow(c, -1, p) % p for w in range(p)] for c in range(1, p)]
+    size = -(-len(reps) // workers)
+    jobs = [job + (reps[i:i + size],) for i in range(0, len(reps), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [rep for chunk in pool.map(_walk_orbits, jobs) for rep in chunk]
+
+
+def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_BUDGET,
+                   workers: int = 1) -> CompleteWeightEnumerator:
+    """Exact complete weight enumerator over all p^m codeword indices: the
+    :func:`orbit_compositions` weighted by orbit size under each of the
+    p - 1 relabellings, plus the zero codeword of a = 0.  ``budget``
+    bounds :func:`enumeration_cost` and is checked before any enumeration."""
+    p, n = ctx.p, len(dset.elements)
+    check_budget(enumeration_cost(ctx, dset), budget)
+    rep_terms: dict[tuple[int, ...], int] = {}
+    for _, s, comp in orbit_compositions(ctx, dset, workers):
+        rep_terms[comp] = rep_terms.get(comp, 0) + s
+    relabels = [relabelling(p, c) for c in range(1, p)]
     terms: dict[tuple[int, ...], int] = {}
     for comp, freq in rep_terms.items():
         for perm in relabels:
@@ -310,15 +301,10 @@ def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_B
 
 def trace_pair_table(ctx: FieldContext) -> dict[tuple[int, int], int]:
     """Counts of x with (Tr(x^2), Tr(x)) = (A, B), for every pair."""
-    tr = ctx.trace_table
-    table: dict[tuple[int, int], int] = {}
-    for a_val in range(ctx.p):
-        for b_val in range(ctx.p):
-            table[(a_val, b_val)] = 0
-    for x in range(ctx.r):
-        key = (tr[ctx.mul(x, x)], tr[x])
-        table[key] += 1
-    return table
+    counts = Counter(zip(_square_traces(ctx), ctx.trace_exp))
+    counts[0, 0] += 1  # x = 0
+    p = ctx.p
+    return {(a_val, b_val): counts[a_val, b_val] for a_val in range(p) for b_val in range(p)}
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,10 @@ class EmptyConstraintError(TraceCodesError):
     """A generalized defining set needs at least one constraint."""
 
 
+class EmptyDefiningSetError(TraceCodesError):
+    """A defining set has no elements, so there is no code to build."""
+
+
 class BudgetExceededError(TraceCodesError):
     """The enumeration would exceed the configured symbol-evaluation budget."""
 

@@ -116,34 +116,10 @@ def verify_cyclotomic_numbers(ctx: FieldContext) -> list[Verdict]:
 # Counting and the symbol-count decomposition
 # ----------------------------------------------------------------------
 
-def correction_sums_direct(ctx: FieldContext, a: int, rho: int) -> tuple[int, int, int]:
-    """Direct evaluation of the three correction sums for one (a, rho),
-    via the integer collapse of the additive-character sums: a sum of
-    zeta^(y*c) over nonzero y equals p-1 when c = 0 and -1 otherwise."""
-    p = ctx.p
-    tr = ctx.trace_table
-    rho %= p
-
-    def e(c: int) -> int:
-        return p - 1 if c % p == 0 else -1
-
-    s_lin = s_sq = s_mix = 0
-    for x in range(ctx.r):
-        tx = tr[x]
-        tx2 = tr[ctx.mul(x, x)]
-        tax = tr[ctx.mul(a, x)]
-        e_lin = e(tx - 1)
-        e_sq = e(tx2)
-        e_sym = e(tax - rho)
-        s_lin += e_lin * e_sym
-        s_sq += e_sq * e_sym
-        s_mix += e_lin * e_sq * e_sym
-    return s_lin, s_sq, s_mix
-
-
 def verify_counts(ctx: FieldContext) -> list[Verdict]:
     """Trace-pair counts, discriminant pair counts and the per-codeword
-    symbol-count decomposition, all against exhaustive data."""
+    symbol-count decomposition, all against exhaustive data (the symbol
+    counts of :func:`codes.orbit_compositions`, relabelled per c in F_p^*)."""
     p, m = ctx.p, ctx.m
     verdicts = []
 
@@ -186,29 +162,37 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
             details="exhaustive pair counts match closed forms" if ok
             else f"brute {got} != closed {want}"))
 
-    dset = codes.build_defining_set(ctx, 1)
-    n = len(dset)
+    # a = c*(alpha^la)^(p^i), c = alpha^(j*N), shares the composition and
+    # the profile of c*alpha^la; a failing class reports its smallest a
+    rm1 = ctx.r - 1
+    step = rm1 // (p - 1)
+    perms = [codes.relabelling(p, ctx.exp[j * step]) for j in range(p - 1)]
     closed: dict[closedform.TraceProfile, list[int]] = {}
-    for a in range(1, ctx.r):
-        word = codes.codeword(ctx, dset, a)
-        prof = closedform.TraceProfile.from_element(ctx, a)
-        if prof not in closed:
-            closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
-                            for rho in range(p)]
-        want = closed[prof]
-        got = [word.count(rho) for rho in range(1, p)]
-        got.insert(0, n - sum(got))  # each coordinate holds one symbol
-        if got != want:
-            rho = next(r for r in range(p) if got[r] != want[r])
-            verdicts.append(Verdict(
-                name=f"symbol-count-decomposition p={p} m={m}", passed=False,
-                details=f"a={a} rho={rho}: brute {got[rho]} != closed {want[rho]}",
-                data={"a": a, "rho": rho, "brute": got[rho], "closed": want[rho]}))
-            return verdicts
-    zero_ok = codes.codeword(ctx, dset, 0).count(0) == n
-    verdicts.append(Verdict(
-        name=f"symbol-count-decomposition p={p} m={m}", passed=zero_ok,
-        details=f"exact for all {ctx.r - 1} nonzero codeword indices and all symbols"))
+    failures = []
+    reps = codes.orbit_compositions(ctx, codes.build_defining_set(ctx, 1))
+    for la, _, comp in reps:
+        for j, perm in enumerate(perms):
+            prof = closedform.TraceProfile.from_element(ctx, ctx.exp[la + j * step])
+            if prof not in closed:
+                closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
+                                for rho in range(p)]
+            want = closed[prof]
+            got = [comp[w] for w in perm]
+            if got != want:
+                failures.append((min(ctx.exp[(la * p**i + j * step) % rm1]
+                                     for i in range(m)), got, want))
+    if failures:
+        a, got, want = min(failures)
+        rho = next(r for r in range(p) if got[r] != want[r])
+        verdicts.append(Verdict(
+            name=f"symbol-count-decomposition p={p} m={m}", passed=False,
+            details=f"a={a} rho={rho}: brute {got[rho]} != closed {want[rho]}",
+            data={"a": a, "rho": rho, "brute": got[rho], "closed": want[rho]}))
+    else:
+        verdicts.append(Verdict(
+            name=f"symbol-count-decomposition p={p} m={m}",
+            passed=sum(s for _, s, _ in reps) * (p - 1) == rm1,
+            details=f"exact for all {rm1} nonzero codeword indices and all symbols"))
     return verdicts
 
 

@@ -2,10 +2,11 @@
 
 :func:`direct_cwe_terms` folds the codeword of every a in F_r, one field
 multiplication per coordinate, with no use of the orbit symmetry that
-:func:`tracecodes.exhaustive_cwe` relies on.  The character sums and
-:func:`codeword` call ``ctx.add``/``ctx.mul`` per element instead of
-reading ``ctx.trace_exp`` in bulk.  O(r * n) and O(r): for tests on
-small fields only.
+:func:`tracecodes.exhaustive_cwe` relies on; :func:`codeword` builds one
+codeword the same way, for checking :func:`tracecodes.orbit_compositions`.
+The character sums and :func:`correction_sums_direct` call
+``ctx.add``/``ctx.mul`` per element instead of reading ``ctx.trace_exp``
+in bulk.  O(r * n) and O(r): for tests on small fields only.
 """
 
 from tracecodes import is_irreducible
@@ -66,6 +67,31 @@ def quadratic_exponential_sum(ctx, a2, a1, a0):
         y = ctx.add(ctx.mul(a2, ctx.mul(x, x)), ctx.add(ctx.mul(a1, x), a0))
         counts[ctx.trace(y)] += 1
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
+
+
+def correction_sums_direct(ctx, a, rho):
+    """Direct evaluation of the three correction sums for one (a, rho),
+    via the integer collapse of the additive-character sums: a sum of
+    zeta^(y*c) over nonzero y equals p-1 when c = 0 and -1 otherwise."""
+    p = ctx.p
+    tr = ctx.trace_table
+    rho %= p
+
+    def e(c):
+        return p - 1 if c % p == 0 else -1
+
+    s_lin = s_sq = s_mix = 0
+    for x in range(ctx.r):
+        tx = tr[x]
+        tx2 = tr[ctx.mul(x, x)]
+        tax = tr[ctx.mul(a, x)]
+        e_lin = e(tx - 1)
+        e_sq = e(tx2)
+        e_sym = e(tax - rho)
+        s_lin += e_lin * e_sym
+        s_sq += e_sq * e_sym
+        s_mix += e_lin * e_sq * e_sym
+    return s_lin, s_sq, s_mix
 
 
 def cyclotomic_number_direct(ctx, i, j):

@@ -50,6 +50,16 @@ def test_build_rejects_small_degree(capsys):
     assert rc == 2
 
 
+def test_build_rejects_an_empty_defining_set(capsys):
+    for p, m in [(3, 1), (5, 2)]:  # no nonzero x of F_p^m has Tr(x^2) = 0
+        rc, out, err = run(capsys, "build", "--p", str(p), "--m", str(m),
+                           "--defining-set", "d2")
+        assert rc == 2
+        assert out == ""
+        assert err == (f"error: defining set {{Tr(x^2)=0, x!=0}} is empty over "
+                       f"F_{p}^{m}: no code to build\n")
+
+
 def test_build_budget_exceeded(capsys):
     rc, _, err = run(capsys, "build", "--p", "3", "--m", "6", "--budget", "100")
     assert rc == 3
@@ -319,6 +329,38 @@ def test_budget_fires_before_any_field_is_built(capsys, monkeypatch):
         assert rc == 3
         assert out == ""
         assert "budget" in err
+
+
+def test_sweep_budget_fires_before_any_field_is_built(capsys, monkeypatch):
+    from tracecodes import cli, codes
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("make_field called")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    main_cost = codes._orbit_count(3, 5) * cli._set_size(3, 5, "main", 1)
+    d2_cost = codes._orbit_count(3, 5) * cli._set_size(3, 5, "d2", 1)
+    for argv, pair, cost, budget in [
+            (["--m-list", "12", "--budget", "1000"], "(3,12)", 1311891633, 1000),
+            # the main set fits, the comparison set does not
+            (["--m-list", "5", "--compare-defining-set", "d2", "--budget", str(main_cost)],
+             "(3,5)", d2_cost, main_cost)]:
+        rc, out, err = run(capsys, "sweep", "--p-list", "3", *argv)
+        assert rc == 1
+        assert out == ""
+        assert f"sweep pair {pair}: {cost} symbol evaluations exceed the budget of {budget}" in err
+
+
+def test_sweep_sizes_its_pool_from_enumeration_cost(capsys, monkeypatch, fields):
+    from tracecodes import cli, codes
+    costs = []
+    monkeypatch.setattr(cli, "_resolve_workers", lambda args, cost: costs.append(cost) or 1)
+    rc, _, _ = run(capsys, "sweep", "--p-list", "3,5", "--m-list", "3,4",
+                   "--compare-defining-set", "d1")
+    assert rc == 0
+    assert costs == [sum(codes.enumeration_cost(ctx, cli._build_dset(ctx, kind, 1))
+                         for ctx in (fields(p, m) for p in (3, 5) for m in (3, 4))
+                         for kind in ("main", "d1"))]
 
 
 @pytest.mark.parametrize("p,m", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4),

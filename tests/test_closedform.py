@@ -5,7 +5,6 @@ from tracecodes import (
     TraceProfile,
     build_defining_set,
     classify_optimality,
-    codeword,
     correction_sums,
     correction_sums_at_zero,
     discriminant_pair_counts,
@@ -23,9 +22,9 @@ from tracecodes import (
     trace_pair_table,
 )
 from tracecodes.errors import DegreeTooSmallError, RhoZeroError
-from tracecodes.verification import correction_sums_direct
 
 from expected_enumerators import CWE_3_6, CWE_5_3, CWE_5_4
+from oracle import codeword, correction_sums_direct
 
 
 def test_parameter_regimes():
@@ -178,6 +177,54 @@ def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
     failed = [v for v in verify_counts(ctx) if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
     assert (failed[0].data["a"], failed[0].data["rho"]) == (first_a, 0)
+
+
+def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
+    from tracecodes import codes
+    from tracecodes.verification import verify_counts
+    p, m, bad = 5, 4, 3
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, 1)
+    original = codes.relabelling
+
+    def wrong(p, c):
+        """Scaling by ``bad`` with two symbols swapped; 1 still maps to bad."""
+        perm = original(p, c)
+        if c == bad:
+            perm[1], perm[2] = perm[2], perm[1]
+        return perm
+
+    def comp(a):
+        word = codeword(ctx, dset, a)
+        return [word.count(rho) for rho in range(p)]
+
+    # a = bad * y, y Frobenius-conjugate to a representative, is read as
+    # y's composition under the wrong relabelling
+    cases = []
+    for la, _, _ in codes.orbit_compositions(ctx, dset):
+        for i in range(m):
+            y = ctx.pow(ctx.exp[la], p**i)
+            brute = [comp(y)[w] for w in wrong(p, bad)]
+            closed = comp(ctx.mul(bad, y))
+            if brute != closed:
+                cases.append((ctx.mul(bad, y), brute, closed))
+    a, brute, closed = min(cases)
+    assert a != cases[0][0]  # the smallest a is not in the first failing class
+    rho = next(r for r in range(p) if brute[r] != closed[r])
+    monkeypatch.setattr(codes, "relabelling", wrong)
+    failed = [v for v in verify_counts(ctx) if not v.passed]
+    assert [v.name for v in failed] == ["symbol-count-decomposition p=5 m=4"]
+    assert failed[0].data == {"a": a, "rho": rho, "brute": brute[rho], "closed": closed[rho]}
+
+
+def test_verify_counts_sees_a_missing_orbit(fields, monkeypatch):
+    from tracecodes import codes
+    from tracecodes.verification import verify_counts
+    original = codes.orbit_compositions
+    monkeypatch.setattr(codes, "orbit_compositions",
+                        lambda ctx, dset, workers=1: original(ctx, dset, workers)[:-1])
+    failed = [v for v in verify_counts(fields(3, 4)) if not v.passed]
+    assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
 
 
 def test_rho_zero_guard(fields):

@@ -4,15 +4,16 @@ from tracecodes import (
     DefiningSet,
     build_defining_set,
     build_defining_set_general,
-    codeword,
     enumeration_cost,
     exhaustive_cwe,
     irreducible_polynomials,
     make_field,
+    orbit_compositions,
     scaled_defining_set_equivalent,
     summarize,
     trace_pair_table,
 )
+from tracecodes.codes import relabelling
 from tracecodes.errors import (
     BudgetExceededError,
     DegreeTooSmallError,
@@ -69,11 +70,12 @@ def test_general_defining_sets(fields):
 def test_codeword_basics(fields):
     ctx = fields(5, 3)
     dset = build_defining_set(ctx, 1)
-    assert codeword(ctx, dset, 0) == (0,) * len(dset)
-    assert codeword(ctx, dset, 1) == (1,) * len(dset)
+    reps = orbit_compositions(ctx, dset)
+    assert reps[0] == (0, 1, (0, len(dset), 0, 0, 0))  # a = 1: every symbol is 1
+    assert [la for la, _, _ in reps] == sorted(la for la, _, _ in reps)
     other = make_field(5, 3)
     with pytest.raises(MixedContextError):
-        codeword(other, dset, 1)
+        orbit_compositions(other, dset)
 
 
 def test_cwe_matches_published_terms(fields):
@@ -120,14 +122,13 @@ def test_count_symbol(fields):
     ctx = fields(3, 6)
     dset = build_defining_set(ctx, 1)
     n = len(dset)
-    assert codeword(ctx, dset, 0).count(0) == n
-    assert codeword(ctx, dset, 0).count(1) == 0
-    for a in (1, 2):  # prime-subfield indices: the codeword is constant a
-        for rho in range(3):
-            want = n if rho == a else 0
-            assert codeword(ctx, dset, a).count(rho) == want
-    for a in (5, 17, 100):
-        assert sum(codeword(ctx, dset, a).count(rho) for rho in range(3)) == n
+    reps = orbit_compositions(ctx, dset, workers=2)
+    assert reps == orbit_compositions(ctx, dset)
+    # a in the prime subfield: the codeword is constant a
+    assert reps[0] == (0, 1, (0, n, 0))
+    assert [reps[0][2][w] for w in relabelling(3, 2)] == [0, 0, n]
+    assert all(sum(comp) == n for _, _, comp in reps)
+    assert sum(s for _, s, _ in reps) * 2 == ctx.r - 1
 
 
 def test_trace_pair_counts(fields):
