@@ -27,6 +27,7 @@ from .fields import (
     check_size,
     make_field,
 )
+from .parallel import fork_map
 
 SCOPES = ("cwe", "sums", "counts", "griesmer", "equivalence", "all")
 CODE_SCOPES = {"cwe", "counts", "griesmer", "equivalence"}
@@ -38,6 +39,15 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
         return tuple(int(c) for c in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad modulus {text!r}: {exc}")
+
+
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    if count > 1 and not hasattr(os, "fork"):
+        raise argparse.ArgumentTypeError("more than 1 needs os.fork, which this platform lacks")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="maximum symbol evaluations for enumeration: one "
                              "codeword of length n per orbit representative; "
                              "exceeding it exits 3 before enumerating")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes that split one enumeration, or "
-                             "run the pairs of a sweep (default: all cores for "
-                             "large jobs, serial for small ones)")
+        sp.add_argument("--workers", type=_worker_count, default=None,
+                        help="processes, this one included, that split one "
+                             "enumeration or the pairs of a sweep; more than 1 "
+                             "forks, so it needs os.fork (default: all cores for "
+                             "large jobs, 1 for small ones)")
 
     sp = sub.add_parser("build", help="enumerate one code exhaustively")
     add_field(sp)
@@ -102,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARALLEL_THRESHOLD = 10**6  # symbol evaluations; below this a pool only adds overhead
+_PARALLEL_THRESHOLD = 10**6  # symbol evaluations; below this forking only adds overhead
 
 
 def _resolve_workers(args, cost: int) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    if cost < _PARALLEL_THRESHOLD:
+        return args.workers
+    if cost < _PARALLEL_THRESHOLD or not hasattr(os, "fork"):
         return 1
     return os.cpu_count() or 1
 
@@ -305,8 +316,8 @@ def _sweep_pair_cost(args, p: int, m: int) -> int:
 
 
 def _sweep_pair_safe(args, p: int, m: int):
-    """Pool-friendly wrapper: per-pair failures are recorded, not raised,
-    so a sweep continues past bad pairs."""
+    """Per-pair failures are recorded, not raised, so a sweep continues
+    past bad pairs."""
     try:
         doc, ok = _sweep_pair(args, p, m)
         return doc, ok, None
@@ -335,15 +346,11 @@ def cmd_sweep(args, out=None, err=None) -> int:
         except TraceCodesError as exc:
             results[pair] = (None, False, str(exc))
     todo = [pair for pair in pairs if pair not in results]
-    workers = _resolve_workers(args, cost)
-    if workers > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            futures = [pool.submit(_sweep_pair_safe, args, p, m) for p, m in todo]
-            results.update(zip(todo, [f.result() for f in futures]))
-    else:
-        results.update((pair, _sweep_pair_safe(args, *pair)) for pair in todo)
+    workers = max(1, min(_resolve_workers(args, cost), len(todo)))
+    chunks = [todo[i::workers] for i in range(workers)]
+    done = fork_map(lambda chunk: [_sweep_pair_safe(args, *pair) for pair in chunk], chunks)
+    for chunk, found in zip(chunks, done):
+        results.update(zip(chunk, found))
     any_failed = False
     rows = []
     for p, m in pairs:

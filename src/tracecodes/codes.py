@@ -26,6 +26,7 @@ from .errors import (
     NotFrobeniusStableError,
 )
 from .fields import FieldContext
+from .parallel import fork_map
 
 DEFAULT_BUDGET = 10**8
 
@@ -208,8 +209,9 @@ def _orbit_count(p: int, m: int) -> int:
 
 
 def enumeration_cost(ctx: FieldContext, dset: DefiningSet) -> int:
-    """Symbol evaluations :func:`orbit_compositions` performs: one
-    codeword of length n per orbit representative."""
+    """Symbol evaluations of the per-symbol walk in
+    :func:`orbit_compositions`: one codeword of length n per orbit
+    representative.  It prices the budget whichever kernel runs."""
     return _orbit_count(ctx.p, ctx.m) * len(dset.elements)
 
 
@@ -226,19 +228,69 @@ def relabelling(p: int, c: int) -> list[int]:
     return [w * pow(c, -1, p) % p for w in range(p)]
 
 
-def _walk_orbits(job) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(la, s, composition of the codeword of alpha^la) per representative.
-    Takes plain data only, so a pool worker needs no field context."""
-    p, rm1, tr_exp, d_logs, zero_in, reps = job
-    out = []
-    for la, s in reps:
-        counts = [0] * p
-        counts[0] = zero_in
-        shift = la - rm1  # index shift + dl names entry (la + dl) % rm1, negative or not
-        for dl in d_logs:
-            counts[tr_exp[shift + dl]] += 1
-        out.append((la, s, tuple(counts)))
-    return out
+# Per representative, the bitset kernel does one shift and p - 1 AND and
+# bit_count passes over ints of 2(r - 1) bits, the symbol kernel n list
+# reads.  Measured best-of-3 on a 2-core box, Python 3.11.7, over twelve
+# (p, m, set) points from (3,8) to (37,3): 2.5-8.1 ns per 64-bit word of
+# a mask against 62-150 ns per symbol, a ratio of 12-26 (60 at (37,3)).
+# Bits win when (p - 1) * words < _WORDS_PER_SYMBOL * n.
+_WORDS_PER_SYMBOL = 20
+
+
+def _bits_win(p: int, r: int, n: int) -> bool:
+    """Whether :func:`_bit_walk` beats :func:`_symbol_walk` on a set of n
+    elements of F_r.  For the sets of this package, n about r/p or
+    less, it does only for p <= 25, well inside the p < 256 that bits need."""
+    return p < 256 and (p - 1) * -(-2 * (r - 1) // 64) < _WORDS_PER_SYMBOL * n
+
+
+def _symbol_walk(ctx: FieldContext, dset: DefiningSet):
+    """The per-symbol kernel: a function from (la, s) representatives to
+    (la, s, composition of the codeword of alpha^la), which reads
+    Tr(alpha^(la + dl)) for each log dl of D, one at a time."""
+    p, rm1, tr_exp, d_logs = ctx.p, ctx.r - 1, ctx.trace_exp, dset.logs
+    zero_in = len(dset.elements) - len(d_logs)
+
+    def walk(reps):
+        out = []
+        for la, s in reps:
+            counts = [0] * p
+            counts[0] = zero_in
+            shift = la - rm1  # index shift + dl names entry (la + dl) % rm1, negative or not
+            for dl in d_logs:
+                counts[tr_exp[shift + dl]] += 1
+            out.append((la, s, tuple(counts)))
+        return out
+    return walk
+
+
+def _bit_walk(ctx: FieldContext, dset: DefiningSet):
+    """The bitset kernel, same contract as :func:`_symbol_walk`.  Bit k
+    of masks[rho - 1] is set iff Tr(alpha^k) = rho, for k < 2(r - 1), and
+    dmask has bit dl set for each log dl of D; then the codeword of
+    alpha^la has (masks[rho - 1] & dmask << la).bit_count() symbols rho,
+    and symbol 0 fills the rest of its n."""
+    p, n, rm1 = ctx.p, len(dset.elements), ctx.r - 1
+    assert p < 256  # one byte per trace value
+    doubled = bytes(ctx.trace_exp) * 2
+    masks = []
+    for rho in range(1, p):
+        # int() reads the most significant digit first, so reverse to put k at bit k
+        table = bytes(49 if v == rho else 48 for v in range(256))  # b"1" / b"0"
+        masks.append(int(doubled.translate(table)[::-1], 2))
+    digits = bytearray(b"0") * rm1
+    for dl in dset.logs:
+        digits[dl] = 49
+    dmask = int(digits[::-1], 2)
+
+    def walk(reps):
+        out = []
+        for la, s in reps:
+            dsh = dmask << la
+            counts = [(mask & dsh).bit_count() for mask in masks]
+            out.append((la, s, (n - sum(counts), *counts)))
+        return out
+    return walk
 
 
 def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
@@ -250,8 +302,10 @@ def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
     a = c*(alpha^la)^(p^i), c = alpha^(j*N) in F_p^*: for a Frobenius-stable
     D (checked first) a's codeword permutes that of c*alpha^la, whose
     composition is the representative's under :func:`relabelling`.
-    ``workers`` > 1 splits the representatives across that many
-    processes; the result is identical for every worker count.
+    The kernel, bitset or per-symbol, is picked from (p, r, n) by
+    :func:`_bits_win`.  ``workers`` > 1 splits the representatives across
+    that many processes, this one included (:func:`parallel.fork_map`);
+    the result is identical for every worker count.
     """
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
@@ -260,17 +314,14 @@ def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
     log_set = set(d_logs)
     if any(dl * p % rm1 not in log_set for dl in d_logs):
         raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
-    zero_in = len(dset.elements) - len(d_logs)
     reps = _frobenius_orbits(p, rm1 // (p - 1))
-    job = (p, rm1, ctx.trace_exp, d_logs, zero_in)
+    kernel = _bit_walk if _bits_win(p, ctx.r, len(dset.elements)) else _symbol_walk
+    walk = kernel(ctx, dset)
     if workers <= 1 or len(reps) < 2 * workers:
-        return _walk_orbits(job + (reps,))
-    from concurrent.futures import ProcessPoolExecutor
-
+        return walk(reps)
     size = -(-len(reps) // workers)
-    jobs = [job + (reps[i:i + size],) for i in range(0, len(reps), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [rep for chunk in pool.map(_walk_orbits, jobs) for rep in chunk]
+    chunks = fork_map(walk, [reps[i:i + size] for i in range(0, len(reps), size)])
+    return [rep for chunk in chunks for rep in chunk]
 
 
 def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_BUDGET,

@@ -382,8 +382,53 @@ def test_budget_keeps_the_small_degree_and_size_cap_exits(capsys):
 
 
 def test_cli_import_leaves_the_process_pool_out():
+    """Neither importing the CLI nor a build that forks loads a pool module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, tracecodes.cli; sys.exit('concurrent.futures' in sys.modules)"
+    code = ("import os, sys, tracecodes.cli\n"
+            "pools = ('concurrent.futures', 'multiprocessing')\n"
+            "assert not any(name in sys.modules for name in pools)\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "assert tracecodes.cli.main(['build', '--p', '3', '--m', '5', '--workers', '2']) == 0\n"
+            "assert forks == [1]\n"
+            "assert not any(name in sys.modules for name in pools)\n")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", [["build", "--p", "3", "--m", "4"],
+                                     ["verify", "--p", "3", "--m", "4", "--scope", "cwe"],
+                                     ["sweep", "--p-list", "3", "--m-list", "4"]])
+def test_workers_below_one_are_rejected(capsys, monkeypatch, command):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for workers in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--workers", workers])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_workers_above_one_need_fork(capsys, monkeypatch):
+    from tracecodes import cli
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--p", "3", "--m", "4", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "os.fork" in capsys.readouterr().err
+    rc, out, _ = run(capsys, "build", "--p", "3", "--m", "4", "--workers", "1")
+    assert rc == 0 and out
+    args = cli.build_parser().parse_args(["build", "--p", "3", "--m", "4"])
+    assert cli._resolve_workers(args, 10 * cli._PARALLEL_THRESHOLD) == 1
+
+
+def test_sweep_is_the_same_for_every_worker_count(capsys):
+    argv = ["sweep", "--p-list", "3,5,7,2", "--m-list", "3", "--compare-defining-set", "d1"]
+    serial = run(capsys, *argv, "--workers", "1")
+    assert serial[0] == 1  # p = 2 fails; the other pairs still print
+    assert len(serial[1].splitlines()) == 3
+    assert "sweep summary:" in serial[2]
+    assert run(capsys, *argv, "--workers", "2") == serial

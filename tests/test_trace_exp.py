@@ -16,7 +16,13 @@ from tracecodes import (
     orbit_compositions,
     quadratic_exponential_sum,
 )
-from tracecodes.codes import _orbit_count
+from tracecodes.codes import (
+    _bit_walk,
+    _bits_win,
+    _frobenius_orbits,
+    _orbit_count,
+    _symbol_walk,
+)
 
 import oracle
 
@@ -67,14 +73,15 @@ def test_bulk_sums_match_walks(pair, data):
             oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
 
 
-def _compositions(ctx, dset):
-    """The composition of every nonzero a's codeword, rebuilt from
-    orbit_compositions: a = c * (alpha^la)^(p^i) with c = alpha^(j*N)
-    carries the representative's composition with symbol v moved to c*v."""
+def _compositions(ctx, walked):
+    """The composition of every nonzero a's codeword, rebuilt from the
+    orbit_compositions list ``walked``: a = c * (alpha^la)^(p^i) with
+    c = alpha^(j*N) carries the representative's composition with symbol
+    v moved to c*v."""
     p, rm1 = ctx.p, ctx.r - 1
     step = rm1 // (p - 1)
     comps = {}
-    for la, _, comp in orbit_compositions(ctx, dset):
+    for la, _, comp in walked:
         for j in range(p - 1):
             c = ctx.exp[j * step]
             scaled = [0] * p
@@ -93,7 +100,12 @@ def test_orbit_compositions_match_walk(case, data):
     p, m, kind = case
     ctx = _field(data, p, m)
     dset = _dset(ctx, kind, data.draw(st.integers(0, p - 1), label="b"))
-    comps = _compositions(ctx, dset)
+    # both kernels, whichever side of _bits_win the case is on
+    reps = _frobenius_orbits(p, (ctx.r - 1) // (p - 1))
+    walked = orbit_compositions(ctx, dset)
+    assert _bit_walk(ctx, dset)(reps) == walked
+    assert _symbol_walk(ctx, dset)(reps) == walked
+    comps = _compositions(ctx, walked)
     if ctx.r * len(dset) <= ORACLE_LIMIT:
         targets = range(1, ctx.r)
     else:
@@ -101,6 +113,14 @@ def test_orbit_compositions_match_walk(case, data):
     for a in targets:
         word = oracle.codeword(ctx, dset, a)
         assert comps[a] == [word.count(v) for v in range(p)], a
+
+
+def test_kernel_choice(fields):
+    """The main set at b = 1 walks by bits where n is large next to r,
+    and symbol by symbol for large p."""
+    for p, m, bits in [(3, 8, True), (7, 5, True), (11, 4, False), (37, 3, False)]:
+        ctx = fields(p, m)
+        assert _bits_win(p, ctx.r, len(build_defining_set(ctx, 1))) is bits, (p, m)
 
 
 @pytest.mark.parametrize("p,m", PAIRS)
