@@ -55,7 +55,6 @@ from .codes import (
 from .cyclotomic import CyclotomicInteger
 from .fields import (
     FieldContext,
-    FieldParams,
     irreducible_polynomials,
     is_irreducible,
     is_prime,

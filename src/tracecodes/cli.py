@@ -41,10 +41,17 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad modulus {text!r}: {exc}")
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    count = _at_least(1)(text)
     if count > 1 and not hasattr(os, "fork"):
         raise argparse.ArgumentTypeError("more than 1 needs os.fork, which this platform lacks")
     return count
@@ -69,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_limits(sp):
         sp.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="maximum field size p^m")
-        sp.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
+        sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET,
                         help="maximum symbol evaluations for enumeration: one "
                              "codeword of length n per orbit representative; "
                              "exceeding it exits 3 before enumerating")
@@ -161,68 +168,62 @@ def _build_dset(ctx, kind: str, b: int):
     return codes.build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
 
 
-def _b_vanishes(command: str, b: int, p: int, err) -> bool:
+def _b_vanishes(command: str, b: int, p: int) -> bool:
     """Report and return whether --b is 0 in F_p, where no closed form applies."""
     if b % p:
         return False
     print(f"{command} --b {b} is divisible by p={p}: the closed forms "
-          f"need b nonzero in F_{p}", file=err)
+          f"need b nonzero in F_{p}", file=sys.stderr)
     return True
 
 
-def _emit(doc: dict, fmt: str, out) -> None:
+def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(report.render_json(doc), file=out)
+        print(report.render_json(doc))
     else:
-        print(report.render_text(doc), file=out)
+        print(report.render_text(doc))
 
 
-def cmd_build(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_build(args) -> int:
     t0 = time.perf_counter()
     check_characteristic(args.p)
     _check_budget_before_field(args.p, args.m, args.size_cap, args.defining_set, args.b,
                                args.budget)
     ctx = _make_ctx(args)
     dset = _build_dset(ctx, args.defining_set, args.b)
-    if not dset.elements:
+    if not dset.logs:  # with no nonzero element every codeword is zero
+        what = "holds only 0" if dset.elements else "is empty"
         raise EmptyDefiningSetError(
-            f"defining set {{{dset.label}}} is empty over F_{args.p}^{args.m}: no code to build")
+            f"defining set {{{dset.label}}} {what} over F_{args.p}^{args.m}: no code to build")
     workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
-    summary = codes.summarize(cwe, ctx.p)
+    wd = cwe.weight_distribution()
     doc = report.code_document(
         params=report.params_dict(args.p, args.m, ctx.modulus, b=args.b,
                                   defining_set=dset),
-        summary=summary, cwe=cwe, wd=cwe.weight_distribution())
-    _emit(doc, args.format, out)
-    print(f"build p={args.p} m={args.m}: {time.perf_counter() - t0:.3f}s", file=err)
+        summary=wd.summary(ctx.p), cwe=cwe, wd=wd)
+    _emit(doc, args.format)
+    print(f"build p={args.p} m={args.m}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
 
-def cmd_predict(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_predict(args) -> int:
     check_characteristic(args.p)
-    if _b_vanishes(args.command, args.b, args.p, err):
+    if _b_vanishes(args.command, args.b, args.p):
         return 2
     pred = closedform.prediction(args.p, args.m)
     modulus = () if args.modulus is None else check_modulus(args.p, args.m, args.modulus)
     params = report.params_dict(args.p, args.m, modulus, b=args.b)
     params["regime"] = pred.regime.index
-    params["pair_reading"] = pred.pair_reading
     doc = report.code_document(params=params, summary=pred.summary, cwe=pred.cwe, wd=pred.wd)
-    _emit(doc, args.format, out)
+    _emit(doc, args.format)
     return 0
 
 
-def cmd_verify(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_verify(args) -> int:
     scope = args.scope
     if scope in CODE_SCOPES and args.m <= 2:
-        print(f"scope {scope!r} needs extension degree m > 2", file=err)
+        print(f"scope {scope!r} needs extension degree m > 2", file=sys.stderr)
         return 2
     check_characteristic(args.p)
     enumerates = scope in ("cwe", "griesmer", "all") and args.m > 2
@@ -231,11 +232,14 @@ def cmd_verify(args, out=None, err=None) -> int:
                               ("--workers", args.workers, enumerates),
                               ("--samples", args.samples, sums)):
         if value is not None and not read:
-            print(f"verify --scope {scope} at m={args.m} does not read {flag}", file=err)
+            print(f"verify --scope {scope} at m={args.m} does not read {flag}", file=sys.stderr)
             return 2
+    if args.samples is not None and args.samples < 1:  # no sample would pass vacuously
+        print(f"verify --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     b = 1 if args.b is None else args.b
     budget = codes.DEFAULT_BUDGET if args.budget is None else args.budget
-    if enumerates and _b_vanishes(args.command, b, args.p, err):
+    if enumerates and _b_vanishes(args.command, b, args.p):
         return 2
     verdicts: list[verification.Verdict] = []
     t0 = time.perf_counter()
@@ -268,9 +272,9 @@ def cmd_verify(args, out=None, err=None) -> int:
         "verification": [v.as_dict() for v in verdicts],
         "all_passed": all(v.passed for v in verdicts),
     }
-    _emit(doc, args.format, out)
+    _emit(doc, args.format)
     print(f"verify p={args.p} m={args.m} scope={scope}: "
-          f"{time.perf_counter() - t0:.3f}s", file=err)
+          f"{time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return verification.exit_code_for(verdicts)
 
 
@@ -278,22 +282,11 @@ def _sweep_pair(args, p: int, m: int) -> tuple[dict, bool]:
     ctx = make_field(p, m, size_cap=args.size_cap)
     dset = codes.build_defining_set(ctx, args.b)
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget)
-    summary = codes.summarize(cwe, p)
-    pred = closedform.prediction(p, m)
-    brute_wd = cwe.weight_distribution()
-    verdicts = [
-        verification.Verdict(
-            name="cwe", passed=pred.cwe.terms == cwe.terms,
-            details="closed-form enumerator matches" if pred.cwe.terms == cwe.terms
-            else "closed-form enumerator differs"),
-        verification.Verdict(
-            name="weight-distribution", passed=pred.wd.counts == brute_wd.counts,
-            details="closed-form weight table matches" if pred.wd.counts == brute_wd.counts
-            else "closed-form weight table differs"),
-    ]
+    wd = cwe.weight_distribution()
+    verdicts = verification.verify_cwe(ctx, cwe)
     doc = report.code_document(
         params=report.params_dict(p, m, ctx.modulus, b=args.b, defining_set=dset),
-        summary=summary, cwe=cwe, wd=brute_wd,
+        summary=wd.summary(p), cwe=cwe, wd=wd,
         extra={"verification": [v.as_dict() for v in verdicts]})
     if args.compare_defining_set:
         comp_set = _build_dset(ctx, args.compare_defining_set, args.b)
@@ -325,17 +318,15 @@ def _sweep_pair_safe(args, p: int, m: int):
         return None, False, str(exc)
 
 
-def cmd_sweep(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_sweep(args) -> int:
     try:
         p_list = [int(x) for x in args.p_list.split(",")]
         m_list = [int(x) for x in args.m_list.split(",")]
     except ValueError as exc:
-        print(f"bad sweep lists: {exc}", file=err)
+        print(f"bad sweep lists: {exc}", file=sys.stderr)
         return 2
     for p in p_list:
-        if p > 1 and _b_vanishes(args.command, args.b, p, err):
+        if p > 1 and _b_vanishes(args.command, args.b, p):
             return 2
     pairs = [(p, m) for p in p_list for m in m_list]
     results = {}
@@ -356,22 +347,18 @@ def cmd_sweep(args, out=None, err=None) -> int:
     for p, m in pairs:
         doc, ok, error = results[(p, m)]
         if error is not None:
-            print(f"sweep pair ({p},{m}): {error}", file=err)
+            print(f"sweep pair ({p},{m}): {error}", file=sys.stderr)
             any_failed = True
             continue
         any_failed = any_failed or not ok
-        print(report.render_json(doc, compact=True), file=out)
+        print(report.render_json(doc, compact=True))
         s = doc["summary"]
-        tags = []
-        if s["griesmer_optimal"]:
-            tags.append("griesmer-optimal")
-        if s["mds"]:
-            tags.append("MDS")
+        tags = report.optimality_tags(s)
         rows.append(f"  p={p} m={m}: [{s['n']},{s['k']},{s['d']}] "
                     f"{' '.join(tags) if tags else '-'}")
-    print("sweep summary:", file=err)
+    print("sweep summary:", file=sys.stderr)
     for row in rows:
-        print(row, file=err)
+        print(row, file=sys.stderr)
     return 1 if any_failed else 0
 
 

@@ -391,13 +391,7 @@ class _Accumulator:
         self.add(freq, lambda rho: v)
 
 
-def _pairs(p: int, ordered: bool):
-    if ordered:
-        return itertools.permutations(range(1, p), 2)
-    return itertools.combinations(range(1, p), 2)
-
-
-def _expand_terms(p: int, m: int, ordered_pairs: bool) -> tuple[int, dict]:
+def _expand_terms(p: int, m: int) -> tuple[int, dict]:
     mp = m % p
     regime = parameter_regime(p, m)
     n = predicted_length(p, m)
@@ -427,7 +421,7 @@ def _expand_terms(p: int, m: int, ordered_pairs: bool) -> tuple[int, dict]:
             acc.add(p ** (m - 2) - 1,
                     lambda rho, r0=rho0: q3 - big if rho == r0 else q3)
             acc.add(n, lambda rho, r0=rho0: q3 - (p - 1) * u if rho == r0 else q3 + u)
-        for rho0, rho1 in _pairs(p, ordered_pairs):
+        for rho0, rho1 in itertools.combinations(range(1, p), 2):
             acc.add(n, lambda rho, r0=rho0, r1=rho1:
                     q3 - (p - 1) * u if rho in (r0, r1) else q3 + u)
 
@@ -461,7 +455,7 @@ def _expand_terms(p: int, m: int, ordered_pairs: bool) -> tuple[int, dict]:
                     else q3 + theta * legendre(rho * rho - rho * r0, p) * step)
             acc.add(freq2, lambda rho, r0=rho0:
                     q3 - theta * step if rho == r0 else q3)
-        for rho0, rho1 in _pairs(p, ordered_pairs):
+        for rho0, rho1 in itertools.combinations(range(1, p), 2):
             acc.add(n, lambda rho, r0=rho0, r1=rho1:
                     q3 if rho in (r0, r1)
                     else q3 + theta * legendre((rho - r0) * (rho - r1), p) * step)
@@ -481,26 +475,14 @@ def predict_cwe(p: int, m: int) -> CompleteWeightEnumerator:
     """Closed-form complete weight enumerator of the code on
     {x : Tr(x) = 1, Tr(x^2) = 0}, expanded into explicit terms.
 
-    Value patterns indexed by unordered symbol pairs are the reading
-    whose total frequency is p^m; the ordered reading is attempted as a
-    fallback and a mismatch in both raises FrequencyMismatchError.
+    Value patterns are indexed by unordered symbol pairs; frequencies
+    that do not total p^m raise FrequencyMismatchError.
     """
-    cwe, _ = predict_cwe_with_reading(p, m)
-    return cwe
-
-
-def predict_cwe_with_reading(p: int, m: int) -> tuple[CompleteWeightEnumerator, str]:
-    target = p**m
-    readings = []
-    for ordered in (False, True):
-        n, terms = _expand_terms(p, m, ordered)
-        total = sum(terms.values())
-        readings.append((ordered, total))
-        if total == target:
-            cwe = CompleteWeightEnumerator(p=p, n=n, terms=terms)
-            return cwe, "ordered" if ordered else "unordered"
-    raise FrequencyMismatchError(
-        f"no pair reading reaches total {target}: got {readings}")
+    n, terms = _expand_terms(p, m)
+    total = sum(terms.values())
+    if total != p**m:
+        raise FrequencyMismatchError(f"enumerator frequencies total {total}, not {p**m}")
+    return CompleteWeightEnumerator(p=p, n=n, terms=terms)
 
 
 def predict_weight_distribution(p: int, m: int) -> WeightDistribution:
@@ -592,18 +574,17 @@ class CwePrediction:
     cwe: CompleteWeightEnumerator
     wd: WeightDistribution
     summary: CodeSummary
-    pair_reading: str
 
 
 def prediction(p: int, m: int) -> CwePrediction:
     """Bundle the closed-form CWE, weight table and classification,
     enforcing their mutual consistency."""
     regime = parameter_regime(p, m)
-    cwe, reading = predict_cwe_with_reading(p, m)
+    cwe = predict_cwe(p, m)
     wd = predict_weight_distribution(p, m)
     derived = cwe.weight_distribution()
     if derived.counts != wd.counts:
         raise FrequencyMismatchError(
             "weight table disagrees with the expanded enumerator")
     return CwePrediction(p=p, m=m, regime=regime, n=cwe.n, k=m, cwe=cwe,
-                         wd=wd, summary=wd.summary(p), pair_reading=reading)
+                         wd=wd, summary=wd.summary(p))

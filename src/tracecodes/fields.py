@@ -25,7 +25,6 @@ safe to share between threads or worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -235,22 +234,13 @@ def _digit_table(digits: int, radix: int, base: int, p: int, scale: int = 1) -> 
 # Field context
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Shape parameters of F_{p^m}; m_p is m reduced mod p."""
-
-    p: int
-    m: int
-    r: int
-    m_p: int
-
-
 class FieldContext:
     """A fully constructed F_{p^m} with dense lookup tables.
 
     Attributes
     ----------
-    params : FieldParams
+    p, m, r, m_p : int
+        Characteristic, degree, field size p^m and m reduced mod p.
     modulus : tuple[int, ...]
         Monic irreducible modulus, coefficients low degree first.
     alpha : int
@@ -273,7 +263,6 @@ class FieldContext:
         self.m = m
         self.r = r
         self.m_p = m % p
-        self.params = FieldParams(p, m, r, self.m_p)
 
         if modulus is None:
             self.modulus = next(irreducible_polynomials(p, m))

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .codes import CodeSummary, CompleteWeightEnumerator, DefiningSet, WeightDistribution
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def weight_poly_string(wd: WeightDistribution) -> str:
@@ -33,8 +33,10 @@ def cwe_monomial_string(comp: tuple[int, ...], freq: int) -> str:
     return " ".join([str(freq)] + factors)
 
 
-def sorted_cwe_terms(cwe: CompleteWeightEnumerator) -> list[tuple[tuple[int, ...], int]]:
-    return sorted(cwe.terms.items())
+def optimality_tags(summary: dict) -> list[str]:
+    """The griesmer-optimal and MDS tags a summary dict earns."""
+    return [tag for tag, key in (("griesmer-optimal", "griesmer_optimal"), ("MDS", "mds"))
+            if summary[key]]
 
 
 def summary_dict(summary: CodeSummary) -> dict:
@@ -50,7 +52,7 @@ def summary_dict(summary: CodeSummary) -> dict:
 
 def cwe_list(cwe: CompleteWeightEnumerator) -> list[dict]:
     return [{"composition": list(comp), "frequency": freq}
-            for comp, freq in sorted_cwe_terms(cwe)]
+            for comp, freq in sorted(cwe.terms.items())]
 
 
 def wd_list(wd: WeightDistribution) -> list[dict]:
@@ -94,11 +96,7 @@ def render_text(doc: dict) -> str:
     params = doc.get("params", {})
     summ = doc.get("summary")
     if summ:
-        tags = []
-        if summ.get("griesmer_optimal"):
-            tags.append("griesmer-optimal")
-        if summ.get("mds"):
-            tags.append("MDS")
+        tags = optimality_tags(summ)
         tag_str = f"  ({', '.join(tags)})" if tags else ""
         lines.append(f"[{summ['n']},{summ['k']},{summ['d']}] code over F_{params.get('p')}"
                      f" (p={params.get('p')}, m={params.get('m')}){tag_str}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import charsums, closedform, codes
+from .errors import NonPowerCodewordCountError
 from .fields import FieldContext, legendre, make_field
 
 
@@ -202,30 +203,33 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
 
 def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
     """Closed-form complete weight enumerator and weight table against
-    ``cwe``, the exhaustive enumeration of the code for a nonzero b."""
+    ``cwe``, the exhaustive enumeration of the code for a nonzero b.  A
+    differing enumerator reports its smallest differing composition."""
     pred = closedform.prediction(ctx.p, ctx.m)
-    verdicts = []
-    if pred.cwe.terms == cwe.terms:
-        verdicts.append(Verdict(
-            name=f"cwe p={ctx.p} m={ctx.m}", passed=True,
-            details=f"{len(cwe.terms)} distinct composition patterns matched "
-                    f"({pred.pair_reading} pair reading)"))
+    brute, closed = cwe.terms, pred.cwe.terms
+    differ = [k for k in brute.keys() | closed.keys() if brute.get(k, 0) != closed.get(k, 0)]
+    if not differ:
+        verdicts = [Verdict(
+            name="cwe", passed=True,
+            details=f"{len(brute)} distinct composition patterns matched")]
     else:
-        missing = {k: v for k, v in cwe.terms.items() if pred.cwe.terms.get(k) != v}
-        k0, v0 = next(iter(sorted(missing.items())))
-        verdicts.append(Verdict(
-            name=f"cwe p={ctx.p} m={ctx.m}", passed=False,
+        k0 = min(differ)
+        verdicts = [Verdict(
+            name="cwe", passed=False,
             details="composition frequencies differ",
-            data={"composition": list(k0), "brute": v0,
-                  "closed": pred.cwe.terms.get(k0, 0)}))
-    brute_wd = cwe.weight_distribution()
+            data={"composition": list(k0), "brute": brute.get(k0, 0),
+                  "closed": closed.get(k0, 0)})]
+    try:
+        brute_wd = cwe.weight_distribution()
+    except NonPowerCodewordCountError as exc:  # frequencies no linear code has
+        return verdicts + [Verdict(name="weight-distribution", passed=False, details=str(exc))]
     if pred.wd.counts == brute_wd.counts and pred.k == brute_wd.k:
         verdicts.append(Verdict(
-            name=f"weight-distribution p={ctx.p} m={ctx.m}", passed=True,
+            name="weight-distribution", passed=True,
             details=f"dimension {brute_wd.k} and all {len(brute_wd.counts)} weights matched"))
     else:
         verdicts.append(Verdict(
-            name=f"weight-distribution p={ctx.p} m={ctx.m}", passed=False,
+            name="weight-distribution", passed=False,
             details="weight table differs",
             data={"brute": brute_wd.counts, "closed": pred.wd.counts}))
     return verdicts

@@ -23,7 +23,7 @@ def test_build_json(capsys):
     rc, out, _ = run(capsys, "build", "--p", "5", "--m", "4")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert (doc["summary"]["n"], doc["summary"]["k"], doc["summary"]["d"]) == (20, 4, 14)
     assert doc["params"]["in_closed_form_scope"] is True
     comps = [tuple(e["composition"]) for e in doc["cwe"]]
@@ -60,6 +60,15 @@ def test_build_rejects_an_empty_defining_set(capsys):
                        f"F_{p}^{m}: no code to build\n")
 
 
+def test_build_rejects_a_defining_set_of_only_zero(capsys):
+    for p in (3, 5):  # over F_p, Tr(x) = x: D = {0} and every codeword is zero
+        rc, out, err = run(capsys, "build", "--p", str(p), "--m", "1",
+                           "--defining-set", "d1", "--b", "0")
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: defining set {{Tr(x)=0}} holds only 0 over F_{p}^1: no code to build\n"
+
+
 def test_build_budget_exceeded(capsys):
     rc, _, err = run(capsys, "build", "--p", "3", "--m", "6", "--budget", "100")
     assert rc == 3
@@ -82,7 +91,6 @@ def test_predict(capsys):
     doc = json.loads(out)
     assert (doc["summary"]["n"], doc["summary"]["k"], doc["summary"]["d"]) == (20, 4, 14)
     assert doc["params"]["regime"] == 2
-    assert doc["params"]["pair_reading"] == "unordered"
 
 
 def test_verify_all_small_field(capsys):
@@ -410,6 +418,50 @@ def test_workers_below_one_are_rejected(capsys, monkeypatch, command):
             main(command + ["--workers", workers])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+def test_out_of_range_samples_and_budget_are_rejected(capsys, monkeypatch):
+    from tracecodes import cli
+    built = []
+    monkeypatch.setattr(cli, "make_field", lambda *a, **k: built.append(a))
+    for samples in ("0", "-3"):
+        for scope in ("sums", "all"):
+            rc, out, err = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", scope,
+                               "--samples", samples)
+            assert rc == 2
+            assert out == ""
+            assert f"--samples must be at least 1, got {samples}" in err
+    for argv in (["build", "--p", "3", "--m", "4"],
+                 ["verify", "--p", "3", "--m", "4", "--scope", "cwe"],
+                 ["sweep", "--p-list", "3", "--m-list", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "-1"])
+        assert exc.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+    assert built == []
+
+
+def test_sweep_fails_on_a_wrong_prediction(capsys, monkeypatch):
+    from tracecodes import closedform
+    original = closedform.prediction
+    bumped = []
+
+    def off_by_one(p, m):
+        pred = original(p, m)
+        key = max(pred.cwe.terms)
+        pred.cwe.terms[key] += 1
+        bumped.append(key)
+        return pred
+
+    monkeypatch.setattr(closedform, "prediction", off_by_one)
+    rc, out, err = run(capsys, "sweep", "--p-list", "3", "--m-list", "3")
+    assert rc == 1
+    key, = bumped
+    verdicts = {v["name"]: v for v in json.loads(out)["verification"]}
+    assert verdicts["cwe"]["passed"] is False
+    assert verdicts["cwe"]["data"]["composition"] == list(key)
+    assert verdicts["cwe"]["data"]["closed"] == verdicts["cwe"]["data"]["brute"] + 1
+    assert verdicts["weight-distribution"]["passed"] is True
 
 
 def test_workers_above_one_need_fork(capsys, monkeypatch):

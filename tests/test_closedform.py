@@ -21,7 +21,7 @@ from tracecodes import (
     trace_pair_count_closed,
     trace_pair_table,
 )
-from tracecodes.errors import DegreeTooSmallError, RhoZeroError
+from tracecodes.errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
 
 from expected_enumerators import CWE_3_6, CWE_5_3, CWE_5_4
 from oracle import codeword, correction_sums_direct
@@ -227,6 +227,43 @@ def test_verify_counts_sees_a_missing_orbit(fields, monkeypatch):
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
 
 
+def test_verify_cwe_sees_a_one_sided_difference(fields):
+    from tracecodes.codes import CompleteWeightEnumerator
+    from tracecodes.verification import verify_cwe
+    ctx = fields(3, 4)
+    brute = exhaustive_cwe(ctx, build_defining_set(ctx, 1))
+    closed = predict_cwe(3, 4).terms
+    dropped = (3, 3, 0)  # the enumeration lacks a predicted composition
+    extra = (0, 1, 5)  # or holds one the closed form never predicts
+    assert dropped in closed and extra not in closed
+    freq = closed[dropped]
+    without = {k: v for k, v in brute.terms.items() if k != dropped}
+    for terms, k0, got, want in [
+            (without, dropped, 0, freq),
+            ({**brute.terms, extra: freq}, extra, freq, 0),
+            # both at once: the smallest differing composition is reported
+            ({**without, extra: freq}, extra, freq, 0)]:
+        cwe = CompleteWeightEnumerator(p=3, n=brute.n, terms=terms)
+        verdicts = verify_cwe(ctx, cwe)
+        assert [(v.name, v.passed) for v in verdicts] == \
+            [("cwe", False), ("weight-distribution", False)]
+        assert verdicts[0].data == {"composition": list(k0), "brute": got, "closed": want}
+
+
+def test_predict_cwe_checks_the_frequency_total(monkeypatch):
+    from tracecodes import closedform
+    original = closedform._expand_terms
+
+    def drop_one(p, m):
+        n, terms = original(p, m)
+        terms.pop(max(terms))
+        return n, terms
+
+    monkeypatch.setattr(closedform, "_expand_terms", drop_one)
+    with pytest.raises(FrequencyMismatchError, match="total"):
+        predict_cwe(5, 4)
+
+
 def test_rho_zero_guard(fields):
     prof = TraceProfile.from_element(fields(5, 3), 7)
     with pytest.raises(RhoZeroError):
@@ -330,7 +367,6 @@ def test_closed_form_smoke_grid():
 
 def test_prediction_bundle(fields):
     pred = prediction(5, 4)
-    assert pred.pair_reading == "unordered"
     assert pred.k == 4
     assert pred.regime.index == 2
     brute = exhaustive_cwe(fields(5, 4), build_defining_set(fields(5, 4), 1))
