@@ -363,32 +363,34 @@ def discriminant_pair_counts(p: int, m_p: int) -> PairCounts:
 class _Accumulator:
     """Collects (composition, frequency) terms from value patterns."""
 
-    def __init__(self, p: int, n: int):
-        self.p = p
+    def __init__(self, n: int):
         self.n = n
         self.terms: dict[tuple[int, ...], int] = {}
 
-    def add(self, freq: int, value_fn) -> None:
+    def add(self, freq: int, counts: list[int]) -> None:
+        """Count ``freq`` codewords with counts[rho - 1] coordinates equal
+        to rho, for rho = 1, ..., p - 1; symbol 0 fills the rest of n."""
         if freq < 0:
             raise FrequencyMismatchError(f"negative pattern frequency {freq}")
         if freq == 0:
             return
-        comp = [0] * self.p
-        total = 0
-        for rho in range(1, self.p):
-            v = value_fn(rho)
-            if v < 0:
-                raise FrequencyMismatchError(f"negative symbol count {v}")
-            comp[rho] = v
-            total += v
-        comp[0] = self.n - total
-        if comp[0] < 0:
+        low = min(counts)
+        if low < 0:
+            raise FrequencyMismatchError(f"negative symbol count {low}")
+        zero = self.n - sum(counts)
+        if zero < 0:
             raise FrequencyMismatchError("symbol counts exceed the length")
-        key = tuple(comp)
+        key = (zero, *counts)
         self.terms[key] = self.terms.get(key, 0) + freq
 
-    def add_const(self, freq: int, v: int) -> None:
-        self.add(freq, lambda rho: v)
+
+def _spike(p: int, rest: int, at: int, *rhos: int) -> list[int]:
+    """The p - 1 symbol counts that are ``at`` on each of ``rhos`` and
+    ``rest`` on every other nonzero symbol."""
+    counts = [rest] * (p - 1)
+    for rho in rhos:
+        counts[rho - 1] = at
+    return counts
 
 
 def _expand_terms(p: int, m: int) -> tuple[int, dict]:
@@ -396,77 +398,68 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
     regime = parameter_regime(p, m)
     n = predicted_length(p, m)
     q3 = p ** (m - 3)
-    acc = _Accumulator(p, n)
+    acc = _Accumulator(n)
+    syms = range(1, p)
+    # chi[0] = 0, so a pattern whose character argument vanishes at
+    # rho = rho0 (or at rho0 and rho1) takes the value q3 there by itself
+    chi = [legendre(t, p) for t in range(p)]
+    acc.add(1, [0] * (p - 1))  # a = 0
+    for rho0 in syms:  # a in F_p^*: every coordinate of the codeword is rho0
+        acc.add(1, _spike(p, 0, n, rho0))
 
     if regime.index == 1:
         eps = _sign_quarter((p - 1) * m)
         t = p ** ((m - 4) // 2)
-        acc.add_const(1, 0)
-        acc.add_const(p ** (m - 1) - p, q3)
-        acc.add_const((p - 1) * p ** (m - 2), q3 + eps * t)
-        for rho0 in range(1, p):
-            acc.add(1, lambda rho, r0=rho0: n if rho == r0 else 0)
+        acc.add(p ** (m - 1) - p, [q3] * (p - 1))
+        acc.add((p - 1) * p ** (m - 2), [q3 + eps * t] * (p - 1))
+        for rho0 in syms:
             acc.add((p - 1) * p ** (m - 2),
-                    lambda rho, r0=rho0: q3 - (p - 1) * eps * t if rho == r0 else q3 + eps * t)
+                    _spike(p, q3 + eps * t, q3 - (p - 1) * eps * t, rho0))
 
     elif regime.index == 2:
         eps = _sign_quarter((p - 1) * m)
         u = eps * p ** ((m - 4) // 2)
         big = eps * p ** ((m - 2) // 2)
-        acc.add_const(1, 0)
-        acc.add_const(p ** (m - 2) - 1, q3)
-        acc.add_const((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, q3 - u)
-        for rho0 in range(1, p):
-            acc.add(1, lambda rho, r0=rho0: n if rho == r0 else 0)
-            acc.add(p ** (m - 2) - 1,
-                    lambda rho, r0=rho0: q3 - big if rho == r0 else q3)
-            acc.add(n, lambda rho, r0=rho0: q3 - (p - 1) * u if rho == r0 else q3 + u)
-        for rho0, rho1 in itertools.combinations(range(1, p), 2):
-            acc.add(n, lambda rho, r0=rho0, r1=rho1:
-                    q3 - (p - 1) * u if rho in (r0, r1) else q3 + u)
+        acc.add(p ** (m - 2) - 1, [q3] * (p - 1))
+        acc.add((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, [q3 - u] * (p - 1))
+        for rho0 in syms:
+            acc.add(p ** (m - 2) - 1, _spike(p, q3, q3 - big, rho0))
+            acc.add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0))
+        for rho0, rho1 in itertools.combinations(syms, 2):
+            acc.add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0, rho1))
 
     elif regime.index == 3:
         eps1 = _sign_quarter((p - 1) * (m + 1))
         s = eps1 * p ** ((m - 3) // 2)
         half = (p - 1) * p ** (m - 2) // 2
-        acc.add_const(1, 0)
-        acc.add_const(p ** (m - 1) - p, q3)
-        acc.add(half, lambda rho: q3 + legendre(rho, p) * s)
-        acc.add(half, lambda rho: q3 - legendre(rho, p) * s)
-        for rho0 in range(1, p):
-            acc.add(1, lambda rho, r0=rho0: n if rho == r0 else 0)
-            acc.add(half, lambda rho, r0=rho0:
-                    q3 if rho == r0 else q3 + legendre(rho - r0, p) * s)
-            acc.add(half, lambda rho, r0=rho0:
-                    q3 if rho == r0 else q3 - legendre(rho - r0, p) * s)
+        acc.add(p ** (m - 1) - p, [q3] * (p - 1))
+        acc.add(half, [q3 + chi[rho] * s for rho in syms])
+        acc.add(half, [q3 - chi[rho] * s for rho in syms])
+        for rho0 in syms:
+            acc.add(half, [q3 + chi[(rho - rho0) % p] * s for rho in syms])
+            acc.add(half, [q3 - chi[(rho - rho0) % p] * s for rho in syms])
 
     else:
         eps1 = _sign_quarter((p - 1) * (m + 1))
         theta = legendre(-mp, p) * eps1
-        step = p ** ((m - 3) // 2)
+        ts = theta * p ** ((m - 3) // 2)
         freq2 = n + theta * p ** ((m - 1) // 2) - 1
-        nonsquares = [d for d in range(1, p) if legendre(d, p) == -1]
-        acc.add_const(1, 0)
-        acc.add_const(freq2, q3)
-        for rho0 in range(1, p):
-            acc.add(1, lambda rho, r0=rho0: n if rho == r0 else 0)
-            acc.add(n, lambda rho, r0=rho0:
-                    q3 if rho == r0
-                    else q3 + theta * legendre(rho * rho - rho * r0, p) * step)
-            acc.add(freq2, lambda rho, r0=rho0:
-                    q3 - theta * step if rho == r0 else q3)
-        for rho0, rho1 in itertools.combinations(range(1, p), 2):
-            acc.add(n, lambda rho, r0=rho0, r1=rho1:
-                    q3 if rho in (r0, r1)
-                    else q3 + theta * legendre((rho - r0) * (rho - r1), p) * step)
+        nonsquares = [d for d in syms if chi[d] == -1]
+        mp2 = mp * mp
+        acc.add(freq2, [q3] * (p - 1))
+        for rho0 in syms:
+            acc.add(n, [q3 + chi[rho * (rho - rho0) % p] * ts for rho in syms])
+            acc.add(freq2, _spike(p, q3, q3 - ts, rho0))
+        for rho0, rho1 in itertools.combinations(syms, 2):
+            acc.add(n, [q3 + chi[(rho - rho0) * (rho - rho1) % p] * ts for rho in syms])
         for delta in nonsquares:
-            acc.add(n, lambda rho, d=delta:
-                    q3 + theta * legendre(mp * mp * rho * rho - d, p) * step)
-        for rho0 in range(1, p):
+            acc.add(n, [q3 + chi[(mp2 * rho * rho - delta) % p] * ts for rho in syms])
+        # at rho = rho0 the argument is -delta, and chi(-delta) = -chi(-1)
+        # makes the value q3 - chi(m_p) * eps1 * p^((m - 3)/2)
+        for rho0 in syms:
             for delta in nonsquares:
-                acc.add(n, lambda rho, r0=rho0, d=delta:
-                        q3 - legendre(mp, p) * eps1 * step if rho == r0
-                        else q3 + theta * legendre(mp * mp * (rho - r0) ** 2 - d, p) * step)
+                acc.add(n, [q3 + chi[(mp2 * (rho - rho0) ** 2 - delta) % p] * ts
+                            for rho in syms])
 
     return n, acc.terms
 

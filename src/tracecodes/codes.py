@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -332,17 +333,22 @@ def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_B
     bounds :func:`enumeration_cost` and is checked before any enumeration."""
     p, n = ctx.p, len(dset.elements)
     check_budget(enumeration_cost(ctx, dset), budget)
-    rep_terms: dict[tuple[int, ...], int] = {}
+    # The relabellings form a group, so the compositions of one class share
+    # their p - 1 images: each class is relabelled once, its weights summed.
+    relabels = [itemgetter(*relabelling(p, c)) for c in range(1, p)]
+    class_of: dict[tuple[int, ...], list] = {}
+    classes = []  # [images, weight]
     for _, s, comp in orbit_compositions(ctx, dset, workers):
-        rep_terms[comp] = rep_terms.get(comp, 0) + s
-    relabels = [relabelling(p, c) for c in range(1, p)]
-    terms: dict[tuple[int, ...], int] = {}
-    for comp, freq in rep_terms.items():
-        for perm in relabels:
-            key = tuple([comp[w] for w in perm])
+        cls = class_of.get(comp)
+        if cls is None:
+            cls = [[perm(comp) for perm in relabels], 0]
+            classes.append(cls)
+            class_of.update(dict.fromkeys(cls[0], cls))
+        cls[1] += s
+    terms = {(n, *[0] * (p - 1)): 1}  # the zero codeword of a = 0
+    for images, freq in classes:
+        for key in images:
             terms[key] = terms.get(key, 0) + freq
-    zero_comp = tuple([n] + [0] * (p - 1))
-    terms[zero_comp] = terms.get(zero_comp, 0) + 1  # a = 0
     return CompleteWeightEnumerator(p=p, n=n, terms=terms)
 
 

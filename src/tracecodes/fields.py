@@ -283,22 +283,17 @@ class FieldContext:
         prod = _poly_mul_mod(ca, cb, f, p)
         return self.index(prod)
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        b = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, b)
-            e >>= 1
-            if e:
-                b = self._mul_raw(b, b)
-        return result
-
     def _find_primitive(self) -> int:
+        """The smallest index of multiplicative order r - 1.  For m > 1 the
+        search starts at p: the constants lie in F_p^*, of order dividing
+        p - 1 < r - 1."""
+        p, m, f = self.p, self.m, self.modulus
         rm1 = self.r - 1
         cofactors = [rm1 // q for q in prime_factors(rm1)]
-        for cand in range(2, self.r):
-            if all(self._pow_raw(cand, cf) != 1 for cf in cofactors):
+        one = [1] + [0] * (m - 1)
+        for cand in range(p if m > 1 else 2, self.r):
+            c = self.coeffs(cand)
+            if all(_poly_powmod(c, cf, f, p) != one for cf in cofactors):
                 return cand
         raise AssertionError("no primitive element found")  # unreachable
 

@@ -103,6 +103,8 @@ def render_text(doc: dict) -> str:
         if "defining_set" in params:
             lines.append(f"defining set: {params['defining_set']}")
         lines.append(f"griesmer sum: {summ['griesmer_sum']}")
+    elif "scope" in params:
+        lines.append(f"verify p={params['p']} m={params['m']} scope={params['scope']}")
     if "weight_distribution" in doc:
         wd = WeightDistribution(n=summ["n"] if summ else 0, k=summ["k"] if summ else 0,
                                 counts={e["weight"]: e["count"]

@@ -238,7 +238,11 @@ def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[V
 def verify_griesmer(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
     """Brute [n, k, d] and Griesmer/MDS flags from ``cwe``, the exhaustive
     enumeration of the code for a nonzero b, against the closed forms."""
-    summary = codes.summarize(cwe, ctx.p)
+    name = f"griesmer p={ctx.p} m={ctx.m}"
+    try:
+        summary = codes.summarize(cwe, ctx.p)
+    except NonPowerCodewordCountError as exc:  # frequencies no linear code has
+        return [Verdict(name=name, passed=False, details=str(exc))]
     pred = closedform.classify_optimality(ctx.p, ctx.m)
     ok = (summary.n, summary.k, summary.d) == (pred.n, pred.k, pred.d) \
         and summary.griesmer_optimal == pred.griesmer_optimal \
@@ -246,7 +250,7 @@ def verify_griesmer(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> l
         and summary.griesmer_optimal == (ctx.m == 3)
     details = (f"[{summary.n},{summary.k},{summary.d}] griesmer_sum={summary.griesmer_sum}"
                f" optimal={summary.griesmer_optimal} mds={summary.mds}")
-    return [Verdict(name=f"griesmer p={ctx.p} m={ctx.m}", passed=ok, details=details,
+    return [Verdict(name=name, passed=ok, details=details,
                     data=None if ok else {"brute": summary.__dict__,
                                           "closed": pred.__dict__})]
 

@@ -134,6 +134,18 @@ def neg(p, x):
     return s
 
 
+def _pow_raw(ctx, a, e):
+    """a^e by square-and-multiply with ctx._mul_raw."""
+    result = 1
+    while e:
+        if e & 1:
+            result = ctx._mul_raw(result, a)
+        e >>= 1
+        if e:
+            a = ctx._mul_raw(a, a)
+    return result
+
+
 def power_tables(ctx):
     """exp and log of ctx.alpha, walking the powers with ctx._mul_raw."""
     rm1 = ctx.r - 1
@@ -155,7 +167,7 @@ def trace_table(ctx):
     for j in range(m):
         acc = frob = p**j
         for _ in range(m - 1):
-            frob = ctx._pow_raw(frob, p)
+            frob = _pow_raw(ctx, frob, p)
             acc = add(p, acc, frob)
         assert acc < p
         basis_traces.append(acc)

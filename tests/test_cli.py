@@ -120,6 +120,32 @@ def test_verify_all_enumerates_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_griesmer_fails_on_frequencies_no_code_has(capsys, monkeypatch):
+    from tracecodes import codes
+    original = codes.exhaustive_cwe
+
+    def dropping(*args, **kwargs):
+        cwe = original(*args, **kwargs)
+        del cwe.terms[3, 3, 0]  # 73 codewords: no power of 3
+        return cwe
+
+    monkeypatch.setattr(codes, "exhaustive_cwe", dropping)
+    for scope in ("griesmer", "all"):
+        rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", scope)
+        assert rc == 1, scope
+        verdicts = {v["name"]: v for v in json.loads(out)["verification"]}
+        griesmer = verdicts["griesmer p=3 m=4"]
+        assert griesmer["passed"] is False
+        assert "is not a power of 3" in griesmer["details"]
+
+
+def test_verify_text_names_the_field(capsys):
+    rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", "all",
+                     "--format", "text")
+    assert rc == 0
+    assert out.splitlines()[:2] == ["verify p=3 m=4 scope=all", "verification:"]
+
+
 def test_verify_sums_flags_sign_convention(capsys):
     rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "1", "--scope", "sums")
     assert rc == 0

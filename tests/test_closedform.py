@@ -318,10 +318,22 @@ def test_predict_cwe_reference_codes():
 
 
 def test_predict_cwe_matches_enumeration(fields):
-    for p, m in [(3, 3), (3, 4), (3, 5), (7, 3), (11, 3)]:
+    # regime 4 at (13,3) ... (23,3): m_p = 3 is a square mod 13 and 23 and
+    # a non-square mod 17 and 19; (3,9) is regime 3
+    for p, m in [(3, 3), (3, 4), (3, 5), (7, 3), (11, 3),
+                 (13, 3), (17, 3), (19, 3), (23, 3), (3, 9)]:
         ctx = fields(p, m)
         brute = exhaustive_cwe(ctx, build_defining_set(ctx, 1))
         assert predict_cwe(p, m).terms == brute.terms, (p, m)
+
+
+def test_expansion_rejects_a_negative_symbol_count(monkeypatch):
+    from tracecodes import closedform
+    # at (3,3), regime 3, eps1 = -5 turns the pattern q3 + chi(rho) * eps1
+    # into 1 - 5 = -4 coordinates equal to the square rho = 1
+    monkeypatch.setattr(closedform, "_sign_quarter", lambda numer: -5)
+    with pytest.raises(FrequencyMismatchError, match="negative symbol count"):
+        predict_cwe(3, 3)
 
 
 def test_predicted_weight_tables():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecodes import make_field
+from tracecodes import make_field, prime_factors
 
 import oracle
 
@@ -55,3 +55,30 @@ def test_default_modulus_tables_match_oracle(fields, p, m):
 
 def test_pairs_cover_the_benchmark_sizes():
     assert {(3, 8), (7, 5), (11, 4)} <= set(PAIRS)
+
+
+# m = 1, default moduli, and non-default moduli of three fields
+PRIMITIVE_CASES = [(5, 1, None), (13, 1, None), (3, 4, None), (37, 2, None),
+                   (5, 3, oracle.irreducible_from(5, 3, 60)),
+                   (3, 5, oracle.irreducible_from(3, 5, 100)),
+                   (7, 3, oracle.irreducible_from(7, 3, 200))]
+
+
+@pytest.mark.parametrize("p,m,modulus", PRIMITIVE_CASES)
+def test_alpha_is_the_smallest_primitive_index(fields, p, m, modulus):
+    ctx = fields(p, m, modulus)
+    rm1 = ctx.r - 1
+
+    def primitive(x):
+        return all(oracle._pow_raw(ctx, x, rm1 // q) != 1 for q in prime_factors(rm1))
+
+    assert oracle._pow_raw(ctx, ctx.alpha, rm1) == 1
+    assert ctx.alpha == next(x for x in range(1, ctx.r) if primitive(x))
+    if m == 1:
+        assert 2 <= ctx.alpha < p
+
+
+def test_primitive_cases_hold_non_default_moduli():
+    non_default = {(p, m) for p, m, f in PRIMITIVE_CASES
+                   if f is not None and f != make_field(p, m).modulus}
+    assert len(non_default) >= 2
