@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_limits(sp)
     sp.add_argument("--defining-set", choices=("main", "d1", "d2"), default="main",
                     help="main: Tr(x)=b and Tr(x^2)=0; d1: Tr(x)=b; "
-                         "d2: x nonzero with Tr(x^2)=0")
+                         "d2: x nonzero with Tr(x^2)=0, which reads no --b")
+    sp.set_defaults(b=None)  # None tells an explicit --b, which d2 rejects
 
     sp = sub.add_parser("predict", help="closed-form prediction, no enumeration")
     add_field(sp)
@@ -155,7 +156,7 @@ def _check_budget_before_field(p: int, m: int, size_cap: int, kind: str, b: int,
     if m <= 2:
         return 0
     check_size(p, m, size_cap)
-    cost = codes._orbit_count(p, m) * _set_size(p, m, kind, b)
+    cost = codes.enumeration_cost(p, m, _set_size(p, m, kind, b))
     codes.check_budget(cost, budget)
     return cost
 
@@ -186,20 +187,24 @@ def _emit(doc: dict, fmt: str) -> None:
 
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
+    if args.defining_set == "d2" and args.b is not None:
+        print("build --defining-set d2 does not read --b", file=sys.stderr)
+        return 2
+    b = 1 if args.b is None else args.b
     check_characteristic(args.p)
-    _check_budget_before_field(args.p, args.m, args.size_cap, args.defining_set, args.b,
-                               args.budget)
+    cost = _check_budget_before_field(args.p, args.m, args.size_cap, args.defining_set, b,
+                                      args.budget)
     ctx = _make_ctx(args)
-    dset = _build_dset(ctx, args.defining_set, args.b)
+    dset = _build_dset(ctx, args.defining_set, b)
     if not dset.logs:  # with no nonzero element every codeword is zero
         what = "holds only 0" if dset.elements else "is empty"
         raise EmptyDefiningSetError(
             f"defining set {{{dset.label}}} {what} over F_{args.p}^{args.m}: no code to build")
-    workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
-    cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
+    cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget,
+                               workers=_resolve_workers(args, cost))
     wd = cwe.weight_distribution()
     doc = report.code_document(
-        params=report.params_dict(args.p, args.m, ctx.modulus, b=args.b,
+        params=report.params_dict(args.p, args.m, ctx.modulus, b=b,
                                   defining_set=dset),
         summary=wd.summary(ctx.p), cwe=cwe, wd=wd)
     _emit(doc, args.format)
@@ -226,7 +231,7 @@ def cmd_verify(args) -> int:
         print(f"scope {scope!r} needs extension degree m > 2", file=sys.stderr)
         return 2
     check_characteristic(args.p)
-    enumerates = scope in ("cwe", "griesmer", "all") and args.m > 2
+    enumerates = scope in ("counts", "cwe", "griesmer", "all") and args.m > 2
     sums = scope in ("sums", "all")
     for flag, value, read in (("--b", args.b, enumerates), ("--budget", args.budget, enumerates),
                               ("--workers", args.workers, enumerates),
@@ -244,14 +249,13 @@ def cmd_verify(args) -> int:
     verdicts: list[verification.Verdict] = []
     t0 = time.perf_counter()
     if enumerates:
-        _check_budget_before_field(args.p, args.m, args.size_cap, "main", b, budget)
+        cost = _check_budget_before_field(args.p, args.m, args.size_cap, "main", b, budget)
     ctx = _make_ctx(args)
-    cwe = None
     if enumerates:
-        # one enumeration serves both the cwe and the griesmer checks
+        # one walk of D_b serves the counts, cwe and griesmer checks
         dset = codes.build_defining_set(ctx, b)
-        workers = _resolve_workers(args, codes.enumeration_cost(ctx, dset))
-        cwe = codes.exhaustive_cwe(ctx, dset, budget=budget, workers=workers)
+        comps = codes.orbit_compositions(ctx, dset, _resolve_workers(args, cost))
+        cwe = codes.cwe_from_compositions(ctx.p, len(dset.elements), comps)
     if sums:
         verdicts += verification.verify_gauss_sums(ctx)
         verdicts += verification.verify_quadratic_sums(
@@ -259,7 +263,7 @@ def cmd_verify(args) -> int:
         verdicts += verification.verify_cyclotomic_numbers(ctx)
     if args.m > 2:
         if scope in ("counts", "all"):
-            verdicts += verification.verify_counts(ctx)
+            verdicts += verification.verify_counts(ctx, dset, comps)
         if scope in ("cwe", "all"):
             verdicts += verification.verify_cwe(ctx, cwe=cwe)
         if scope in ("griesmer", "all"):

@@ -3,7 +3,7 @@
 The code attached to a defining set D is the image of a |-> (Tr(a*x)
 for x in D) over all a in F_r.  :func:`orbit_compositions` counts the
 symbols of one codeword per orbit of a |-> c*a^(p^i) (c in F_p^*),
-never materializing the full codeword matrix; :func:`exhaustive_cwe`
+never materializing the full codeword matrix; :func:`cwe_from_compositions`
 folds those compositions with the orbit weights, and the dimension
 falls out of the zero-composition frequency (the kernel of the linear
 map a |-> codeword), so no codeword hashing is needed.
@@ -209,11 +209,11 @@ def _orbit_count(p: int, m: int) -> int:
     return sum(gcd(p**i - 1, size) for i in range(m)) // m
 
 
-def enumeration_cost(ctx: FieldContext, dset: DefiningSet) -> int:
-    """Symbol evaluations of the per-symbol walk in
-    :func:`orbit_compositions`: one codeword of length n per orbit
+def enumeration_cost(p: int, m: int, n: int) -> int:
+    """Symbol evaluations of the per-symbol walk in :func:`orbit_compositions`
+    on n elements of F_{p^m}: one codeword of length n per orbit
     representative.  It prices the budget whichever kernel runs."""
-    return _orbit_count(ctx.p, ctx.m) * len(dset.elements)
+    return _orbit_count(p, m) * n
 
 
 def check_budget(cost: int, budget: int) -> None:
@@ -327,18 +327,24 @@ def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
 
 def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_BUDGET,
                    workers: int = 1) -> CompleteWeightEnumerator:
-    """Exact complete weight enumerator over all p^m codeword indices: the
-    :func:`orbit_compositions` weighted by orbit size under each of the
-    p - 1 relabellings, plus the zero codeword of a = 0.  ``budget``
-    bounds :func:`enumeration_cost` and is checked before any enumeration."""
-    p, n = ctx.p, len(dset.elements)
-    check_budget(enumeration_cost(ctx, dset), budget)
+    """Exact complete weight enumerator over all p^m codeword indices:
+    :func:`cwe_from_compositions` of the :func:`orbit_compositions`.
+    ``budget`` bounds :func:`enumeration_cost`, checked before any walk."""
+    n = len(dset.elements)
+    check_budget(enumeration_cost(ctx.p, ctx.m, n), budget)
+    return cwe_from_compositions(ctx.p, n, orbit_compositions(ctx, dset, workers))
+
+
+def cwe_from_compositions(p: int, n: int, compositions) -> CompleteWeightEnumerator:
+    """The (la, s, composition) list of :func:`orbit_compositions` on a set
+    of n elements, weighted by orbit size under each of the p - 1
+    relabellings, plus the zero codeword of a = 0."""
     # The relabellings form a group, so the compositions of one class share
     # their p - 1 images: each class is relabelled once, its weights summed.
     relabels = [itemgetter(*relabelling(p, c)) for c in range(1, p)]
     class_of: dict[tuple[int, ...], list] = {}
     classes = []  # [images, weight]
-    for _, s, comp in orbit_compositions(ctx, dset, workers):
+    for _, s, comp in compositions:
         cls = class_of.get(comp)
         if cls is None:
             cls = [[perm(comp) for perm in relabels], 0]

@@ -117,10 +117,12 @@ def verify_cyclotomic_numbers(ctx: FieldContext) -> list[Verdict]:
 # Counting and the symbol-count decomposition
 # ----------------------------------------------------------------------
 
-def verify_counts(ctx: FieldContext) -> list[Verdict]:
+def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> list[Verdict]:
     """Trace-pair counts, discriminant pair counts and the per-codeword
-    symbol-count decomposition, all against exhaustive data (the symbol
-    counts of :func:`codes.orbit_compositions`, relabelled per c in F_p^*)."""
+    symbol-count decomposition, all against exhaustive data (``compositions``,
+    the orbit walk of ``dset`` for a nonzero b, relabelled per c in F_p^*)."""
+    if not dset.in_closed_form_scope:
+        raise ValueError(f"no closed symbol counts for the set {{{dset.label}}}")
     p, m = ctx.p, ctx.m
     verdicts = []
 
@@ -163,17 +165,18 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
             details="exhaustive pair counts match closed forms" if ok
             else f"brute {got} != closed {want}"))
 
-    # a = c*(alpha^la)^(p^i), c = alpha^(j*N), shares the composition and
-    # the profile of c*alpha^la; a failing class reports its smallest a
+    # a = c*(alpha^la)^(p^i), c = alpha^(j*N), shares the composition of
+    # c*alpha^la and the profile of b*c*alpha^la (D_b = b*D_1 permutes a's
+    # codeword into the D_1 codeword of a*b); a failing class reports its smallest a
     rm1 = ctx.r - 1
     step = rm1 // (p - 1)
     perms = [codes.relabelling(p, ctx.exp[j * step]) for j in range(p - 1)]
+    lb = ctx.log[dset.trace_value]
     closed: dict[closedform.TraceProfile, list[int]] = {}
     failures = []
-    reps = codes.orbit_compositions(ctx, codes.build_defining_set(ctx, 1))
-    for la, _, comp in reps:
+    for la, _, comp in compositions:
         for j, perm in enumerate(perms):
-            prof = closedform.TraceProfile.from_element(ctx, ctx.exp[la + j * step])
+            prof = closedform.TraceProfile.from_element(ctx, ctx.exp[(la + j * step + lb) % rm1])
             if prof not in closed:
                 closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
                                 for rho in range(p)]
@@ -192,7 +195,7 @@ def verify_counts(ctx: FieldContext) -> list[Verdict]:
     else:
         verdicts.append(Verdict(
             name=f"symbol-count-decomposition p={p} m={m}",
-            passed=sum(s for _, s, _ in reps) * (p - 1) == rm1,
+            passed=sum(s for _, s, _ in compositions) * (p - 1) == rm1,
             details=f"exact for all {rm1} nonzero codeword indices and all symbols"))
     return verdicts
 

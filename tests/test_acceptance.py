@@ -24,6 +24,7 @@ from tracecodes import (
     irreducible_polynomials,
     legendre,
     make_field,
+    orbit_compositions,
     predict_cwe,
     predict_weight_distribution,
     quadratic_exponential_sum,
@@ -250,7 +251,8 @@ def test_criterion_11_symbol_count_decomposition():
                 assert symbol_count_closed(p, m, prof, rho) == counts[rho], \
                     (p, m, a, rho)
                 checked += 1
-        assert all(v.passed for v in verify_counts(ctx)), (p, m)
+        assert all(v.passed for v in verify_counts(ctx, dset, orbit_compositions(ctx, dset))), \
+            (p, m)
     _report(11, f"symbol-count decomposition exact for {checked} (a, rho) "
                 f"cases over F_27 and F_625, zero symbol included")
 

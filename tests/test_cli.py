@@ -75,6 +75,19 @@ def test_build_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_build_d2_rejects_b(capsys, monkeypatch):
+    from tracecodes import cli
+    built = []
+    monkeypatch.setattr(cli, "make_field", lambda *a, **k: built.append(a))
+    for b in ("0", "1"):  # d2 is {x != 0 : Tr(x^2) = 0}, whatever the value
+        rc, out, err = run(capsys, "build", "--p", "3", "--m", "4", "--defining-set", "d2",
+                           "--b", b)
+        assert rc == 2
+        assert out == ""
+        assert "--b" in err
+    assert built == []
+
+
 def test_build_d1_and_d2(capsys):
     rc, out, _ = run(capsys, "build", "--p", "3", "--m", "6", "--defining-set", "d1")
     assert rc == 0
@@ -107,13 +120,13 @@ def test_verify_all_small_field(capsys):
 def test_verify_all_enumerates_once(capsys, monkeypatch):
     from tracecodes import codes
     calls = []
-    original = codes.exhaustive_cwe
+    original = codes.orbit_compositions
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(codes, "exhaustive_cwe", counting)
+    monkeypatch.setattr(codes, "orbit_compositions", counting)
     rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", "all")
     assert rc == 0
     assert json.loads(out)["all_passed"] is True
@@ -122,14 +135,14 @@ def test_verify_all_enumerates_once(capsys, monkeypatch):
 
 def test_verify_griesmer_fails_on_frequencies_no_code_has(capsys, monkeypatch):
     from tracecodes import codes
-    original = codes.exhaustive_cwe
+    original = codes.cwe_from_compositions
 
     def dropping(*args, **kwargs):
         cwe = original(*args, **kwargs)
         del cwe.terms[3, 3, 0]  # 73 codewords: no power of 3
         return cwe
 
-    monkeypatch.setattr(codes, "exhaustive_cwe", dropping)
+    monkeypatch.setattr(codes, "cwe_from_compositions", dropping)
     for scope in ("griesmer", "all"):
         rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", scope)
         assert rc == 1, scope
@@ -282,17 +295,29 @@ def test_predict_echoes_nonzero_b(capsys):
 def test_verify_enumerates_the_set_of_b(capsys, monkeypatch):
     from tracecodes import codes
     enumerated = []
-    original = codes.exhaustive_cwe
+    original = codes.orbit_compositions
 
-    def recording(ctx, dset, **kwargs):
+    def recording(ctx, dset, *args, **kwargs):
         enumerated.append(dset.trace_value)
-        return original(ctx, dset, **kwargs)
+        return original(ctx, dset, *args, **kwargs)
 
-    monkeypatch.setattr(codes, "exhaustive_cwe", recording)
-    rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "3", "--b", "2", "--scope", "cwe")
-    assert rc == 0
-    assert json.loads(out)["all_passed"] is True
-    assert enumerated == [2]
+    monkeypatch.setattr(codes, "orbit_compositions", recording)
+    for scope in ("cwe", "counts"):
+        rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "3", "--b", "2", "--scope", scope)
+        assert rc == 0
+        assert json.loads(out)["all_passed"] is True
+    assert enumerated == [2, 2]
+
+
+def test_verify_counts_reads_b_budget_and_workers(capsys):
+    for flags in (["--b", "2"], ["--b", "3", "--budget", "1000", "--workers", "2"]):
+        rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "4", "--scope", "counts", *flags)
+        assert rc == 0
+        verdicts = json.loads(out)["verification"]
+        assert [v["name"] for v in verdicts] == [
+            "trace-pair-counts p=5 m=4", "discriminant-pair-counts p=5 m_p=4",
+            "symbol-count-decomposition p=5 m=4"]
+        assert all(v["passed"] for v in verdicts)
 
 
 def test_verify_rejects_b_divisible_by_p(capsys):
@@ -319,8 +344,9 @@ def test_unhonoured_flags_are_rejected(argv):
 
 
 @pytest.mark.parametrize("scope,flags,named", [
-    ("counts", ["--b", "0", "--budget", "1", "--samples", "0"], "--b"),
-    ("counts", ["--budget", "1"], "--budget"),
+    ("counts", ["--samples", "5"], "--samples"),
+    # the flags counts reads do not hide one it never reads
+    ("counts", ["--b", "2", "--budget", "1000", "--samples", "5"], "--samples"),
     ("sums", ["--b", "2"], "--b"),
     ("sums", ["--workers", "2"], "--workers"),
     ("equivalence", ["--budget", "100"], "--budget"),
@@ -358,7 +384,8 @@ def test_budget_fires_before_any_field_is_built(capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_field", no_field)
     for argv in (["build", "--p", "3", "--m", "12", "--budget", "1000"],
                  ["build", "--p", "3", "--m", "12", "--defining-set", "d2", "--budget", "1000"],
-                 ["verify", "--p", "3", "--m", "12", "--scope", "cwe", "--budget", "1000"]):
+                 ["verify", "--p", "3", "--m", "12", "--scope", "cwe", "--budget", "1000"],
+                 ["verify", "--p", "3", "--m", "12", "--scope", "counts", "--budget", "1000"]):
         rc, out, err = run(capsys, *argv)
         assert rc == 3
         assert out == ""
@@ -372,8 +399,8 @@ def test_sweep_budget_fires_before_any_field_is_built(capsys, monkeypatch):
         raise AssertionError("make_field called")
 
     monkeypatch.setattr(cli, "make_field", no_field)
-    main_cost = codes._orbit_count(3, 5) * cli._set_size(3, 5, "main", 1)
-    d2_cost = codes._orbit_count(3, 5) * cli._set_size(3, 5, "d2", 1)
+    main_cost = codes.enumeration_cost(3, 5, cli._set_size(3, 5, "main", 1))
+    d2_cost = codes.enumeration_cost(3, 5, cli._set_size(3, 5, "d2", 1))
     for argv, pair, cost, budget in [
             (["--m-list", "12", "--budget", "1000"], "(3,12)", 1311891633, 1000),
             # the main set fits, the comparison set does not
@@ -392,20 +419,21 @@ def test_sweep_sizes_its_pool_from_enumeration_cost(capsys, monkeypatch, fields)
     rc, _, _ = run(capsys, "sweep", "--p-list", "3,5", "--m-list", "3,4",
                    "--compare-defining-set", "d1")
     assert rc == 0
-    assert costs == [sum(codes.enumeration_cost(ctx, cli._build_dset(ctx, kind, 1))
-                         for ctx in (fields(p, m) for p in (3, 5) for m in (3, 4))
-                         for kind in ("main", "d1"))]
+    assert costs == [sum(codes.enumeration_cost(p, m, len(cli._build_dset(fields(p, m), kind, 1)))
+                         for p in (3, 5) for m in (3, 4) for kind in ("main", "d1"))]
 
 
 @pytest.mark.parametrize("p,m", [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4),
                                  (5, 5), (7, 3), (7, 4), (11, 3), (13, 3)])
 def test_cost_before_field_equals_enumeration_cost(fields, p, m):
-    from tracecodes import cli, codes
+    """The gate prices enumeration_cost(p, m, n) at the closed-form n,
+    so it is the walk's cost when that n is the built set's size."""
+    from tracecodes import cli
     ctx = fields(p, m)
     for kind in ("main", "d1", "d2"):
         for b in range(p):
-            want = codes.enumeration_cost(ctx, cli._build_dset(ctx, kind, b))
-            assert codes._orbit_count(p, m) * cli._set_size(p, m, kind, b) == want, (kind, b)
+            assert cli._set_size(p, m, kind, b) == len(cli._build_dset(ctx, kind, b).elements), \
+                (kind, b)
 
 
 def test_budget_keeps_the_small_degree_and_size_cap_exits(capsys):

@@ -165,16 +165,18 @@ def test_symbol_count_closed_vs_brute(fields):
 
 
 def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
-    from tracecodes import closedform
+    from tracecodes import closedform, codes
     from tracecodes.verification import verify_counts
     ctx = fields(3, 4)
+    dset = build_defining_set(ctx, 1)
     target = TraceProfile.from_element(ctx, ctx.alpha)
     first_a = min(a for a in range(1, ctx.r)
                   if TraceProfile.from_element(ctx, a) == target)
     original = closedform.symbol_count_closed
     monkeypatch.setattr(closedform, "symbol_count_closed",
                         lambda p, m, prof, rho: original(p, m, prof, rho) + (prof == target))
-    failed = [v for v in verify_counts(ctx) if not v.passed]
+    failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
+              if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
     assert (failed[0].data["a"], failed[0].data["rho"]) == (first_a, 0)
 
@@ -212,19 +214,41 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
     assert a != cases[0][0]  # the smallest a is not in the first failing class
     rho = next(r for r in range(p) if brute[r] != closed[r])
     monkeypatch.setattr(codes, "relabelling", wrong)
-    failed = [v for v in verify_counts(ctx) if not v.passed]
+    failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
+              if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=5 m=4"]
     assert failed[0].data == {"a": a, "rho": rho, "brute": brute[rho], "closed": closed[rho]}
 
 
-def test_verify_counts_sees_a_missing_orbit(fields, monkeypatch):
+def test_verify_counts_sees_a_missing_orbit(fields):
     from tracecodes import codes
     from tracecodes.verification import verify_counts
-    original = codes.orbit_compositions
-    monkeypatch.setattr(codes, "orbit_compositions",
-                        lambda ctx, dset, workers=1: original(ctx, dset, workers)[:-1])
-    failed = [v for v in verify_counts(fields(3, 4)) if not v.passed]
+    ctx = fields(3, 4)
+    dset = build_defining_set(ctx, 1)
+    failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset)[:-1])
+              if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (5, 4), (7, 3), (3, 6)])
+def test_verify_counts_reads_the_set_of_b(fields, p, m):
+    """On D_b the codeword of a is the D_1 codeword of a*b, permuted: the
+    walk of D_b passes at the profiles of b*a and fails at those of a."""
+    from tracecodes import codes
+    from tracecodes.verification import verify_counts
+    ctx = fields(p, m)
+    one = build_defining_set(ctx, 1)
+    for b in range(1, p):
+        dset = build_defining_set(ctx, b)
+        walked = codes.orbit_compositions(ctx, dset)
+        assert all(v.passed for v in verify_counts(ctx, dset, walked)), b
+        if b > 1:  # the D_b walk read at the D_1 profiles: b dropped
+            failed = [v.name for v in verify_counts(ctx, one, walked) if not v.passed]
+            assert failed == [f"symbol-count-decomposition p={p} m={m}"], b
+    for dset in (codes.build_defining_set_general(ctx, trace_value=1),
+                 build_defining_set(ctx, 0)):
+        with pytest.raises(ValueError):
+            verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
 
 
 def test_verify_cwe_sees_a_one_sided_difference(fields):

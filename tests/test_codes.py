@@ -151,7 +151,7 @@ def test_budget_guard(fields):
 def test_budget_counts_enumeration_cost(fields):
     ctx = fields(3, 6)
     dset = build_defining_set(ctx, 1)
-    cost = enumeration_cost(ctx, dset)
+    cost = enumeration_cost(ctx.p, ctx.m, len(dset))
     assert cost < ctx.r * len(dset)
     assert exhaustive_cwe(ctx, dset, budget=cost).terms == CWE_3_6
     with pytest.raises(BudgetExceededError):
