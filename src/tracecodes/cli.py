@@ -197,7 +197,7 @@ def cmd_build(args) -> int:
     ctx = _make_ctx(args)
     dset = _build_dset(ctx, args.defining_set, b)
     if not dset.logs:  # with no nonzero element every codeword is zero
-        what = "holds only 0" if dset.elements else "is empty"
+        what = "holds only 0" if dset.has_zero else "is empty"
         raise EmptyDefiningSetError(
             f"defining set {{{dset.label}}} {what} over F_{args.p}^{args.m}: no code to build")
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget,
@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
         # one walk of D_b serves the counts, cwe and griesmer checks
         dset = codes.build_defining_set(ctx, b)
         comps = codes.orbit_compositions(ctx, dset, _resolve_workers(args, cost))
-        cwe = codes.cwe_from_compositions(ctx.p, len(dset.elements), comps)
+        cwe = codes.cwe_from_compositions(ctx.p, len(dset), comps)
     if sums:
         verdicts += verification.verify_gauss_sums(ctx)
         verdicts += verification.verify_quadratic_sums(

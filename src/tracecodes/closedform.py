@@ -140,12 +140,16 @@ class TraceProfile:
     prime_value: Optional[int] = None
 
     @classmethod
-    def from_element(cls, ctx: FieldContext, a: int) -> "TraceProfile":
-        if a == 0:
+    def from_log(cls, ctx: FieldContext, k: int) -> "TraceProfile":
+        """The profile of a = alpha^k, read off ``ctx.trace_exp``: a^2 is
+        alpha^(2k), and a lies in F_p iff (r - 1)/(p - 1) divides k."""
+        if k < 0:  # ctx.log[0]
             raise ValueError("the zero element has no symbol-count profile")
-        return cls(p=ctx.p, m_p=ctx.m_p,
-                   tr_sq=ctx.trace(ctx.mul(a, a)), tr=ctx.trace(a),
-                   prime_value=a if a < ctx.p else None)
+        rm1 = ctx.r - 1
+        k %= rm1
+        tr = ctx.trace_exp
+        return cls(p=ctx.p, m_p=ctx.m_p, tr_sq=tr[2 * k % rm1], tr=tr[k],
+                   prime_value=ctx.exp[k] if k % (rm1 // (ctx.p - 1)) == 0 else None)
 
     @property
     def discriminant(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import Optional
@@ -38,24 +37,22 @@ DEFAULT_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """An ordered defining set; elements ascend by index so coordinate
-    order is reproducible."""
+    """A defining set held as the discrete logs of its nonzero elements,
+    read off ``ctx.trace_exp``: alpha^k lies in {Tr(x) = b, Tr(x^2) = c}
+    iff trace_exp[k] = b and trace_exp[2k mod (r - 1)] = c.  The logs
+    ascend, so coordinate order is reproducible: 0 first when
+    ``has_zero``, then alpha^k for each k in ``logs``."""
 
     ctx: FieldContext = field(repr=False)
-    elements: tuple[int, ...] = field(repr=False)
+    logs: tuple[int, ...] = field(repr=False)
+    has_zero: bool
     trace_value: Optional[int]
     trace_square_value: Optional[int]
     exclude_zero: bool
     in_closed_form_scope: bool
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def logs(self) -> list[int]:
-        """Discrete logs of the nonzero elements, in coordinate order."""
-        log = self.ctx.log
-        return [log[x] for x in self.elements if x]
+        return len(self.logs) + self.has_zero
 
     @property
     def label(self) -> str:
@@ -78,22 +75,25 @@ def _square_traces(ctx: FieldContext) -> list[int]:
 
 def build_defining_set_general(ctx: FieldContext, trace_value: Optional[int] = None,
                                trace_square_value: Optional[int] = None,
-                               exclude_zero: bool = False) -> DefiningSet:
-    """All x satisfying the conjunction of the present constraints."""
+                               exclude_zero: bool = False,
+                               in_closed_form_scope: bool = False) -> DefiningSet:
+    """All x satisfying the conjunction of the present constraints.  x = 0
+    satisfies a present constraint iff its value is 0."""
     if trace_value is None and trace_square_value is None:
         raise EmptyConstraintError("at least one trace constraint is required")
-    elems = range(1 if exclude_zero else 0, ctx.r)
+    logs = range(ctx.r - 1)
     if trace_value is not None:
         trace_value %= ctx.p
-        tr = ctx.trace_table
-        elems = [x for x in elems if tr[x] == trace_value]
+        tr = ctx.trace_exp
+        logs = [k for k in logs if tr[k] == trace_value]
     if trace_square_value is not None:
         trace_square_value %= ctx.p
-        sq, log = _square_traces(ctx), ctx.log
-        elems = [x for x in elems if (sq[log[x]] if x else 0) == trace_square_value]
-    return DefiningSet(ctx=ctx, elements=tuple(elems), trace_value=trace_value,
+        sq = _square_traces(ctx)
+        logs = [k for k in logs if sq[k] == trace_square_value]
+    has_zero = not exclude_zero and trace_value in (None, 0) and trace_square_value in (None, 0)
+    return DefiningSet(ctx=ctx, logs=tuple(logs), has_zero=has_zero, trace_value=trace_value,
                        trace_square_value=trace_square_value, exclude_zero=exclude_zero,
-                       in_closed_form_scope=False)
+                       in_closed_form_scope=in_closed_form_scope)
 
 
 def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
@@ -105,10 +105,8 @@ def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
     if ctx.m <= 2:
         raise DegreeTooSmallError("code construction needs extension degree m > 2")
     b %= ctx.p
-    dset = build_defining_set_general(ctx, trace_value=b, trace_square_value=0)
-    return DefiningSet(ctx=ctx, elements=dset.elements, trace_value=b,
-                       trace_square_value=0, exclude_zero=False,
-                       in_closed_form_scope=(b != 0))
+    return build_defining_set_general(ctx, trace_value=b, trace_square_value=0,
+                                      in_closed_form_scope=(b != 0))
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +248,7 @@ def _symbol_walk(ctx: FieldContext, dset: DefiningSet):
     (la, s, composition of the codeword of alpha^la), which reads
     Tr(alpha^(la + dl)) for each log dl of D, one at a time."""
     p, rm1, tr_exp, d_logs = ctx.p, ctx.r - 1, ctx.trace_exp, dset.logs
-    zero_in = len(dset.elements) - len(d_logs)
+    zero_in = int(dset.has_zero)
 
     def walk(reps):
         out = []
@@ -271,7 +269,7 @@ def _bit_walk(ctx: FieldContext, dset: DefiningSet):
     dmask has bit dl set for each log dl of D; then the codeword of
     alpha^la has (masks[rho - 1] & dmask << la).bit_count() symbols rho,
     and symbol 0 fills the rest of its n."""
-    p, n, rm1 = ctx.p, len(dset.elements), ctx.r - 1
+    p, n, rm1 = ctx.p, len(dset), ctx.r - 1
     assert p < 256  # one byte per trace value
     doubled = bytes(ctx.trace_exp) * 2
     masks = []
@@ -316,7 +314,7 @@ def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
     if any(dl * p % rm1 not in log_set for dl in d_logs):
         raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
     reps = _frobenius_orbits(p, rm1 // (p - 1))
-    kernel = _bit_walk if _bits_win(p, ctx.r, len(dset.elements)) else _symbol_walk
+    kernel = _bit_walk if _bits_win(p, ctx.r, len(dset)) else _symbol_walk
     walk = kernel(ctx, dset)
     if workers <= 1 or len(reps) < 2 * workers:
         return walk(reps)
@@ -330,7 +328,7 @@ def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_B
     """Exact complete weight enumerator over all p^m codeword indices:
     :func:`cwe_from_compositions` of the :func:`orbit_compositions`.
     ``budget`` bounds :func:`enumeration_cost`, checked before any walk."""
-    n = len(dset.elements)
+    n = len(dset)
     check_budget(enumeration_cost(ctx.p, ctx.m, n), budget)
     return cwe_from_compositions(ctx.p, n, orbit_compositions(ctx, dset, workers))
 
@@ -403,9 +401,11 @@ def scaled_defining_set_equivalent(ctx: FieldContext, b: int) -> bool:
 
     Then the code on it is the b = 1 code with its coordinates permuted:
     the codeword of a at b*x is the codeword of a*b at x, and a |-> a*b
-    permutes F_r."""
+    permutes F_r.  Both sets are built from ``trace_exp``; multiplying
+    by b adds log b to each log, mod r - 1."""
     b %= ctx.p
     if b == 0:
         raise ValueError("b must be a nonzero prime-field value")
-    scaled = {ctx.mul(b, x) for x in build_defining_set(ctx, 1).elements}
-    return set(build_defining_set(ctx, b).elements) == scaled
+    rm1, lb = ctx.r - 1, ctx.log[b]
+    scaled = {(k + lb) % rm1 for k in build_defining_set(ctx, 1).logs}
+    return set(build_defining_set(ctx, b).logs) == scaled

@@ -176,7 +176,7 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     failures = []
     for la, _, comp in compositions:
         for j, perm in enumerate(perms):
-            prof = closedform.TraceProfile.from_element(ctx, ctx.exp[(la + j * step + lb) % rm1])
+            prof = closedform.TraceProfile.from_log(ctx, la + j * step + lb)
             if prof not in closed:
                 closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
                                 for rho in range(p)]

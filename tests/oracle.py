@@ -24,13 +24,20 @@ def irreducible_from(p, m, tail):
     raise AssertionError("no irreducible polynomial")
 
 
+def elements(ctx, dset):
+    """The field indices of ``dset``, in coordinate order: 0 when the set
+    holds it, then alpha^k for each of its logs k."""
+    return (0,) * dset.has_zero + tuple(ctx.exp[k] for k in dset.logs)
+
+
 def direct_cwe_terms(ctx, dset) -> dict:
     p = ctx.p
     rm1 = ctx.r - 1
     tr = ctx.trace_table
     tr_exp = [tr[e] for e in ctx.exp]
-    zero_in = 1 if 0 in dset.elements else 0
-    d_logs = [ctx.log[x] for x in dset.elements if x != 0]
+    xs = elements(ctx, dset)
+    zero_in = 1 if 0 in xs else 0
+    d_logs = [ctx.log[x] for x in xs if x != 0]
     terms = {}
     for la in range(rm1):
         counts = [0] * p
@@ -49,7 +56,7 @@ def direct_cwe_terms(ctx, dset) -> dict:
 
 def codeword(ctx, dset, a):
     tr = ctx.trace_table
-    return tuple(tr[ctx.mul(a, x)] for x in dset.elements)
+    return tuple(tr[ctx.mul(a, x)] for x in elements(ctx, dset))
 
 
 # -- character sums, one field operation per element ------------------------

@@ -48,6 +48,7 @@ from expected_enumerators import (
     WE_STRING_5_3,
     WE_STRING_5_4,
 )
+import oracle
 
 # covers all four regimes: 1: (3,6); 2: (3,4),(5,4),(7,4); 3: (3,3),(5,5);
 # 4: (3,5),(5,3),(7,3)
@@ -244,9 +245,9 @@ def test_criterion_11_symbol_count_decomposition():
         tr = ctx.trace_table
         for a in range(1, ctx.r):
             counts = [0] * p
-            for x in dset.elements:
+            for x in oracle.elements(ctx, dset):
                 counts[tr[ctx.mul(a, x)]] += 1
-            prof = TraceProfile.from_element(ctx, a)
+            prof = TraceProfile.from_log(ctx, ctx.log[a])
             for rho in range(p):
                 assert symbol_count_closed(p, m, prof, rho) == counts[rho], \
                     (p, m, a, rho)

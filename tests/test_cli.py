@@ -432,7 +432,7 @@ def test_cost_before_field_equals_enumeration_cost(fields, p, m):
     ctx = fields(p, m)
     for kind in ("main", "d1", "d2"):
         for b in range(p):
-            assert cli._set_size(p, m, kind, b) == len(cli._build_dset(ctx, kind, b).elements), \
+            assert cli._set_size(p, m, kind, b) == len(cli._build_dset(ctx, kind, b)), \
                 (kind, b)
 
 

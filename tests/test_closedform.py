@@ -87,7 +87,7 @@ def test_correction_sums_vs_direct(fields):
     for p, m in [(3, 4), (3, 3), (5, 3)]:
         ctx = fields(p, m)
         for a in range(1, ctx.r):
-            prof = TraceProfile.from_element(ctx, a)
+            prof = TraceProfile.from_log(ctx, ctx.log[a])
             for rho in range(1, p):
                 assert correction_sums(p, m, prof, rho) == \
                     correction_sums_direct(ctx, a, rho), (p, m, a, rho)
@@ -98,7 +98,7 @@ def test_correction_sums_vs_direct(fields):
 def test_correction_sums_regime1(fields):
     ctx = fields(3, 6)
     for a in range(1, ctx.r):
-        prof = TraceProfile.from_element(ctx, a)
+        prof = TraceProfile.from_log(ctx, ctx.log[a])
         for rho in range(3):
             got = correction_sums(3, 6, prof, rho) if rho else \
                 correction_sums_at_zero(3, 6, prof)
@@ -111,7 +111,7 @@ def test_correction_sums_spot_values(fields):
     gm = gauss_int(p, m)
     r = p**m
     a = 2  # prime-subfield element
-    prof = TraceProfile.from_element(ctx, a)
+    prof = TraceProfile.from_log(ctx, ctx.log[a])
     s_lin, s_sq, s_mix = correction_sums(p, m, prof, 2)
     assert s_lin == (p - 1) * r
     s_lin, _, _ = correction_sums(p, m, prof, 3)
@@ -119,7 +119,7 @@ def test_correction_sums_spot_values(fields):
     # a outside the prime subfield with Tr(a^2) = 0 contributes
     # -(p-1)*G_m through the square-constraint term
     for a in range(p, r):
-        prof = TraceProfile.from_element(ctx, a)
+        prof = TraceProfile.from_log(ctx, ctx.log[a])
         if prof.tr_sq == 0:
             _, s_sq, _ = correction_sums(p, m, prof, 1)
             assert s_sq == -(p - 1) * gm
@@ -158,7 +158,7 @@ def test_symbol_count_closed_vs_brute(fields):
         ctx = fields(p, m)
         dset = build_defining_set(ctx, 1)
         for a in range(1, ctx.r):
-            prof = TraceProfile.from_element(ctx, a)
+            prof = TraceProfile.from_log(ctx, ctx.log[a])
             for rho in range(p):
                 assert symbol_count_closed(p, m, prof, rho) == \
                     codeword(ctx, dset, a).count(rho), (p, m, a, rho)
@@ -169,9 +169,9 @@ def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
     from tracecodes.verification import verify_counts
     ctx = fields(3, 4)
     dset = build_defining_set(ctx, 1)
-    target = TraceProfile.from_element(ctx, ctx.alpha)
+    target = TraceProfile.from_log(ctx, ctx.log[ctx.alpha])
     first_a = min(a for a in range(1, ctx.r)
-                  if TraceProfile.from_element(ctx, a) == target)
+                  if TraceProfile.from_log(ctx, ctx.log[a]) == target)
     original = closedform.symbol_count_closed
     monkeypatch.setattr(closedform, "symbol_count_closed",
                         lambda p, m, prof, rho: original(p, m, prof, rho) + (prof == target))
@@ -289,7 +289,8 @@ def test_predict_cwe_checks_the_frequency_total(monkeypatch):
 
 
 def test_rho_zero_guard(fields):
-    prof = TraceProfile.from_element(fields(5, 3), 7)
+    ctx = fields(5, 3)
+    prof = TraceProfile.from_log(ctx, ctx.log[7])
     with pytest.raises(RhoZeroError):
         correction_sums(5, 3, prof, 0)
 
@@ -297,7 +298,8 @@ def test_rho_zero_guard(fields):
 def test_profile_requires_nonzero():
     import tracecodes
     with pytest.raises(ValueError):
-        TraceProfile.from_element(tracecodes.make_field(5, 3), 0)
+        ctx = tracecodes.make_field(5, 3)
+        TraceProfile.from_log(ctx, ctx.log[0])
 
 
 def test_discriminant_pair_counts_closed():

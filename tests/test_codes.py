@@ -23,6 +23,7 @@ from tracecodes.errors import (
 )
 
 from expected_enumerators import CWE_3_6, CWE_5_3, CWE_5_4
+from oracle import elements
 
 
 def test_defining_set_sizes(fields):
@@ -34,11 +35,11 @@ def test_defining_set_sizes(fields):
 def test_defining_set_membership_and_order(fields):
     ctx = fields(5, 4)
     dset = build_defining_set(ctx, 1)
-    assert list(dset.elements) == sorted(dset.elements)
-    for x in dset.elements:
+    assert list(dset.logs) == sorted(set(dset.logs))  # logs ascend
+    for x in elements(ctx, dset):
         assert ctx.trace(x) == 1
         assert ctx.trace(ctx.mul(x, x)) == 0
-    assert 0 not in dset.elements
+    assert not dset.has_zero
     assert dset.in_closed_form_scope
 
 
@@ -46,7 +47,7 @@ def test_defining_set_b_zero_flagged(fields):
     ctx = fields(3, 4)
     dset = build_defining_set(ctx, 0)
     assert not dset.in_closed_form_scope
-    assert 0 in dset.elements  # Tr(0) = 0 and Tr(0^2) = 0
+    assert dset.has_zero  # Tr(0) = 0 and Tr(0^2) = 0
 
 
 def test_defining_set_degree_guard(fields):
@@ -62,7 +63,7 @@ def test_general_defining_sets(fields):
     d2 = build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
     assert len(d2) == 104
     both = build_defining_set_general(ctx, trace_value=0, trace_square_value=0)
-    assert 0 in both.elements
+    assert both.has_zero
     with pytest.raises(EmptyConstraintError):
         build_defining_set_general(ctx)
 
@@ -161,7 +162,7 @@ def test_budget_counts_enumeration_cost(fields):
 def test_non_frobenius_stable_set_rejected(fields):
     ctx = fields(3, 3)
     assert ctx.pow(ctx.alpha, 3) != ctx.alpha
-    dset = DefiningSet(ctx=ctx, elements=(ctx.alpha,), trace_value=None,
+    dset = DefiningSet(ctx=ctx, logs=(1,), has_zero=False, trace_value=None,
                        trace_square_value=None, exclude_zero=True,
                        in_closed_form_scope=False)
     with pytest.raises(NotFrobeniusStableError):

@@ -22,6 +22,13 @@ from tracecodes.codes import (
     _frobenius_orbits,
     _orbit_count,
     _symbol_walk,
+    cwe_from_compositions,
+)
+from tracecodes.verification import (
+    verify_counts,
+    verify_cwe,
+    verify_equivalence,
+    verify_griesmer,
 )
 
 import oracle
@@ -34,6 +41,8 @@ CASES = [(p, m, kind) for p, m in PAIRS for kind in ("main", "d1", "d2")
          if _orbit_count(p, m) * p ** (m - (2 if kind == "main" else 1)) <= 10**6]
 # r * n field multiplications; above it the walk checks 20 drawn indices
 ORACLE_LIMIT = 2 * 10**5
+# fields whose tables tests/oracle.py rebuilds one _mul_raw at a time
+SMALL_PAIRS = [(p, m) for p, m in PAIRS if p**m <= 3000]
 
 
 def _field(data, p, m):
@@ -71,6 +80,33 @@ def test_bulk_sums_match_walks(pair, data):
         a1, a0 = data.draw(coeffs, label="a1"), data.draw(coeffs, label="a0")
         assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
             oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(SMALL_PAIRS), kind=st.sampled_from(("main", "d1", "d2")),
+       data=st.data())
+def test_defining_set_logs_match_elementwise_filter(pair, kind, data):
+    """The logs read off trace_exp name exactly the elements that pass the
+    per-element filter over the oracle's trace and power tables."""
+    p, m = pair
+    ctx = _field(data, p, m)
+    b = data.draw(st.integers(0, p - 1), label="b")
+    dset = _dset(ctx, kind, b)
+    tr = oracle.trace_table(ctx)
+    exp, log = oracle.power_tables(ctx)
+
+    def tr_square(x):
+        return tr[exp[2 * log[x] % (ctx.r - 1)]] if x else 0
+
+    want = {x for x in range(ctx.r)
+            if (kind == "d2" or tr[x] == b) and (kind == "d1" or tr_square(x) == 0)
+            and (kind != "d2" or x)}
+    got = {ctx.exp[k] for k in dset.logs} | ({0} if dset.has_zero else set())
+    assert got == want
+    assert len(dset) == len(want)
+    assert list(dset.logs) == sorted(set(dset.logs))
+    if kind == "main" and m > 2:
+        assert build_defining_set(ctx, b).logs == dset.logs
 
 
 def _compositions(ctx, walked):
@@ -140,9 +176,32 @@ def test_corners_match_walks(fields, p, m):
 
 def test_zero_is_in_the_b0_sets():
     ctx = make_field(3, 4)
-    assert 0 in _dset(ctx, "main", 0).elements
-    assert 0 in _dset(ctx, "d1", 0).elements
-    assert 0 not in _dset(ctx, "d2", 0).elements
+    assert _dset(ctx, "main", 0).has_zero
+    assert _dset(ctx, "d1", 0).has_zero
+    assert not _dset(ctx, "d2", 0).has_zero
+
+
+@pytest.mark.parametrize("p,m", [(5, 4), (11, 3)])
+def test_pipeline_after_make_field_does_no_field_arithmetic(p, m):
+    """Defining sets, the walk (bits at (5,4), symbols at (11,3)) and the
+    code-level checks read logs and trace_exp, never an element-wise
+    field operation."""
+    ctx = make_field(p, m)
+
+    def forbidden(*args):
+        raise AssertionError("element-wise field operation")
+
+    for op in ("mul", "trace", "add", "sub", "inv", "pow"):
+        setattr(ctx, op, forbidden)
+    build_defining_set_general(ctx, trace_value=1)
+    build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
+    dset = build_defining_set(ctx, 2)
+    comps = orbit_compositions(ctx, dset)
+    cwe = cwe_from_compositions(p, len(dset), comps)
+    assert exhaustive_cwe(ctx, dset).terms == cwe.terms
+    verdicts = (verify_counts(ctx, dset, comps) + verify_cwe(ctx, cwe)
+                + verify_griesmer(ctx, cwe) + verify_equivalence(ctx))
+    assert all(v.passed for v in verdicts), [v.name for v in verdicts if not v.passed]
 
 
 def test_one_trace_exp_per_context():
