@@ -9,7 +9,7 @@ CLI for building, predicting and verifying codes.
 
 from .charsums import (
     GaussSumExact,
-    cyclotomic_number_direct,
+    cyclotomic_numbers_direct,
     cyclotomic_numbers_order2,
     gauss_sum_closed_cyclotomic,
     gauss_sum_direct,

@@ -48,9 +48,6 @@ class GaussSumExact:
             raise ValueError(f"{self!r} is not a rational integer")
         return (-1) ** (self.unit // 2) * self.p ** (self.half_power // 2)
 
-    def embed(self) -> complex:
-        return 1j**self.unit * self.p ** (self.half_power / 2)
-
     def to_cyclotomic(self) -> CyclotomicInteger:
         """Exact image in Z[zeta_p].
 
@@ -162,23 +159,22 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, a2: int, a1: int, a0: in
 # Order-2 cyclotomic numbers
 # ----------------------------------------------------------------------
 
-def cyclotomic_number_direct(ctx: FieldContext, i: int, j: int) -> int:
-    """Number of x in class i with x + 1 in class j, where class 0 holds
-    the nonzero squares and class 1 the non-squares.  Exhaustive scan.
+def cyclotomic_numbers_direct(ctx: FieldContext) -> dict[tuple[int, int], int]:
+    """The four order-2 cyclotomic numbers keyed by (i, j): the number of
+    x in class i with x + 1 in class j, where class 0 holds the nonzero
+    squares and class 1 the non-squares.  One exhaustive scan.
 
     Adding 1 steps the constant coefficient, the low base-p digit of an
     index: x + 1 is the next index, or p - 1 back when that digit is
     p - 1.  So the indices with low digit d pair off with those with low
     digit d + 1 mod p, and each pair is read from the log parities."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError("class indices must be 0 or 1")
     p = ctx.p
     cls = list(map((2).__rmod__, ctx.log))
     cls[0] = 2  # zero is in neither class
     pairs = Counter()
     for d in range(p):
         pairs.update(zip(cls[d::p], cls[(d + 1) % p::p]))
-    return pairs[(i, j)]
+    return {(i, j): pairs[i, j] for i in (0, 1) for j in (0, 1)}
 
 
 def cyclotomic_numbers_order2(r: int) -> dict[tuple[int, int], int]:

@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="maximum field size p^m")
         sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET,
-                        help="maximum symbol evaluations for enumeration: one "
-                             "codeword of length n per orbit representative; "
-                             "exceeding it exits 3 before enumerating")
+                        help="maximum enumeration cost in symbol evaluations: per "
+                             "orbit representative n, or the bitset walk's (p - 1) * "
+                             "2(r - 1)/64 mask words / 20 when fewer; exceeding it exits 3")
         sp.add_argument("--workers", type=_worker_count, default=None,
                         help="processes, this one included, that split one "
                              "enumeration or the pairs of a sweep; more than 1 "
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARALLEL_THRESHOLD = 10**6  # symbol evaluations; below this forking only adds overhead
+_PARALLEL_THRESHOLD = 10**6  # enumeration cost; below this forking only adds overhead
 
 
 def _resolve_workers(args, cost: int) -> int:

@@ -145,9 +145,8 @@ class TraceProfile:
         alpha^(2k), and a lies in F_p iff (r - 1)/(p - 1) divides k."""
         if k < 0:  # ctx.log[0]
             raise ValueError("the zero element has no symbol-count profile")
-        rm1 = ctx.r - 1
+        rm1, tr = ctx.r - 1, ctx.trace_exp
         k %= rm1
-        tr = ctx.trace_exp
         return cls(p=ctx.p, m_p=ctx.m_p, tr_sq=tr[2 * k % rm1], tr=tr[k],
                    prime_value=ctx.exp[k] if k % (rm1 // (ctx.p - 1)) == 0 else None)
 

@@ -163,9 +163,6 @@ class WeightDistribution:
     k: int
     counts: dict[int, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def minimum_distance(self) -> int:
         return min(w for w, c in self.counts.items() if w > 0 and c > 0)
 
@@ -208,10 +205,10 @@ def _orbit_count(p: int, m: int) -> int:
 
 
 def enumeration_cost(p: int, m: int, n: int) -> int:
-    """Symbol evaluations of the per-symbol walk in :func:`orbit_compositions`
-    on n elements of F_{p^m}: one codeword of length n per orbit
-    representative.  It prices the budget whichever kernel runs."""
-    return _orbit_count(p, m) * n
+    """Cost of :func:`orbit_compositions` on n elements of F_{p^m}, in
+    symbol evaluations: the orbit count times :func:`_rep_cost`, the
+    cost of one representative in the kernel that runs."""
+    return _orbit_count(p, m) * _rep_cost(p, p**m, n)
 
 
 def check_budget(cost: int, budget: int) -> None:
@@ -232,15 +229,22 @@ def relabelling(p: int, c: int) -> list[int]:
 # reads.  Measured best-of-3 on a 2-core box, Python 3.11.7, over twelve
 # (p, m, set) points from (3,8) to (37,3): 2.5-8.1 ns per 64-bit word of
 # a mask against 62-150 ns per symbol, a ratio of 12-26 (60 at (37,3)).
-# Bits win when (p - 1) * words < _WORDS_PER_SYMBOL * n.
 _WORDS_PER_SYMBOL = 20
+
+
+def _rep_cost(p: int, r: int, n: int) -> int:
+    """Symbol evaluations per representative on n elements of F_r in the
+    kernel that runs: n reads, or, when fewer and p < 256, the bitset
+    walk's p - 1 passes over ceil(2(r - 1)/64) words at _WORDS_PER_SYMBOL."""
+    bits = -(-(p - 1) * -(-2 * (r - 1) // 64) // _WORDS_PER_SYMBOL)
+    return min(n, bits) if p < 256 else n
 
 
 def _bits_win(p: int, r: int, n: int) -> bool:
     """Whether :func:`_bit_walk` beats :func:`_symbol_walk` on a set of n
     elements of F_r.  For the sets of this package, n about r/p or
-    less, it does only for p <= 25, well inside the p < 256 that bits need."""
-    return p < 256 and (p - 1) * -(-2 * (r - 1) // 64) < _WORDS_PER_SYMBOL * n
+    less, it does only for p <= 25."""
+    return _rep_cost(p, r, n) < n
 
 
 def _symbol_walk(ctx: FieldContext, dset: DefiningSet):
@@ -384,12 +388,7 @@ class CodeSummary:
 
 def griesmer_lower_bound(k: int, d: int, p: int) -> int:
     """sum of ceil(d / p^i) for i < k; a length lower bound for [n,k,d]."""
-    total = 0
-    q = 1
-    for _ in range(k):
-        total += -(-d // q)
-        q *= p
-    return total
+    return sum(-(-d // p**i) for i in range(k))
 
 
 def summarize(cwe: CompleteWeightEnumerator, p: int) -> CodeSummary:

@@ -3,13 +3,11 @@
 Values are stored on the canonical basis 1, zeta, ..., zeta^{p-2} with
 the reduction zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}), so equality
 is coefficient-wise and decidable.  This is the value domain for every
-character sum in the package; complex embeddings exist purely as a
-floating cross-check.
+character sum in the package, and every comparison in it is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 from typing import Sequence
 
 from .errors import MixedRootOrderError
@@ -132,10 +130,10 @@ class CyclotomicInteger:
             raise ValueError(f"{self!r} is not a rational integer")
         return self.coeffs[0]
 
-    def embed(self) -> complex:
-        """Numerical image under zeta |-> exp(2*pi*i/p)."""
-        zeta = cmath.exp(2j * cmath.pi / self.p)
-        return sum(c * zeta**k for k, c in enumerate(self.coeffs))
+    def conjugate(self) -> "CyclotomicInteger":
+        """Complex conjugation, zeta^k |-> zeta^(-k)."""
+        counts = (*self.coeffs, 0)
+        return CyclotomicInteger.from_exponent_counts(self.p, [counts[-k] for k in range(self.p)])
 
     def __repr__(self):
         return f"CyclotomicInteger(p={self.p}, coeffs={self.coeffs})"

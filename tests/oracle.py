@@ -9,7 +9,9 @@ The character sums and :func:`correction_sums_direct` call
 in bulk.  O(r * n) and O(r): for tests on small fields only.
 """
 
-from tracecodes import is_irreducible
+import cmath
+
+from tracecodes import GaussSumExact, is_irreducible
 from tracecodes.cyclotomic import CyclotomicInteger
 
 
@@ -112,6 +114,15 @@ def cyclotomic_number_direct(ctx, i, j):
         if (0 if ctx.quadratic_character(y) == 1 else 1) == j:
             count += 1
     return count
+
+
+def embed(x) -> complex:
+    """The complex image of a CyclotomicInteger under zeta |-> exp(2*pi*i/p),
+    or the value of a GaussSumExact: a floating cross-check only."""
+    if isinstance(x, GaussSumExact):
+        return 1j**x.unit * x.p ** (x.half_power / 2)
+    zeta = cmath.exp(2j * cmath.pi / x.p)
+    return sum(c * zeta**k for k, c in enumerate(x.coeffs))
 
 
 # -- table-free field construction ------------------------------------------

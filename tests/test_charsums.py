@@ -5,7 +5,7 @@ import pytest
 from tracecodes import (
     CyclotomicInteger,
     GaussSumExact,
-    cyclotomic_number_direct,
+    cyclotomic_numbers_direct,
     cyclotomic_numbers_order2,
     gauss_sum_closed_cyclotomic,
     gauss_sum_direct,
@@ -16,6 +16,8 @@ from tracecodes import (
 )
 from tracecodes.charsums import PRINCIPAL, QUARTIC
 from tracecodes.errors import ZeroLeadingCoefficientError
+
+from oracle import embed
 
 GAUSS_GRID = [(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2, 3, 4)
               if p**m <= 30000]
@@ -35,8 +37,25 @@ def test_gauss_direct_equals_closed(fields):
 
 def test_gauss_magnitude(fields):
     for p, m in GAUSS_GRID:
-        emb = gauss_sum_direct(fields(p, m)).embed()
-        assert abs(abs(emb) ** 2 - p**m) <= 1e-9 * p**m
+        direct = gauss_sum_direct(fields(p, m))
+        assert direct * direct.conjugate() == p**m
+        assert abs(abs(embed(direct)) ** 2 - p**m) <= 1e-9 * p**m
+
+
+def test_magnitude_verdict_is_exact(monkeypatch):
+    from tracecodes import charsums, make_field
+    from tracecodes.verification import verify_gauss_sums
+
+    def magnitudes(ctx):
+        return [v for v in verify_gauss_sums(ctx) if v.name.startswith("gauss-sum-magnitude")]
+
+    ctx = make_field(37, 1)
+    [verdict] = magnitudes(ctx)
+    assert verdict.passed and verdict.details == "G*conj(G) = 37 in Z[zeta_p]"
+    original = charsums.gauss_sum_direct
+    monkeypatch.setattr(charsums, "gauss_sum_direct", lambda ctx: original(ctx) + 1)
+    [verdict] = magnitudes(ctx)
+    assert not verdict.passed and verdict.details.endswith("!= 37")
 
 
 def test_gauss_exact_integers():
@@ -79,8 +98,8 @@ def test_quartic_convention_value(fields):
 
 def test_to_cyclotomic_round_trip():
     for p, m in GAUSS_GRID:
-        emb_exact = quadratic_gauss_sum(p, m).embed()
-        emb_ring = quadratic_gauss_sum(p, m).to_cyclotomic().embed()
+        emb_exact = embed(quadratic_gauss_sum(p, m))
+        emb_ring = embed(quadratic_gauss_sum(p, m).to_cyclotomic())
         assert abs(emb_exact - emb_ring) < 1e-6 * max(1.0, abs(emb_exact))
 
 
@@ -134,14 +153,33 @@ def test_cyclotomic_numbers_direct_vs_closed(fields):
     for r, (p, m) in cases.items():
         ctx = fields(p, m)
         closed = cyclotomic_numbers_order2(r)
-        for (i, j), want in closed.items():
-            assert cyclotomic_number_direct(ctx, i, j) == want, (r, i, j)
+        assert cyclotomic_numbers_direct(ctx) == closed, r
         # row i counts the class-i elements x with x + 1 nonzero, so the
         # class containing -1 (class 0 iff h is even) is one short
         h = (r - 1) // 2
         row0 = closed[(0, 0)] + closed[(0, 1)]
         row1 = closed[(1, 0)] + closed[(1, 1)]
         assert (row0, row1) == ((h - 1, h) if h % 2 == 0 else (h, h - 1))
+
+
+def test_cyclotomic_verdict_reports_smallest_differing_pair(monkeypatch, fields):
+    from tracecodes import charsums
+    from tracecodes.verification import verify_cyclotomic_numbers
+    ctx = fields(3, 3)
+    [verdict] = verify_cyclotomic_numbers(ctx)
+    assert verdict.passed
+    original = charsums.cyclotomic_numbers_direct
+
+    def off_by_one(ctx):
+        counts = original(ctx)
+        counts[1, 1] += 1
+        counts[0, 1] -= 1
+        return counts
+
+    monkeypatch.setattr(charsums, "cyclotomic_numbers_direct", off_by_one)
+    [verdict] = verify_cyclotomic_numbers(ctx)
+    assert not verdict.passed
+    assert verdict.data == {"pair": [0, 1], "direct": 6, "closed": 7}
 
 
 def test_gauss_exact_multiplication_mismatched_primes():

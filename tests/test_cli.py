@@ -399,14 +399,15 @@ def test_sweep_budget_fires_before_any_field_is_built(capsys, monkeypatch):
         raise AssertionError("make_field called")
 
     monkeypatch.setattr(cli, "make_field", no_field)
-    main_cost = codes.enumeration_cost(3, 5, cli._set_size(3, 5, "main", 1))
-    d2_cost = codes.enumeration_cost(3, 5, cli._set_size(3, 5, "d2", 1))
+    # at (11,3) the main set walks symbol by symbol and d2 by bits, dearer
+    main_cost = codes.enumeration_cost(11, 3, cli._set_size(11, 3, "main", 1))
+    d2_cost = codes.enumeration_cost(11, 3, cli._set_size(11, 3, "d2", 1))
     for argv, pair, cost, budget in [
-            (["--m-list", "12", "--budget", "1000"], "(3,12)", 1311891633, 1000),
+            (["--p-list", "3", "--m-list", "12", "--budget", "1000"], "(3,12)", 36902437, 1000),
             # the main set fits, the comparison set does not
-            (["--m-list", "5", "--compare-defining-set", "d2", "--budget", str(main_cost)],
-             "(3,5)", d2_cost, main_cost)]:
-        rc, out, err = run(capsys, "sweep", "--p-list", "3", *argv)
+            (["--p-list", "11", "--m-list", "3", "--compare-defining-set", "d2",
+              "--budget", str(main_cost)], "(11,3)", d2_cost, main_cost)]:
+        rc, out, err = run(capsys, "sweep", *argv)
         assert rc == 1
         assert out == ""
         assert f"sweep pair {pair}: {cost} symbol evaluations exceed the budget of {budget}" in err

@@ -159,6 +159,20 @@ def test_budget_counts_enumeration_cost(fields):
         exhaustive_cwe(ctx, dset, budget=cost - 1)
 
 
+def test_enumeration_cost_prices_the_kernel_that_runs():
+    """Orbits times the per-representative cost of the kernel _bits_win
+    picks: the bitset walk at p = 3, n symbol reads at (11,4) and (37,3)."""
+    from tracecodes.closedform import trace_pair_count_closed
+    from tracecodes.codes import DEFAULT_BUDGET, _orbit_count
+    costs = {(3, 9): 68014, (3, 11): 4461362, (3, 12): 36902437, (3, 13): 305562543,
+             (11, 4): 41030, (37, 3): 16956}
+    for (p, m), cost in costs.items():
+        n = trace_pair_count_closed(p, m, 0, 1)
+        assert enumeration_cost(p, m, n) == cost, (p, m)
+        assert (cost < _orbit_count(p, m) * n) is (p == 3), (p, m)
+    assert costs[3, 12] <= DEFAULT_BUDGET < costs[3, 13]
+
+
 def test_non_frobenius_stable_set_rejected(fields):
     ctx = fields(3, 3)
     assert ctx.pow(ctx.alpha, 3) != ctx.alpha

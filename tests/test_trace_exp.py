@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tracecodes import (
     build_defining_set,
     build_defining_set_general,
-    cyclotomic_number_direct,
+    cyclotomic_numbers_direct,
     exhaustive_cwe,
     gauss_sum_direct,
     make_field,
@@ -168,10 +168,8 @@ def test_corners_match_walks(fields, p, m):
     for a2, a1, a0 in [(1, 0, 0), (p - 1, 0, top), (top, top, 0), (ctx.alpha, 1, 1)]:
         assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
             oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
-    for i in (0, 1):
-        for j in (0, 1):
-            assert cyclotomic_number_direct(ctx, i, j) == \
-                oracle.cyclotomic_number_direct(ctx, i, j), (i, j)
+    assert cyclotomic_numbers_direct(ctx) == \
+        {(i, j): oracle.cyclotomic_number_direct(ctx, i, j) for i in (0, 1) for j in (0, 1)}
 
 
 def test_zero_is_in_the_b0_sets():
