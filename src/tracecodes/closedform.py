@@ -142,13 +142,15 @@ class TraceProfile:
     @classmethod
     def from_log(cls, ctx: FieldContext, k: int) -> "TraceProfile":
         """The profile of a = alpha^k, read off ``ctx.trace_exp``: a^2 is
-        alpha^(2k), and a lies in F_p iff (r - 1)/(p - 1) divides k."""
+        alpha^(2k), and a lies in F_p iff N = (r - 1)/(p - 1) divides k,
+        where it is ``ctx.prime_powers[k // N]``."""
         if k < 0:  # ctx.log[0]
             raise ValueError("the zero element has no symbol-count profile")
         rm1, tr = ctx.r - 1, ctx.trace_exp
         k %= rm1
+        j, rest = divmod(k, rm1 // (ctx.p - 1))
         return cls(p=ctx.p, m_p=ctx.m_p, tr_sq=tr[2 * k % rm1], tr=tr[k],
-                   prime_value=ctx.exp[k] if k % (rm1 // (ctx.p - 1)) == 0 else None)
+                   prime_value=None if rest else ctx.prime_powers[j])
 
     @property
     def discriminant(self) -> int:

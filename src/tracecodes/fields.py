@@ -7,26 +7,32 @@ index 1 the multiplicative identity, and the indices below p are exactly
 the prime subfield.
 
 A :class:`FieldContext` fixes the modulus polynomial and a primitive
-element and precomputes power, discrete-log and trace tables, so that
-multiplication, inversion, the absolute trace and the quadratic
-character are all O(1) lookups.  Addition is a lookup as well: reading
+element alpha; construction does nothing else.  Each table is built on
+first read.  The code C_D reads the field only through the absolute
+trace, and ``trace_exp``, the traces of the powers of alpha, is a
+linear recurring sequence (Lidl-Niederreiter, *Finite Fields*, ch. 8):
+2m polynomial products seed it, Berlekamp-Massey finds its recurrence
+and window doubling fills it in, in time linear in p^m with no other
+table.  The power, discrete-log and trace tables serve the element-wise
+operations (multiplication, inversion, the trace and the quadratic
+character are O(1) lookups).  Addition is a lookup as well: reading
 the base-p digits of an index in base 2p - 1 (its "spread") makes the
 digit-wise sum of two elements a plain integer sum with no carries, and
 two half-tables of size at most (2p - 1)^ceil(m/2) map such a sum back
 to an index.  The same encoding drives the power walk, since
-multiplication by the primitive element is F_p-linear, so the tables
-are built in time linear in p^m.  Construction is deterministic: the
-default modulus is the lexicographically first monic irreducible
-polynomial (tail coefficients read low-degree-first as a base-p
-integer) and the primitive element is the smallest index of full
-multiplicative order.  Contexts are immutable after construction and
-safe to share between threads or worker processes.
+multiplication by the primitive element is F_p-linear.  Construction
+is deterministic: the default modulus is the lexicographically first
+monic irreducible polynomial (tail coefficients read low-degree-first
+as a base-p integer) and the primitive element is the smallest index
+of full multiplicative order.  A table, once built, never changes, so
+a context is safe to share with worker processes forked after it.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DegreeTooSmallError,
@@ -230,12 +236,96 @@ def _digit_table(digits: int, radix: int, base: int, p: int, scale: int = 1) -> 
     return table
 
 
+def _berlekamp_massey(s: Sequence[int], p: int) -> list[int]:
+    """The connection polynomial C (low degree first, C[0] = 1, length
+    L + 1 for the linear complexity L) of the shortest recurrence
+    sum_i C[i] * s[k - i] = 0 mod p, k >= L, that generates s
+    (Massey 1969)."""
+    c, prev = [1], [1]
+    size, gap, prev_d = 0, 1, 1
+    for n, sn in enumerate(s):
+        d = (sn + sum(c[i] * s[n - i] for i in range(1, size + 1))) % p
+        if d == 0:
+            gap += 1
+            continue
+        coef = d * pow(prev_d, -1, p) % p
+        old = list(c)
+        c += [0] * (len(prev) + gap - len(c))
+        for i, v in enumerate(prev):
+            c[i + gap] = (c[i + gap] - coef * v) % p
+        if 2 * size <= n:
+            size, prev, prev_d, gap = n + 1 - size, old, d, 1
+        else:
+            gap += 1
+    return (c + [0] * size)[:size + 1]
+
+
+def _byte_window_sum(p: int) -> Callable[[list, int], bytes]:
+    """sum_i c_i * w_i mod p, slot by slot, over byte windows w_i of k
+    values in [0, p), for 2(p - 1) <= 255.  Each window goes through a
+    "times c_i mod p" translate and the windows are summed as one big
+    int; a mod-p translate runs before a slot could exceed 255, so no
+    slot ever carries into the next."""
+    per_slot = 255 // (p - 1)  # reduced terms a byte holds without carrying
+    mod = (bytes(range(p)) * (256 // p + 1))[:256]
+    times = [bytes(c * v % p for v in range(p)).ljust(256, b"\0") for c in range(p)]
+
+    def window_sum(terms: list[tuple[int, bytes]], k: int) -> bytes:
+        acc, held = 0, 0
+        for c, w in terms:
+            if held == per_slot:
+                acc, held = int.from_bytes(acc.to_bytes(k, "little").translate(mod), "little"), 1
+            acc += int.from_bytes(w.translate(times[c]), "little")
+            held += 1
+        return acc.to_bytes(k, "little").translate(mod)
+    return window_sum
+
+
+def _list_window_sum(p: int) -> Callable[[list, int], list[int]]:
+    """sum_i c_i * w_i mod p, entry by entry, over list windows, for
+    primes too wide for byte slots (2(p - 1) > 255, so m <= 3 under the
+    size cap)."""
+    def window_sum(terms: list[tuple[int, list[int]]], k: int) -> list[int]:
+        acc = [0] * k
+        for c, w in terms:
+            acc = list(map(operator.add, acc, map(c.__mul__, w)))
+        return list(map(p.__rmod__, acc))
+    return window_sum
+
+
+def _recurrence_fill(seed: Sequence[int], h: Sequence[int], n: int, p: int) -> Sequence[int]:
+    """The first n terms (n >= len(seed) >= 2m) of the sequence with
+    characteristic polynomial h (monic of degree m, low degree first)
+    that starts with ``seed``, by window doubling: with c = x^t mod h,
+    s[j + t] = sum_i c_i * s[j + i], so t known terms give the next
+    t - m + 1 from m shifted windows of the sequence.  Then t becomes
+    2t - m + 1, so the next c is c^2 * x^(1 - m) mod h."""
+    m = len(h) - 1
+    if 2 * (p - 1) <= 255:
+        s, window_sum = bytearray(seed), _byte_window_sum(p)
+    else:
+        s, window_sum = list(seed), _list_window_sum(p)
+    # x * (h_1 + h_2 x + ... + h_m x^(m-1)) = -h_0 mod h gives x^-1
+    inv_h0 = pow(-h[0], -1, p)
+    back = _poly_powmod([v * inv_h0 % p for v in h[1:]], m - 1, h, p)
+    c = _poly_powmod([0, 1], len(s), h, p)
+    while len(s) < n:
+        t = len(s)
+        k = min(t - m + 1, n - t)
+        s += window_sum([(ci, s[i:i + k]) for i, ci in enumerate(c) if ci], k)
+        c = _poly_mul_mod(_poly_mul_mod(c, c, h, p), back, h, p)
+    return s
+
+
 # ----------------------------------------------------------------------
 # Field context
 # ----------------------------------------------------------------------
 
 class FieldContext:
-    """A fully constructed F_{p^m} with dense lookup tables.
+    """F_{p^m} on a fixed modulus and primitive element.
+
+    Construction checks the parameters and finds alpha; every table is a
+    ``cached_property``, built on first read and then fixed.
 
     Attributes
     ----------
@@ -245,12 +335,15 @@ class FieldContext:
         Monic irreducible modulus, coefficients low degree first.
     alpha : int
         Index of the primitive element.
+    trace_exp : list[int]
+        Absolute trace of alpha^k for k in [0, r - 1), from its linear
+        recurrence.
+    prime_powers : list[int]
+        alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): F_p^*.
     exp, log : list[int]
         Power and discrete-log tables for alpha (log[0] is -1).
     trace_table : list[int]
         Absolute trace of every element, as a prime-field value.
-    trace_exp : list[int]
-        Absolute trace of alpha^k for k in [0, r - 1), built on first use.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
@@ -270,9 +363,6 @@ class FieldContext:
             self.modulus = check_modulus(p, m, modulus)
 
         self.alpha = self._find_primitive()
-        self._build_spread_tables()
-        self._build_power_tables()
-        self._build_trace_table()
 
     # -- construction internals ----------------------------------------
 
@@ -297,36 +387,94 @@ class FieldContext:
                 return cand
         raise AssertionError("no primitive element found")  # unreachable
 
-    def _build_spread_tables(self) -> None:
+    @cached_property
+    def _basis_traces(self) -> list[int]:
+        """Tr(x^j) for j in [0, m): the sum of the conjugates
+        (x^j)^(p^k) = (x^(p^k))^j, with x^(p^k) by ``_poly_powmod``."""
+        p, m, f = self.p, self.m, self.modulus
+        sums = [[int(i == j) for i in range(m)] for j in range(m)]  # k = 0
+        conj = [0, 1] + [0] * (m - 2)
+        for _ in range(1, m):
+            conj = power = _poly_powmod(conj, p, f, p)
+            sums[0][0] += 1
+            for j in range(1, m):
+                if j > 1:
+                    power = _poly_mul_mod(power, conj, f, p)
+                sums[j] = [(u + v) % p for u, v in zip(sums[j], power)]
+        if any(any(t[1:]) for t in sums):
+            raise AssertionError("trace left the prime subfield")
+        return [t[0] % p for t in sums]
+
+    @cached_property
+    def trace_exp(self) -> list[int]:
+        """Tr(alpha^k) for k in [0, r - 1).  With N = r - 1, the trace of
+        a*x for nonzero a, x is trace_exp[(log a + log x) % N], so sums
+        and codewords over F_r^* read rotated slices of this one list.
+
+        s_k = Tr(alpha^k) obeys the recurrence of alpha's minimal
+        polynomial (Lidl-Niederreiter, ch. 8).  Its first 2m terms, by
+        polynomial multiplication, give that polynomial by
+        Berlekamp-Massey; window doubling fills in the rest.  m
+        consecutive terms fix alpha^k (the trace form is
+        nondegenerate), so the m terms at k repeat those at 0 exactly
+        when alpha^k = 1: at k = r - 1, and at no (r - 1)/q."""
+        p, m, rm1 = self.p, self.m, self.r - 1
+        bt, a = self._basis_traces, self.coeffs(self.alpha)
+        seed, power = [], [1] + [0] * (m - 1)
+        for _ in range(2 * m):
+            seed.append(sum(map(operator.mul, power, bt)) % p)
+            power = _poly_mul_mod(power, a, self.modulus, p)
+        conn = _berlekamp_massey(seed, p)
+        if len(conn) != m + 1:
+            raise AssertionError(f"linear complexity {len(conn) - 1} != m = {m}")
+        s = _recurrence_fill(seed, conn[::-1], rm1 + m, p)
+        start = s[:m]
+        if s[rm1:] != start or any(s[rm1 // q:rm1 // q + m] == start
+                                   for q in prime_factors(rm1)):
+            raise AssertionError("primitive element order check failed")
+        return list(s[:rm1])
+
+    @cached_property
+    def prime_powers(self) -> list[int]:
+        """alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): the powers
+        of g = alpha^N, a generator of F_p^*, from one ``_poly_powmod``.
+        The log of a nonzero c in F_p is N * prime_powers.index(c)."""
+        p = self.p
+        g = _poly_powmod(self.coeffs(self.alpha), (self.r - 1) // (p - 1), self.modulus, p)[0]
+        return [pow(g, j, p) for j in range(p - 1)]
+
+    @cached_property
+    def _spread_tables(self) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
+        """(p^h, (2p - 1)^h, sl, sh, rl, rh) for the low half of h digits:
+        sl/sh reread the base-p digits of an index's low/high half in
+        base 2p - 1 (its spread), rl/rh take base-(2p - 1) digits mod p
+        back to an index."""
         p, m = self.p, self.m
-        self._h = h = (m + 1) // 2  # digits in the low half of an index
+        h = (m + 1) // 2
         base = 2 * p - 1
-        self._ph = p**h
-        self._bh = base**h
-        # spread: base-p digits of an index reread in base 2p - 1
-        self._sl = _digit_table(h, p, base, p)
-        self._sh = _digit_table(m - h, p, base, p, self._bh)
-        # reduce: base-(2p - 1) digits taken mod p and read in base p
-        self._rl = _digit_table(h, base, p, p)
-        self._rh = _digit_table(m - h, base, p, p, self._ph)
-        # every digit p - d of _neg_base - spread(x) lies in [1, p]
-        self._neg_base = sum(p * base**j for j in range(m))
+        ph, bh = p**h, base**h
+        return (ph, bh, _digit_table(h, p, base, p), _digit_table(m - h, p, base, p, bh),
+                _digit_table(h, base, p, p), _digit_table(m - h, base, p, p, ph))
 
     def _spread(self, x: int) -> int:
-        return self._sl[x % self._ph] + self._sh[x // self._ph]
+        ph, _, sl, sh, _, _ = self._spread_tables
+        return sl[x % ph] + sh[x // ph]
 
     def _reduce(self, s: int) -> int:
-        return self._rl[s % self._bh] + self._rh[s // self._bh]
+        _, bh, _, _, rl, rh = self._spread_tables
+        return rl[s % bh] + rh[s // bh]
 
-    def _build_power_tables(self) -> None:
+    @cached_property
+    def _power_tables(self) -> tuple[list[int], list[int]]:
         # t -> alpha*t is F_p-linear: with t = lo + hi*p^h, tabulate the
         # spread images of alpha*lo and of alpha*hi*x^h from the images
         # of c*x^j, then each step of the walk is two lookups and a reduce
-        p, m, r, h = self.p, self.m, self.r, self._h
+        p, m, r = self.p, self.m, self.r
+        h = (m + 1) // 2
         rows = [[self._spread(self._mul_raw(self.alpha, c * p**j)) for c in range(p)]
                 for j in range(m)]
         low, high = self._linear_table(rows[:h]), self._linear_table(rows[h:])
-        ph, bh, rl, rh = self._ph, self._bh, self._rl, self._rh
+        ph, bh, _, _, rl, rh = self._spread_tables
         rm1 = r - 1
         exp = [0] * rm1
         log = [-1] * r
@@ -338,8 +486,7 @@ class FieldContext:
             cur = rl[s % bh] + rh[s // bh]
         if cur != 1:
             raise AssertionError("primitive element order check failed")
-        self.exp = exp
-        self.log = log
+        return exp, log
 
     def _linear_table(self, rows: list[list[int]]) -> list[int]:
         """Spread images of every digit vector, by linearity: entry i sums
@@ -349,25 +496,21 @@ class FieldContext:
             table = [self._spread(self._reduce(v + u)) for u in row for v in table]
         return table
 
-    def _build_trace_table(self) -> None:
-        p, m = self.p, self.m
-        table = [0]
-        for j in range(m):
-            # Tr(x^j) = sum over k of the conjugates (x^j)^(p^k)
-            bt = x_j = p**j
-            for k in range(1, m):
-                bt = self.add(bt, self.pow(x_j, p**k))
-            if bt >= p:
-                raise AssertionError("trace left the prime subfield")
-            table = [(v + c * bt) % p for c in range(p) for v in table]
-        self.trace_table = table
+    @cached_property
+    def exp(self) -> list[int]:
+        return self._power_tables[0]
 
     @cached_property
-    def trace_exp(self) -> list[int]:
-        """Tr(alpha^k) for k in [0, r - 1).  With N = r - 1, the trace of
-        a*x for nonzero a, x is trace_exp[(log a + log x) % N], so sums
-        and codewords over F_r^* read rotated slices of this one list."""
-        return list(map(self.trace_table.__getitem__, self.exp))
+    def log(self) -> list[int]:
+        return self._power_tables[1]
+
+    @cached_property
+    def trace_table(self) -> list[int]:
+        p = self.p
+        table = [0]
+        for bt in self._basis_traces:
+            table = [(v + c * bt) % p for c in range(p) for v in table]
+        return table
 
     # -- element encoding ----------------------------------------------
 
@@ -392,12 +535,14 @@ class FieldContext:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        ph, sl, sh = self._ph, self._sl, self._sh
+        ph, bh, sl, sh, rl, rh = self._spread_tables
         s = sl[x % ph] + sh[x // ph] + sl[y % ph] + sh[y // ph]
-        return self._rl[s % self._bh] + self._rh[s // self._bh]
+        return rl[s % bh] + rh[s // bh]
 
     def neg(self, x: int) -> int:
-        return self._reduce(self._neg_base - self._spread(x))
+        # every digit p - d of the spread of p...p minus spread(x) lies in [1, p]
+        p, base = self.p, 2 * self.p - 1
+        return self._reduce(sum(p * base**j for j in range(self.m)) - self._spread(x))
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

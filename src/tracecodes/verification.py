@@ -172,8 +172,8 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     # codeword into the D_1 codeword of a*b); a failing class reports its smallest a
     rm1 = ctx.r - 1
     step = rm1 // (p - 1)
-    perms = [codes.relabelling(p, ctx.exp[j * step]) for j in range(p - 1)]
-    lb = ctx.log[dset.trace_value]
+    perms = [codes.relabelling(p, c) for c in ctx.prime_powers]
+    lb = step * ctx.prime_powers.index(dset.trace_value)
     closed: dict[closedform.TraceProfile, list[int]] = {}
     failures = []
     for la, _, comp in compositions:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecodes import make_field, prime_factors
+from tracecodes.fields import FieldContext
 
 import oracle
 
@@ -12,24 +13,50 @@ import oracle
 PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 10) if p**m <= 2 * 10**4]
 
 
+# both sides of the byte-slot edge 2(p - 1) <= 255 of the trace_exp fill
+EDGE_PAIRS = [(127, 2), (131, 2), (257, 2)]
+
+
+def _non_primitive_modulus(p, m, tail):
+    """The first irreducible at or after the tail on which x is not
+    primitive, so that alpha != x."""
+    for k in range(p**m):
+        f = oracle.irreducible_from(p, m, tail + k)
+        if make_field(p, m, modulus=f).alpha != p:
+            return f
+    raise AssertionError("x is primitive on every irreducible")
+
+
 def _assert_tables_match_oracle(ctx):
+    """trace_exp, from its recurrence, is the oracle's trace table read
+    along the oracle's power walk; the lazy tables equal the oracle's."""
     exp, log = oracle.power_tables(ctx)
+    trace_table = oracle.trace_table(ctx)
+    assert ctx.trace_exp == [trace_table[x] for x in exp]
     assert type(ctx.exp) is list and type(ctx.log) is list
     assert type(ctx.trace_table) is list
     assert ctx.exp == exp
     assert ctx.log == log
-    assert ctx.trace_table == oracle.trace_table(ctx)
+    assert ctx.trace_table == trace_table
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(pair=st.sampled_from(PAIRS), data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(PAIRS + EDGE_PAIRS), data=st.data())
 def test_tables_match_oracle(pair, data):
     p, m = pair
+    kind = data.draw(st.sampled_from(["default", "drawn", "non-primitive"]), label="modulus")
+    tail = data.draw(st.integers(0, p**m - 1), label="tail")
     modulus = None
-    if data.draw(st.booleans(), label="random modulus"):
-        tail = data.draw(st.integers(0, p**m - 1), label="tail")
+    if kind == "drawn":
         modulus = oracle.irreducible_from(p, m, tail)
+    elif kind == "non-primitive" and m > 1:
+        modulus = _non_primitive_modulus(p, m, tail)
     _assert_tables_match_oracle(make_field(p, m, modulus=modulus))
+
+
+@pytest.mark.parametrize("p,m", EDGE_PAIRS)
+def test_tables_across_the_byte_slot_edge(p, m):
+    _assert_tables_match_oracle(make_field(p, m, modulus=_non_primitive_modulus(p, m, 0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -82,3 +109,15 @@ def test_primitive_cases_hold_non_default_moduli():
     non_default = {(p, m) for p, m, f in PRIMITIVE_CASES
                    if f is not None and f != make_field(p, m).modulus}
     assert len(non_default) >= 2
+
+
+def test_non_primitive_alpha_fails_the_order_check(monkeypatch):
+    ctx = make_field(3, 4)
+    square = ctx.mul(ctx.alpha, ctx.alpha)  # order 40 of 80, still of degree 4
+    monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: square)
+    with pytest.raises(AssertionError, match="primitive element order check failed"):
+        make_field(3, 4).trace_exp
+    # 2 lies in F_3: Tr(2^k) has linear complexity 1
+    monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: 2)
+    with pytest.raises(AssertionError, match="linear complexity 1 != m = 4"):
+        make_field(3, 4).trace_exp

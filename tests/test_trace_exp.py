@@ -16,6 +16,7 @@ from tracecodes import (
     orbit_compositions,
     quadratic_exponential_sum,
 )
+from tracecodes.cli import main
 from tracecodes.codes import (
     _bit_walk,
     _bits_win,
@@ -24,6 +25,7 @@ from tracecodes.codes import (
     _symbol_walk,
     cwe_from_compositions,
 )
+from tracecodes.fields import FieldContext
 from tracecodes.verification import (
     verify_counts,
     verify_cwe,
@@ -211,3 +213,33 @@ def test_one_trace_exp_per_context():
     gauss_sum_direct(ctx)
     orbit_compositions(ctx, build_defining_set(ctx, 1))
     assert ctx.trace_exp is table
+
+
+# every command that enumerates or reads codes, on the main, d1 and d2 sets
+TABLE_FREE_RUNS = [
+    ["build", "--p", "5", "--m", "4", "--b", "2"],
+    ["build", "--p", "3", "--m", "5", "--defining-set", "d1"],
+    ["build", "--p", "3", "--m", "4", "--defining-set", "d2"],
+    ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
+] + [["verify", "--p", "5", "--m", "4", "--b", "3", "--scope", scope]
+     for scope in ("cwe", "counts", "griesmer")] + [
+    ["verify", "--p", "5", "--m", "4", "--scope", "equivalence"]]
+
+
+@pytest.mark.parametrize("argv", TABLE_FREE_RUNS, ids=" ".join)
+def test_code_commands_build_no_element_tables(capsys, monkeypatch, argv):
+    """build, sweep and the code scopes of verify read trace_exp and
+    prime_powers only: the power, log and trace tables and element-wise
+    arithmetic raise, and the output is unchanged."""
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def forbidden(*args):
+        raise AssertionError("element table or element-wise operation")
+
+    for table in ("exp", "log", "trace_table"):
+        monkeypatch.setattr(FieldContext, table, property(forbidden))
+    for op in ("add", "mul", "inv", "pow"):
+        monkeypatch.setattr(FieldContext, op, forbidden)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
