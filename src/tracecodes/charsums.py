@@ -119,7 +119,8 @@ def quadratic_exponential_sum(ctx: FieldContext, a2: int, a1: int, a0: int) -> C
     log a2 + 2k plus trace_exp at log a1 + k (both mod N = r - 1) plus
     Tr(a0).  Over k in [0, N) the first term is the rotation of
     trace_exp by log a2 read with stride 2, twice over (N is even), and
-    the second the rotation by log a1; x = 0 contributes Tr(a0)."""
+    the second the rotation by log a1; x = 0 contributes Tr(a0), which
+    is trace_exp at log a0, or 0 when a0 = 0."""
     if a2 == 0:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
     p, te, log = ctx.p, ctx.trace_exp, ctx.log
@@ -130,7 +131,7 @@ def quadratic_exponential_sum(ctx: FieldContext, a2: int, a1: int, a0: int) -> C
     else:
         l1 = log[a1]
         sums = Counter(map(add, quad, te[l1:] + te[:l1]))
-    c = ctx.trace(a0)
+    c = te[log[a0]] if a0 else 0
     counts = [0] * p
     counts[c] = 1  # x = 0
     for v, freq in sums.items():
@@ -142,15 +143,21 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, a2: int, a1: int, a0: in
                                      gauss: CyclotomicInteger | None = None) -> CyclotomicInteger:
     """Completed-square form: zeta^Tr(a0 - a1^2/(4*a2)) * eta(a2) * G,
     with G the quadratic Gauss sum of the same field (direct value by
-    default, so the identity test stays a genuine cross-check)."""
+    default, so the identity test stays a genuine cross-check).
+
+    Read in logs: eta(a2) is -1 exactly when log a2 is odd, and
+    Tr(a1^2/(4*a2)) is trace_exp at 2*log a1 - log a2 - log 4, mod r - 1,
+    with log 4 the log of 4 mod p in F_p^*."""
     if a2 == 0:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
     if gauss is None:
         gauss = gauss_sum_direct(ctx)
-    four = ctx.element(4)
-    shift = ctx.sub(a0, ctx.mul(ctx.mul(a1, a1), ctx.inv(ctx.mul(four, a2))))
-    out = gauss * CyclotomicInteger.zeta_power(ctx.p, ctx.trace(shift))
-    if ctx.quadratic_character(a2) < 0:
+    te, log = ctx.trace_exp, ctx.log
+    shift = te[log[a0]] if a0 else 0
+    if a1:
+        shift -= te[(2 * log[a1] - log[a2] - ctx.prime_log(4)) % (ctx.r - 1)]
+    out = gauss * CyclotomicInteger.zeta_power(ctx.p, shift)
+    if log[a2] % 2:
         out = -out
     return out
 

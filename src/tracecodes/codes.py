@@ -401,12 +401,11 @@ def scaled_defining_set_equivalent(ctx: FieldContext, b: int) -> bool:
     Then the code on it is the b = 1 code with its coordinates permuted:
     the codeword of a at b*x is the codeword of a*b at x, and a |-> a*b
     permutes F_r.  Both sets are built from ``trace_exp``; multiplying
-    by b adds log b to each log, mod r - 1, where log b is
-    N = (r - 1)/(p - 1) times the log of b to base alpha^N in F_p."""
+    by b adds log b to each log, mod r - 1."""
     b %= ctx.p
     if b == 0:
         raise ValueError("b must be a nonzero prime-field value")
     rm1 = ctx.r - 1
-    lb = rm1 // (ctx.p - 1) * ctx.prime_powers.index(b)
+    lb = ctx.prime_log(b)
     scaled = {(k + lb) % rm1 for k in build_defining_set(ctx, 1).logs}
     return set(build_defining_set(ctx, b).logs) == scaled

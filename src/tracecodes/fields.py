@@ -13,19 +13,21 @@ trace, and ``trace_exp``, the traces of the powers of alpha, is a
 linear recurring sequence (Lidl-Niederreiter, *Finite Fields*, ch. 8):
 2m polynomial products seed it, Berlekamp-Massey finds its recurrence
 and window doubling fills it in, in time linear in p^m with no other
-table.  The power, discrete-log and trace tables serve the element-wise
-operations (multiplication, inversion, the trace and the quadratic
-character are O(1) lookups).  Addition is a lookup as well: reading
-the base-p digits of an index in base 2p - 1 (its "spread") makes the
+table.  Sums over elements also read the discrete-log table: Tr(x)
+is ``trace_exp[log x]`` and the quadratic character of x is the parity
+of log x.  The power and log tables come from one walk over the powers
+of alpha, and multiplication by alpha is F_p-linear: reading the
+base-p digits of an index in base 2p - 1 (its "spread") makes the
 digit-wise sum of two elements a plain integer sum with no carries, and
 two half-tables of size at most (2p - 1)^ceil(m/2) map such a sum back
-to an index.  The same encoding drives the power walk, since
-multiplication by the primitive element is F_p-linear.  Construction
-is deterministic: the default modulus is the lexicographically first
-monic irreducible polynomial (tail coefficients read low-degree-first
-as a base-p integer) and the primitive element is the smallest index
-of full multiplicative order.  A table, once built, never changes, so
-a context is safe to share with worker processes forked after it.
+to an index, so each step is a few lookups.  ``add`` and ``mul`` are
+lookups on the same tables, for walking the field one element at a
+time.  Construction is deterministic: the default modulus is the
+lexicographically first monic irreducible polynomial (tail
+coefficients read low-degree-first as a base-p integer) and the
+primitive element is the smallest index of full multiplicative order.
+A table, once built, never changes, so a context is safe to share with
+worker processes forked after it.
 """
 
 from __future__ import annotations
@@ -150,6 +152,15 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return a
 
 
+def _frobenius_chain(f: Sequence[int], p: int) -> list[list[int]]:
+    """[x^(p^k) mod f for k in [0, m]], m = deg f, each term the p-th
+    power of the one before."""
+    chain = [_poly_mul_mod([0, 1], [1], f, p)]
+    for _ in range(len(f) - 1):
+        chain.append(_poly_powmod(chain[-1], p, f, p))
+    return chain
+
+
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility of a monic polynomial over F_p.
 
@@ -163,12 +174,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         raise ValueError("modulus must be monic of degree >= 1")
     if m == 1:
         return True
-    x = [0, 1]
-    frob = {}
-    g = list(x)
-    for k in range(1, m + 1):
-        g = _poly_powmod(g, p, f, p)
-        frob[k] = g
+    frob = _frobenius_chain(f, p)
     x_red = _poly_trim([0, 1])
     if _poly_trim(frob[m]) != x_red:
         return False
@@ -342,8 +348,6 @@ class FieldContext:
         alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): F_p^*.
     exp, log : list[int]
         Power and discrete-log tables for alpha (log[0] is -1).
-    trace_table : list[int]
-        Absolute trace of every element, as a prime-field value.
     """
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
@@ -390,12 +394,11 @@ class FieldContext:
     @cached_property
     def _basis_traces(self) -> list[int]:
         """Tr(x^j) for j in [0, m): the sum of the conjugates
-        (x^j)^(p^k) = (x^(p^k))^j, with x^(p^k) by ``_poly_powmod``."""
+        (x^j)^(p^k) = (x^(p^k))^j, with x^(p^k) from ``_frobenius_chain``."""
         p, m, f = self.p, self.m, self.modulus
         sums = [[int(i == j) for i in range(m)] for j in range(m)]  # k = 0
-        conj = [0, 1] + [0] * (m - 2)
-        for _ in range(1, m):
-            conj = power = _poly_powmod(conj, p, f, p)
+        for conj in _frobenius_chain(f, p)[1:m]:
+            power = conj
             sums[0][0] += 1
             for j in range(1, m):
                 if j > 1:
@@ -437,11 +440,15 @@ class FieldContext:
     @cached_property
     def prime_powers(self) -> list[int]:
         """alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): the powers
-        of g = alpha^N, a generator of F_p^*, from one ``_poly_powmod``.
-        The log of a nonzero c in F_p is N * prime_powers.index(c)."""
+        of g = alpha^N, a generator of F_p^*, from one ``_poly_powmod``."""
         p = self.p
         g = _poly_powmod(self.coeffs(self.alpha), (self.r - 1) // (p - 1), self.modulus, p)[0]
         return [pow(g, j, p) for j in range(p - 1)]
+
+    def prime_log(self, c: int) -> int:
+        """The log to base alpha of c mod p, a nonzero prime-field value:
+        N times its log to base g = alpha^N."""
+        return (self.r - 1) // (self.p - 1) * self.prime_powers.index(c % self.p)
 
     @cached_property
     def _spread_tables(self) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
@@ -504,14 +511,6 @@ class FieldContext:
     def log(self) -> list[int]:
         return self._power_tables[1]
 
-    @cached_property
-    def trace_table(self) -> list[int]:
-        p = self.p
-        table = [0]
-        for bt in self._basis_traces:
-            table = [(v + c * bt) % p for c in range(p) for v in table]
-        return table
-
     # -- element encoding ----------------------------------------------
 
     def coeffs(self, x: int) -> tuple[int, ...]:
@@ -528,24 +527,12 @@ class FieldContext:
             s = s * self.p + (c % self.p)
         return s
 
-    def element(self, c: int) -> int:
-        """Embed a prime-field value as a field element (a constant)."""
-        return c % self.p
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
         ph, bh, sl, sh, rl, rh = self._spread_tables
         s = sl[x % ph] + sh[x // ph] + sl[y % ph] + sh[y // ph]
         return rl[s % bh] + rh[s // bh]
-
-    def neg(self, x: int) -> int:
-        # every digit p - d of the spread of p...p minus spread(x) lies in [1, p]
-        p, base = self.p, 2 * self.p - 1
-        return self._reduce(sum(p * base**j for j in range(self.m)) - self._spread(x))
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -556,33 +543,10 @@ class FieldContext:
             t -= rm1
         return self.exp[t]
 
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        rm1 = self.r - 1
-        return self.exp[(rm1 - self.log[x]) % rm1]
-
-    def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        rm1 = self.r - 1
-        return self.exp[(self.log[x] * e) % rm1]
-
-    # -- trace and quadratic character -----------------------------------
-
     def trace(self, x: int) -> int:
-        """Absolute trace down to F_p, as an integer in [0, p)."""
-        return self.trace_table[x]
-
-    def quadratic_character(self, x: int) -> int:
-        """0 at zero, +1 on nonzero squares, -1 on non-squares."""
-        if x == 0:
-            return 0
-        return 1 if self.log[x] % 2 == 0 else -1
+        """Absolute trace down to F_p, as an integer in [0, p): the base-p
+        digits of x dotted with the basis traces."""
+        return sum(map(operator.mul, self.coeffs(x), self._basis_traces)) % self.p
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus})"

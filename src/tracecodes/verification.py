@@ -173,7 +173,7 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     rm1 = ctx.r - 1
     step = rm1 // (p - 1)
     perms = [codes.relabelling(p, c) for c in ctx.prime_powers]
-    lb = step * ctx.prime_powers.index(dset.trace_value)
+    lb = ctx.prime_log(dset.trace_value)
     closed: dict[closedform.TraceProfile, list[int]] = {}
     failures = []
     for la, _, comp in compositions:

@@ -5,13 +5,15 @@ multiplication per coordinate, with no use of the orbit symmetry that
 :func:`tracecodes.exhaustive_cwe` relies on; :func:`codeword` builds one
 codeword the same way, for checking :func:`tracecodes.orbit_compositions`.
 The character sums and :func:`correction_sums_direct` call
-``ctx.add``/``ctx.mul`` per element instead of reading ``ctx.trace_exp``
-in bulk.  O(r * n) and O(r): for tests on small fields only.
+``ctx.add``/``ctx.mul`` per element and read the traces from
+:func:`trace_table` instead of reading ``ctx.trace_exp`` in bulk.
+O(r * n) and O(r): for tests on small fields only.
 """
 
 import cmath
+from functools import lru_cache
 
-from tracecodes import GaussSumExact, is_irreducible
+from tracecodes import GaussSumExact, is_irreducible, make_field
 from tracecodes.cyclotomic import CyclotomicInteger
 
 
@@ -26,6 +28,16 @@ def irreducible_from(p, m, tail):
     raise AssertionError("no irreducible polynomial")
 
 
+def non_primitive_modulus(p, m, tail):
+    """The first irreducible at or after the tail on which x is not
+    primitive, so that alpha != x."""
+    for k in range(p**m):
+        f = irreducible_from(p, m, tail + k)
+        if make_field(p, m, modulus=f).alpha != p:
+            return f
+    raise AssertionError("x is primitive on every irreducible")
+
+
 def elements(ctx, dset):
     """The field indices of ``dset``, in coordinate order: 0 when the set
     holds it, then alpha^k for each of its logs k."""
@@ -35,7 +47,7 @@ def elements(ctx, dset):
 def direct_cwe_terms(ctx, dset) -> dict:
     p = ctx.p
     rm1 = ctx.r - 1
-    tr = ctx.trace_table
+    tr = trace_table(ctx)
     tr_exp = [tr[e] for e in ctx.exp]
     xs = elements(ctx, dset)
     zero_in = 1 if 0 in xs else 0
@@ -57,24 +69,26 @@ def direct_cwe_terms(ctx, dset) -> dict:
 
 
 def codeword(ctx, dset, a):
-    tr = ctx.trace_table
+    tr = trace_table(ctx)
     return tuple(tr[ctx.mul(a, x)] for x in elements(ctx, dset))
 
 
 # -- character sums, one field operation per element ------------------------
 
 def gauss_sum_direct(ctx):
+    tr = trace_table(ctx)
     counts = [0] * ctx.p
     for x in range(1, ctx.r):
-        counts[ctx.trace(x)] += ctx.quadratic_character(x)
+        counts[tr[x]] += (-1) ** ctx.log[x]  # the quadratic character
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
 
 
 def quadratic_exponential_sum(ctx, a2, a1, a0):
+    tr = trace_table(ctx)
     counts = [0] * ctx.p
     for x in range(ctx.r):
         y = ctx.add(ctx.mul(a2, ctx.mul(x, x)), ctx.add(ctx.mul(a1, x), a0))
-        counts[ctx.trace(y)] += 1
+        counts[tr[y]] += 1
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
 
 
@@ -83,7 +97,7 @@ def correction_sums_direct(ctx, a, rho):
     via the integer collapse of the additive-character sums: a sum of
     zeta^(y*c) over nonzero y equals p-1 when c = 0 and -1 otherwise."""
     p = ctx.p
-    tr = ctx.trace_table
+    tr = trace_table(ctx)
     rho %= p
 
     def e(c):
@@ -106,12 +120,12 @@ def correction_sums_direct(ctx, a, rho):
 def cyclotomic_number_direct(ctx, i, j):
     count = 0
     for x in range(1, ctx.r):
-        if (0 if ctx.quadratic_character(x) == 1 else 1) != i:
+        if ctx.log[x] % 2 != i:
             continue
         y = ctx.add(x, 1)
         if y == 0:
             continue
-        if (0 if ctx.quadratic_character(y) == 1 else 1) == j:
+        if ctx.log[y] % 2 == j:
             count += 1
     return count
 
@@ -137,17 +151,6 @@ def add(p, x, y):
         s += ((x % p + y % p) % p) * mult
         x //= p
         y //= p
-        mult *= p
-    return s
-
-
-def neg(p, x):
-    s = 0
-    mult = 1
-    while x:
-        x, c = divmod(x, p)
-        if c:
-            s += (p - c) * mult
         mult *= p
     return s
 
@@ -178,8 +181,10 @@ def power_tables(ctx):
     return exp, log
 
 
+@lru_cache(maxsize=4)
 def trace_table(ctx):
-    """Absolute traces from the basis traces, one digit at a time."""
+    """Absolute traces from the basis traces, one digit at a time; the
+    last few fields' tables are kept, for helpers called per element."""
     p, m = ctx.p, ctx.m
     basis_traces = []
     for j in range(m):

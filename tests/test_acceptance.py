@@ -241,7 +241,7 @@ def test_criterion_11_symbol_count_decomposition():
     for p, m in [(3, 3), (5, 4)]:
         ctx = make_field(p, m)
         dset = build_defining_set(ctx, 1)
-        tr = ctx.trace_table
+        tr = oracle.trace_table(ctx)
         for a in range(1, ctx.r):
             counts = [0] * p
             for x in oracle.elements(ctx, dset):

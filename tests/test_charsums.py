@@ -1,6 +1,6 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecodes import (
     CyclotomicInteger,
@@ -9,6 +9,7 @@ from tracecodes import (
     cyclotomic_numbers_order2,
     gauss_sum_closed_cyclotomic,
     gauss_sum_direct,
+    make_field,
     quadratic_exponential_sum,
     quadratic_exponential_sum_closed,
     quadratic_gauss_sum,
@@ -17,7 +18,11 @@ from tracecodes import (
 from tracecodes.charsums import PRINCIPAL, QUARTIC
 from tracecodes.errors import ZeroLeadingCoefficientError
 
+import oracle
 from oracle import embed
+
+# fields whose per-element walk stays small, p = 3 and p >= 5
+SMALL_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 8) if p**m <= 3000]
 
 GAUSS_GRID = [(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2, 3, 4)
               if p**m <= 30000]
@@ -43,7 +48,7 @@ def test_gauss_magnitude(fields):
 
 
 def test_magnitude_verdict_is_exact(monkeypatch):
-    from tracecodes import charsums, make_field
+    from tracecodes import charsums
     from tracecodes.verification import verify_gauss_sums
 
     def magnitudes(ctx):
@@ -118,18 +123,34 @@ def test_quadratic_sum_examples(fields):
         assert shifted == base * CyclotomicInteger.zeta_power(3, ctx.trace(c))
 
 
-def test_quadratic_sum_identity_random(fields):
-    rng = random.Random(5)
-    for p, m in [(5, 2), (3, 3)]:
-        ctx = fields(p, m)
-        gauss = gauss_sum_direct(ctx)
-        for _ in range(25):
-            a2 = rng.randrange(1, ctx.r)
-            a1 = rng.randrange(ctx.r)
-            a0 = rng.randrange(ctx.r)
-            direct = quadratic_exponential_sum(ctx, a2, a1, a0)
-            closed = quadratic_exponential_sum_closed(ctx, a2, a1, a0, gauss=gauss)
-            assert direct == closed, (p, m, a2, a1, a0)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(SMALL_PAIRS), data=st.data())
+def test_quadratic_sum_identity_random(pair, data):
+    """Both sides against the per-element walk, on default, drawn and
+    non-primitive moduli (alpha != x); log 4 is 0 at p = 3 only."""
+    p, m = pair
+    kind = data.draw(st.sampled_from(["default", "drawn", "non-primitive"]), label="modulus")
+    tail = data.draw(st.integers(0, p**m - 1), label="tail")
+    modulus = None
+    if kind == "drawn":
+        modulus = oracle.irreducible_from(p, m, tail)
+    elif kind == "non-primitive" and m > 1:
+        modulus = oracle.non_primitive_modulus(p, m, tail)
+    ctx = make_field(p, m, modulus=modulus)
+    assert (ctx.prime_log(4) == 0) is (p == 3)
+    gauss = gauss_sum_direct(ctx)
+    top = ctx.r - 1
+    # a2 in the prime field, a1 = 0 and a0 = 0 are drawn as often as a
+    # uniform element
+    a2s = st.one_of(st.integers(1, p - 1), st.integers(1, top))
+    coeffs = st.one_of(st.just(0), st.integers(0, top))
+    for _ in range(3):
+        a2 = data.draw(a2s, label="a2")
+        a1, a0 = data.draw(coeffs, label="a1"), data.draw(coeffs, label="a0")
+        want = oracle.quadratic_exponential_sum(ctx, a2, a1, a0)
+        assert quadratic_exponential_sum(ctx, a2, a1, a0) == want, (a2, a1, a0)
+        assert quadratic_exponential_sum_closed(ctx, a2, a1, a0, gauss=gauss) == want, \
+            (a2, a1, a0)
 
 
 def test_quadratic_sum_rejects_zero_leading(fields):

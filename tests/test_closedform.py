@@ -205,7 +205,7 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
     cases = []
     for la, _, _ in codes.orbit_compositions(ctx, dset):
         for i in range(m):
-            y = ctx.pow(ctx.exp[la], p**i)
+            y = ctx.exp[la * p**i % (ctx.r - 1)]
             brute = [comp(y)[w] for w in wrong(p, bad)]
             closed = comp(ctx.mul(bad, y))
             if brute != closed:

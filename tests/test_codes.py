@@ -23,7 +23,7 @@ from tracecodes.errors import (
 )
 
 from expected_enumerators import CWE_3_6, CWE_5_3, CWE_5_4
-from oracle import elements
+from oracle import _pow_raw, elements
 
 
 def test_defining_set_sizes(fields):
@@ -175,7 +175,7 @@ def test_enumeration_cost_prices_the_kernel_that_runs():
 
 def test_non_frobenius_stable_set_rejected(fields):
     ctx = fields(3, 3)
-    assert ctx.pow(ctx.alpha, 3) != ctx.alpha
+    assert _pow_raw(ctx, ctx.alpha, 3) != ctx.alpha
     dset = DefiningSet(ctx=ctx, logs=(1,), has_zero=False, trace_value=None,
                        trace_square_value=None, exclude_zero=True,
                        in_closed_form_scope=False)

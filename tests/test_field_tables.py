@@ -17,27 +17,18 @@ PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 10) if p**m <= 
 EDGE_PAIRS = [(127, 2), (131, 2), (257, 2)]
 
 
-def _non_primitive_modulus(p, m, tail):
-    """The first irreducible at or after the tail on which x is not
-    primitive, so that alpha != x."""
-    for k in range(p**m):
-        f = oracle.irreducible_from(p, m, tail + k)
-        if make_field(p, m, modulus=f).alpha != p:
-            return f
-    raise AssertionError("x is primitive on every irreducible")
-
-
 def _assert_tables_match_oracle(ctx):
     """trace_exp, from its recurrence, is the oracle's trace table read
-    along the oracle's power walk; the lazy tables equal the oracle's."""
+    along the oracle's power walk; the lazy tables equal the oracle's,
+    and so does the table-free trace on a stride of about 500 elements."""
     exp, log = oracle.power_tables(ctx)
     trace_table = oracle.trace_table(ctx)
     assert ctx.trace_exp == [trace_table[x] for x in exp]
     assert type(ctx.exp) is list and type(ctx.log) is list
-    assert type(ctx.trace_table) is list
     assert ctx.exp == exp
     assert ctx.log == log
-    assert ctx.trace_table == trace_table
+    sample = range(0, ctx.r, max(1, ctx.r // 500))
+    assert [ctx.trace(x) for x in sample] == [trace_table[x] for x in sample]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -50,18 +41,18 @@ def test_tables_match_oracle(pair, data):
     if kind == "drawn":
         modulus = oracle.irreducible_from(p, m, tail)
     elif kind == "non-primitive" and m > 1:
-        modulus = _non_primitive_modulus(p, m, tail)
+        modulus = oracle.non_primitive_modulus(p, m, tail)
     _assert_tables_match_oracle(make_field(p, m, modulus=modulus))
 
 
 @pytest.mark.parametrize("p,m", EDGE_PAIRS)
 def test_tables_across_the_byte_slot_edge(p, m):
-    _assert_tables_match_oracle(make_field(p, m, modulus=_non_primitive_modulus(p, m, 0)))
+    _assert_tables_match_oracle(make_field(p, m, modulus=oracle.non_primitive_modulus(p, m, 0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS), data=st.data())
-def test_add_sub_neg_match_oracle(fields, pair, data):
+def test_add_matches_oracle(fields, pair, data):
     p, m = pair
     ctx = fields(p, m)
     top = ctx.r - 1  # every digit p - 1: each spread digit of top + top is 2p - 2
@@ -69,10 +60,7 @@ def test_add_sub_neg_match_oracle(fields, pair, data):
     for _ in range(20):
         x, y = data.draw(element, label="x"), data.draw(element, label="y")
         assert ctx.add(x, y) == oracle.add(p, x, y)
-        assert ctx.neg(y) == oracle.neg(p, y)
-        assert ctx.sub(x, y) == oracle.add(p, x, oracle.neg(p, y))
     assert ctx.add(top, top) == oracle.add(p, top, top)
-    assert ctx.neg(top) == oracle.neg(p, top) == sum(p**j for j in range(m))
 
 
 @pytest.mark.parametrize("p,m", PAIRS)
