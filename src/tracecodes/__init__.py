@@ -8,20 +8,18 @@ CLI for building, predicting and verifying codes.
 """
 
 from .charsums import (
-    GaussSumExact,
     cyclotomic_numbers_direct,
     cyclotomic_numbers_order2,
     gauss_sum_closed_cyclotomic,
     gauss_sum_direct,
     quadratic_exponential_sum,
     quadratic_exponential_sum_closed,
-    quadratic_gauss_sum,
     quadratic_gauss_sum_fp,
+    quartic_reading_sign,
 )
 from .closedform import (
     CwePrediction,
     PairCounts,
-    Regime,
     TraceProfile,
     classify_optimality,
     correction_sums,

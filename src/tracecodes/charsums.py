@@ -2,68 +2,21 @@
 cyclotomic numbers, each with a direct-summation oracle and a closed
 form.
 
-All direct evaluations are exact in Z[zeta_p].  The closed forms use a
-compact unit/half-power representation (:class:`GaussSumExact`) whose
-even-power products are ordinary integers; those are the only
-combinations that ever reach the code-level formulas.
+All direct evaluations are exact in Z[zeta_p].  Every closed Gauss-sum
+value comes from one fact: over F_{p^m} the quadratic Gauss sum is
+(-1)**(m-1) * g**m, with g the Gauss sum over F_p and
+g**2 = eta(-1) * p.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
 from .fields import FieldContext, legendre
-
-PRINCIPAL = "principal"
-QUARTIC = "quartic"
-
-
-@dataclass(frozen=True)
-class GaussSumExact:
-    """The value i**unit * p**(half_power / 2), stored exactly.
-
-    Quadratic Gauss sums and their pairwise products all have this
-    shape.  With an even half power and a real unit the value is a
-    rational integer; with an odd half power it lives in Z[zeta_p] and
-    can be materialized there via :meth:`to_cyclotomic`.
-    """
-
-    p: int
-    unit: int
-    half_power: int
-
-    def __mul__(self, other: "GaussSumExact") -> "GaussSumExact":
-        if self.p != other.p:
-            raise ValueError("cannot multiply Gauss sums over different primes")
-        return GaussSumExact(self.p, (self.unit + other.unit) % 4,
-                             self.half_power + other.half_power)
-
-    def as_int(self) -> int:
-        if self.half_power % 2 or self.unit % 2:
-            raise ValueError(f"{self!r} is not a rational integer")
-        return (-1) ** (self.unit // 2) * self.p ** (self.half_power // 2)
-
-    def to_cyclotomic(self) -> CyclotomicInteger:
-        """Exact image in Z[zeta_p].
-
-        An odd half power contributes one factor of sqrt(p), realized as
-        the quadratic Gauss sum over F_p (whose embedding is sqrt(p) for
-        p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4).
-        """
-        if self.half_power % 2 == 0:
-            return CyclotomicInteger.from_int(self.p, self.as_int())
-        root_turns = 0 if self.p % 4 == 1 else 1
-        k = (self.unit - root_turns) % 4
-        if k % 2:
-            raise ValueError(f"{self!r} does not lie in Z[zeta_p]")
-        sign = -1 if k == 2 else 1
-        scale = sign * self.p ** ((self.half_power - 1) // 2)
-        return quadratic_gauss_sum_fp(self.p) * scale
 
 
 @lru_cache(maxsize=None)
@@ -75,31 +28,27 @@ def quadratic_gauss_sum_fp(p: int) -> CyclotomicInteger:
     return CyclotomicInteger.from_exponent_counts(p, counts)
 
 
-def quadratic_gauss_sum(p: int, m: int, convention: str = PRINCIPAL) -> GaussSumExact:
-    """Closed form of the quadratic Gauss sum over F_{p^m}.
-
-    The "principal" convention is the one confirmed by direct
-    summation: (-1)**(m-1) * eps**m * p**(m/2) with eps = 1 for
-    p = 1 mod 4 and eps = i for p = 3 mod 4.  The "quartic" convention
-    instead evaluates the sign factor (-1)**((p-1)*m/4) literally,
-    reading (-1)**(1/2) as i; it differs from the principal value by
-    (-1)**m exactly when p = 5 or 7 mod 8 and m is odd, and agrees
-    everywhere else.  Even-power combinations are identical under both.
-    """
-    if convention == PRINCIPAL:
-        eps_turns = 0 if p % 4 == 1 else 1
-        unit = (2 * (m - 1) + eps_turns * m) % 4
-    elif convention == QUARTIC:
-        unit = (2 * (m - 1) + (p - 1) * m // 2) % 4
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return GaussSumExact(p, unit, m)
-
-
 def gauss_sum_closed_cyclotomic(p: int, m: int) -> CyclotomicInteger:
-    """The principal closed form materialized in Z[zeta_p], directly
-    comparable with :func:`gauss_sum_direct`."""
-    return quadratic_gauss_sum(p, m, PRINCIPAL).to_cyclotomic()
+    """Closed form of the quadratic Gauss sum over F_{p^m} in Z[zeta_p],
+    directly comparable with :func:`gauss_sum_direct`.
+
+    The lift from F_p gives G = (-1)**(m-1) * g**m, with g the Gauss sum
+    over F_p and g**2 = eta(-1) * p: an integer times g when m is odd,
+    an integer when m is even."""
+    value = (-1) ** (m - 1) * (legendre(-1, p) * p) ** (m // 2)
+    if m % 2:
+        return quadratic_gauss_sum_fp(p) * value
+    return CyclotomicInteger.from_int(p, value)
+
+
+def quartic_reading_sign(p: int, m: int) -> int:
+    """The paper's Gauss-sum sign read literally, (-1)**((p-1)*m/4) taken
+    as i**((p-1)*m/2), gives this sign times
+    :func:`gauss_sum_closed_cyclotomic`.  The summed value carries eps**m
+    there (eps = 1 for p = 1 mod 4, i for p = 3 mod 4), and the two
+    differ by 2 * m * floor((p-1)/4) quarter turns: the sign is -1
+    exactly when m is odd and p = 5 or 7 mod 8."""
+    return (-1) ** (m * ((p - 1) // 4))
 
 
 def gauss_sum_direct(ctx: FieldContext) -> CyclotomicInteger:

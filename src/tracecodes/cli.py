@@ -137,8 +137,8 @@ def _make_ctx(args):
 
 
 def _set_size(p: int, m: int, kind: str, b: int) -> int:
-    """|D| of the --defining-set ``kind``, m > 2, from the closed
-    trace-pair counts: no field is built."""
+    """|D| of the --defining-set ``kind``, m >= 2 (m > 2 for main), from
+    the closed trace-pair counts: no field is built."""
     if kind == "d1":
         return p ** (m - 1)
     if kind == "main":
@@ -150,10 +150,11 @@ def _check_budget_before_field(p: int, m: int, size_cap: int, kind: str, b: int,
                                budget: int) -> int:
     """Raise BudgetExceededError before any field is built when the
     enumeration would exceed ``budget``, and return its cost,
-    codes.enumeration_cost of the set, from p, m and b alone.  Degrees
-    m <= 2 keep their own exit paths and the check in exhaustive_cwe,
-    and count 0 here."""
-    if m <= 2:
+    codes.enumeration_cost of the set, from p, m and b alone.  A main set
+    at m <= 2 keeps its own exit path, build_defining_set's, and counts 0
+    here; so does every set at m <= 1, which holds at most one element and
+    whose empty-set exits come first."""
+    if m <= 1 or kind == "main" and m <= 2:
         return 0
     check_size(p, m, size_cap)
     cost = codes.enumeration_cost(p, m, _set_size(p, m, kind, b))
@@ -219,7 +220,7 @@ def cmd_predict(args) -> int:
     pred = closedform.prediction(args.p, args.m)
     modulus = () if args.modulus is None else check_modulus(args.p, args.m, args.modulus)
     params = report.params_dict(args.p, args.m, modulus, b=args.b)
-    params["regime"] = pred.regime.index
+    params["regime"] = pred.regime
     doc = report.code_document(params=params, summary=pred.summary, cwe=pred.cwe, wd=pred.wd)
     _emit(doc, args.format)
     return 0
@@ -307,7 +308,9 @@ def _sweep_pair_cost(args, p: int, m: int) -> int:
     """Check p, the size cap and the budget of every set of one sweep
     pair before its field is built; return their enumeration cost."""
     check_characteristic(p)
-    kinds = ["main"] + ([args.compare_defining_set] if args.compare_defining_set else [])
+    # at m <= 2 the main set fails before the comparison set is built
+    compare = args.compare_defining_set and m > 2
+    kinds = ["main"] + ([args.compare_defining_set] if compare else [])
     return sum(_check_budget_before_field(p, m, args.size_cap, kind, args.b, args.budget)
                for kind in kinds)
 

@@ -1,13 +1,15 @@
 """Closed-form predictions for the trace-defined codes, as exact integers.
 
 Everything here is a pure function of (p, m) and small prime-field
-data.  The quadratic Gauss sum over F_{p^m} enters alone only when m is
-even (an integer +/- p^(m/2)) and always paired with the prime-field
-Gauss sum when m is odd (an integer +/- p^((m+1)/2)), so no irrational
-value ever materializes.
+data.  The quadratic Gauss sum over F_{p^m} is (-1)^(m-1) * g^m, with g
+the Gauss sum over F_p and g^2 = eta(-1) * p.  It enters alone only
+when m is even (the integer -(eta(-1) * p)^(m/2)) and always paired
+with g when m is odd (the integer (eta(-1) * p)^((m+1)/2)), so no
+irrational value ever materializes; the signs eps, eps1 and eps2 of
+the expanded patterns are powers of eta(-1) too.
 
-The four parameter regimes are indexed by the parity of m and by
-whether p divides m; regime tags carry both bits plus a 1-4 index.
+The four parameter regimes, numbered 1-4, are set by the parity of m
+and by whether p divides m.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .charsums import quadratic_gauss_sum
 from .codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
 from .errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
 from .fields import FieldContext, legendre
@@ -26,43 +27,27 @@ from .fields import FieldContext, legendre
 # Regimes and exact Gauss-sum integers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Regime:
-    """Which of the four closed-form regimes (p, m) falls into."""
-
-    m_even: bool
-    m_p_zero: bool
-
-    @property
-    def index(self) -> int:
-        if self.m_even:
-            return 1 if self.m_p_zero else 2
-        return 3 if self.m_p_zero else 4
-
-
-def parameter_regime(p: int, m: int) -> Regime:
+def parameter_regime(p: int, m: int) -> int:
+    """Which of the four closed-form regimes (p, m) falls into: 1 or 2
+    for even m, 3 or 4 for odd m, the lower one when p divides m."""
     if m <= 2:
         raise DegreeTooSmallError("closed forms need extension degree m > 2")
-    return Regime(m_even=(m % 2 == 0), m_p_zero=(m % p == 0))
-
-
-def _sign_quarter(numer: int) -> int:
-    """(-1) ** (numer / 4); the exponent must be an integer in every
-    branch that reaches this, so a remainder signals a bug."""
-    if numer % 4:
-        raise ArithmeticError(f"sign exponent {numer}/4 is not an integer")
-    return -1 if (numer // 4) % 2 else 1
+    return (1 if m % 2 == 0 else 3) + (m % p != 0)
 
 
 def gauss_int(p: int, m: int) -> int:
     """The quadratic Gauss sum over F_{p^m} as an integer (even m only)."""
-    return quadratic_gauss_sum(p, m).as_int()
+    if m % 2:
+        raise ValueError(f"the Gauss sum over F_{p}^{m} is irrational: m is odd")
+    return -(legendre(-1, p) * p) ** (m // 2)
 
 
 def gauss_pair_int(p: int, m: int) -> int:
     """Product of the quadratic Gauss sums over F_{p^m} and F_p as an
     integer (odd m only)."""
-    return (quadratic_gauss_sum(p, m) * quadratic_gauss_sum(p, 1)).as_int()
+    if m % 2 == 0:
+        raise ValueError(f"the Gauss-sum pair over F_{p}^{m} is irrational: m is even")
+    return (legendre(-1, p) * p) ** ((m + 1) // 2)
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -412,8 +397,8 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
     for rho0 in syms:  # a in F_p^*: every coordinate of the codeword is rho0
         acc.add(1, _spike(p, 0, n, rho0))
 
-    if regime.index == 1:
-        eps = _sign_quarter((p - 1) * m)
+    if regime == 1:
+        eps = legendre(-1, p) ** (m // 2)
         t = p ** ((m - 4) // 2)
         acc.add(p ** (m - 1) - p, [q3] * (p - 1))
         acc.add((p - 1) * p ** (m - 2), [q3 + eps * t] * (p - 1))
@@ -421,8 +406,8 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
             acc.add((p - 1) * p ** (m - 2),
                     _spike(p, q3 + eps * t, q3 - (p - 1) * eps * t, rho0))
 
-    elif regime.index == 2:
-        eps = _sign_quarter((p - 1) * m)
+    elif regime == 2:
+        eps = legendre(-1, p) ** (m // 2)
         u = eps * p ** ((m - 4) // 2)
         big = eps * p ** ((m - 2) // 2)
         acc.add(p ** (m - 2) - 1, [q3] * (p - 1))
@@ -433,8 +418,8 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         for rho0, rho1 in itertools.combinations(syms, 2):
             acc.add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0, rho1))
 
-    elif regime.index == 3:
-        eps1 = _sign_quarter((p - 1) * (m + 1))
+    elif regime == 3:
+        eps1 = legendre(-1, p) ** ((m + 1) // 2)
         s = eps1 * p ** ((m - 3) // 2)
         half = (p - 1) * p ** (m - 2) // 2
         acc.add(p ** (m - 1) - p, [q3] * (p - 1))
@@ -445,7 +430,7 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
             acc.add(half, [q3 - chi[(rho - rho0) % p] * s for rho in syms])
 
     else:
-        eps1 = _sign_quarter((p - 1) * (m + 1))
+        eps1 = legendre(-1, p) ** ((m + 1) // 2)
         theta = legendre(-mp, p) * eps1
         ts = theta * p ** ((m - 3) // 2)
         freq2 = n + theta * p ** ((m - 1) // 2) - 1
@@ -491,8 +476,8 @@ def predict_weight_distribution(p: int, m: int) -> WeightDistribution:
     q3 = p ** (m - 3)
     rows: list[tuple[int, int]] = [(0, 1)]
 
-    if regime.index == 1:
-        eps = _sign_quarter((p - 1) * m)
+    if regime == 1:
+        eps = legendre(-1, p) ** (m // 2)
         t = p ** ((m - 4) // 2)
         rows += [
             (p ** (m - 2), p - 1),
@@ -500,8 +485,8 @@ def predict_weight_distribution(p: int, m: int) -> WeightDistribution:
             ((p - 1) * (q3 + eps * t), (p - 1) * p ** (m - 2)),
             ((p - 1) * q3 - eps * t, (p - 1) ** 2 * p ** (m - 2)),
         ]
-    elif regime.index == 2:
-        eps = _sign_quarter((p - 1) * m)
+    elif regime == 2:
+        eps = legendre(-1, p) ** (m // 2)
         u = eps * p ** ((m - 4) // 2)
         rows += [
             ((p - 1) * q3, p ** (m - 2) - 1),
@@ -511,7 +496,7 @@ def predict_weight_distribution(p: int, m: int) -> WeightDistribution:
             ((p - 1) * q3 - u, (p - 1) * n),
             ((p - 1) * q3 - (p + 1) * u, (p - 1) * (p - 2) * n // 2),
         ]
-    elif regime.index == 3:
+    elif regime == 3:
         step = p ** ((m - 3) // 2)
         rows += [
             (p ** (m - 2), p - 1),
@@ -520,8 +505,8 @@ def predict_weight_distribution(p: int, m: int) -> WeightDistribution:
             ((p - 1) * q3 + step, (p - 1) ** 2 * p ** (m - 2) // 2),
         ]
     else:
-        eps1 = _sign_quarter((p - 1) * (m + 1))
-        eps2 = _sign_quarter((p - 1) * (m - 1))
+        eps1 = legendre(-1, p) ** ((m + 1) // 2)
+        eps2 = legendre(-1, p) ** ((m - 1) // 2)
         theta = legendre(-mp, p) * eps1
         step = p ** ((m - 3) // 2)
         big = theta * p ** ((m - 1) // 2)
@@ -566,7 +551,7 @@ class CwePrediction:
 
     p: int
     m: int
-    regime: Regime
+    regime: int
     n: int
     k: int
     cwe: CompleteWeightEnumerator

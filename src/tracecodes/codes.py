@@ -49,10 +49,15 @@ class DefiningSet:
     trace_value: Optional[int]
     trace_square_value: Optional[int]
     exclude_zero: bool
-    in_closed_form_scope: bool
 
     def __len__(self) -> int:
         return len(self.logs) + self.has_zero
+
+    @property
+    def in_closed_form_scope(self) -> bool:
+        """Whether the closed forms describe this set: {Tr(x) = b,
+        Tr(x^2) = 0} with b nonzero."""
+        return self.trace_value not in (None, 0) and self.trace_square_value == 0
 
     @property
     def label(self) -> str:
@@ -75,8 +80,7 @@ def _square_traces(ctx: FieldContext) -> list[int]:
 
 def build_defining_set_general(ctx: FieldContext, trace_value: Optional[int] = None,
                                trace_square_value: Optional[int] = None,
-                               exclude_zero: bool = False,
-                               in_closed_form_scope: bool = False) -> DefiningSet:
+                               exclude_zero: bool = False) -> DefiningSet:
     """All x satisfying the conjunction of the present constraints.  x = 0
     satisfies a present constraint iff its value is 0."""
     if trace_value is None and trace_square_value is None:
@@ -92,8 +96,7 @@ def build_defining_set_general(ctx: FieldContext, trace_value: Optional[int] = N
         logs = [k for k in logs if sq[k] == trace_square_value]
     has_zero = not exclude_zero and trace_value in (None, 0) and trace_square_value in (None, 0)
     return DefiningSet(ctx=ctx, logs=tuple(logs), has_zero=has_zero, trace_value=trace_value,
-                       trace_square_value=trace_square_value, exclude_zero=exclude_zero,
-                       in_closed_form_scope=in_closed_form_scope)
+                       trace_square_value=trace_square_value, exclude_zero=exclude_zero)
 
 
 def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
@@ -104,9 +107,7 @@ def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
     """
     if ctx.m <= 2:
         raise DegreeTooSmallError("code construction needs extension degree m > 2")
-    b %= ctx.p
-    return build_defining_set_general(ctx, trace_value=b, trace_square_value=0,
-                                      in_closed_form_scope=(b != 0))
+    return build_defining_set_general(ctx, trace_value=b, trace_square_value=0)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ O(r * n) and O(r): for tests on small fields only.
 import cmath
 from functools import lru_cache
 
-from tracecodes import GaussSumExact, is_irreducible, make_field
+from tracecodes import is_irreducible, make_field
 from tracecodes.cyclotomic import CyclotomicInteger
 
 
@@ -131,10 +131,8 @@ def cyclotomic_number_direct(ctx, i, j):
 
 
 def embed(x) -> complex:
-    """The complex image of a CyclotomicInteger under zeta |-> exp(2*pi*i/p),
-    or the value of a GaussSumExact: a floating cross-check only."""
-    if isinstance(x, GaussSumExact):
-        return 1j**x.unit * x.p ** (x.half_power / 2)
+    """The complex image of a CyclotomicInteger under zeta |-> exp(2*pi*i/p):
+    a floating cross-check only."""
     zeta = cmath.exp(2j * cmath.pi / x.p)
     return sum(c * zeta**k for k, c in enumerate(x.coeffs))
 

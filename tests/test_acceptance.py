@@ -29,14 +29,13 @@ from tracecodes import (
     predict_weight_distribution,
     quadratic_exponential_sum,
     quadratic_exponential_sum_closed,
-    quadratic_gauss_sum,
+    quartic_reading_sign,
     scaled_defining_set_equivalent,
     summarize,
     symbol_count_closed,
     trace_pair_count_closed,
     trace_pair_table,
 )
-from tracecodes.charsums import PRINCIPAL, QUARTIC
 from tracecodes.report import cwe_list, render_json, weight_poly_string
 from tracecodes.verification import verify_counts
 
@@ -156,8 +155,7 @@ def test_criterion_06_gauss_sums():
             assert direct == gauss_sum_closed_cyclotomic(p, m), (p, m)
             assert direct * direct.conjugate() == p**m
             assert abs(abs(oracle.embed(direct)) ** 2 - p**m) <= 1e-9 * p**m
-            deviates = quadratic_gauss_sum(p, m, PRINCIPAL).unit != \
-                quadratic_gauss_sum(p, m, QUARTIC).unit
+            deviates = quartic_reading_sign(p, m) == -1
             assert deviates == ((p % 8 in (5, 7)) and m % 2 == 1), (p, m)
             if deviates:
                 flagged.append((p, m))

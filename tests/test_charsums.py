@@ -4,18 +4,18 @@ from hypothesis import strategies as st
 
 from tracecodes import (
     CyclotomicInteger,
-    GaussSumExact,
     cyclotomic_numbers_direct,
     cyclotomic_numbers_order2,
+    gauss_int,
+    gauss_pair_int,
     gauss_sum_closed_cyclotomic,
     gauss_sum_direct,
     make_field,
     quadratic_exponential_sum,
     quadratic_exponential_sum_closed,
-    quadratic_gauss_sum,
     quadratic_gauss_sum_fp,
+    quartic_reading_sign,
 )
-from tracecodes.charsums import PRINCIPAL, QUARTIC
 from tracecodes.errors import ZeroLeadingCoefficientError
 
 import oracle
@@ -26,6 +26,10 @@ SMALL_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 8) if p**
 
 GAUSS_GRID = [(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2, 3, 4)
               if p**m <= 30000]
+
+# every odd prime below 60 with the degrees that keep r <= 2 * 10^4
+LIFT_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+              for m in range(1, 10) if p**m <= 2 * 10**4]
 
 
 def test_gauss_direct_examples(fields):
@@ -64,48 +68,56 @@ def test_magnitude_verdict_is_exact(monkeypatch):
 
 
 def test_gauss_exact_integers():
-    assert quadratic_gauss_sum(3, 2).as_int() == 3
-    assert quadratic_gauss_sum(5, 2).as_int() == -5
-    assert quadratic_gauss_sum(5, 4).as_int() == -25
-    assert quadratic_gauss_sum(3, 6).as_int() == 27
-    g31 = quadratic_gauss_sum(3, 1)
-    assert (g31.unit, g31.half_power) == (1, 1)  # i * sqrt(3)
+    assert gauss_int(3, 2) == 3
+    assert gauss_int(5, 2) == -5
+    assert gauss_int(5, 4) == -25
+    assert gauss_int(3, 6) == 27
+    # over F_3 the sum is i * sqrt(3), no integer
+    assert abs(embed(gauss_sum_closed_cyclotomic(3, 1)) - 1j * 3**0.5) < 1e-9
     with pytest.raises(ValueError):
-        g31.as_int()
+        gauss_int(3, 1)
 
 
 def test_gauss_pair_products():
     # G_m * G for odd m is the integer (-1)^(m-1) * (-1)^((p-1)(m+1)/4) * p^((m+1)/2)
     for p in (3, 5, 7, 11, 13):
         for m in (1, 3):
-            got = (quadratic_gauss_sum(p, m) * quadratic_gauss_sum(p, 1)).as_int()
             sign = (-1) ** (m - 1) * (-1) ** ((p - 1) * (m + 1) // 4)
-            assert got == sign * p ** ((m + 1) // 2), (p, m)
+            assert gauss_pair_int(p, m) == sign * p ** ((m + 1) // 2), (p, m)
 
 
 def test_sign_convention_deviation():
     for p in (3, 5, 7, 11, 13):
         for m in (1, 2, 3, 4):
-            a = quadratic_gauss_sum(p, m, PRINCIPAL)
-            b = quadratic_gauss_sum(p, m, QUARTIC)
-            deviates = a.unit != b.unit
-            assert deviates == ((p % 8 in (5, 7)) and m % 2 == 1), (p, m)
-            if deviates:
-                assert (a.unit - b.unit) % 4 == 2  # off by exactly -1
+            sign = quartic_reading_sign(p, m)
+            assert (sign == -1) == ((p % 8 in (5, 7)) and m % 2 == 1), (p, m)
+            # the literal reading i^((p-1)m/2) against eps^m, eps = 1 or i
+            eps = 1 if p % 4 == 1 else 1j
+            assert 1j ** ((p - 1) * m // 2) == sign * eps**m, (p, m)
 
 
 def test_quartic_convention_value(fields):
     # for p = 5, m = 1 the quartic reading gives -sqrt(5), the summed value +sqrt(5)
     direct = gauss_sum_direct(fields(5, 1))
-    quartic = quadratic_gauss_sum(5, 1, QUARTIC).to_cyclotomic()
-    assert quartic == -direct
+    assert quartic_reading_sign(5, 1) * gauss_sum_closed_cyclotomic(5, 1) == -direct
 
 
-def test_to_cyclotomic_round_trip():
-    for p, m in GAUSS_GRID:
-        emb_exact = embed(quadratic_gauss_sum(p, m))
-        emb_ring = embed(quadratic_gauss_sum(p, m).to_cyclotomic())
-        assert abs(emb_exact - emb_ring) < 1e-6 * max(1.0, abs(emb_exact))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(LIFT_PAIRS), data=st.data())
+def test_gauss_closed_values_equal_summed_values(pair, data):
+    """The closed Gauss sum and its integer forms, all read off
+    g^2 = eta(-1) * p, against direct summation on default and drawn
+    moduli."""
+    p, m = pair
+    modulus = None
+    if data.draw(st.booleans(), label="drawn modulus"):
+        modulus = oracle.irreducible_from(p, m, data.draw(st.integers(0, p**m - 1), label="tail"))
+    direct = gauss_sum_direct(make_field(p, m, modulus=modulus))
+    assert gauss_sum_closed_cyclotomic(p, m) == direct
+    if m % 2 == 0:
+        assert gauss_int(p, m) == direct.as_int()
+    else:
+        assert gauss_pair_int(p, m) == (direct * gauss_sum_direct(make_field(p, 1))).as_int()
 
 
 def test_gauss_fp_is_direct_sum(fields):
@@ -202,7 +214,3 @@ def test_cyclotomic_verdict_reports_smallest_differing_pair(monkeypatch, fields)
     assert not verdict.passed
     assert verdict.data == {"pair": [0, 1], "direct": 6, "closed": 7}
 
-
-def test_gauss_exact_multiplication_mismatched_primes():
-    with pytest.raises(ValueError):
-        _ = GaussSumExact(3, 0, 2) * GaussSumExact(5, 0, 2)

@@ -385,7 +385,10 @@ def test_budget_fires_before_any_field_is_built(capsys, monkeypatch):
     for argv in (["build", "--p", "3", "--m", "12", "--budget", "1000"],
                  ["build", "--p", "3", "--m", "12", "--defining-set", "d2", "--budget", "1000"],
                  ["verify", "--p", "3", "--m", "12", "--scope", "cwe", "--budget", "1000"],
-                 ["verify", "--p", "3", "--m", "12", "--scope", "counts", "--budget", "1000"]):
+                 ["verify", "--p", "3", "--m", "12", "--scope", "counts", "--budget", "1000"],
+                 # the single-constraint sets are priced at m <= 2 as well
+                 ["build", "--p", "2999", "--m", "2", "--defining-set", "d1", "--budget", "1"],
+                 ["build", "--p", "2999", "--m", "2", "--defining-set", "d2", "--budget", "1"]):
         rc, out, err = run(capsys, *argv)
         assert rc == 3
         assert out == ""
@@ -434,6 +437,16 @@ def test_cost_before_field_equals_enumeration_cost(fields, p, m):
     for kind in ("main", "d1", "d2"):
         for b in range(p):
             assert cli._set_size(p, m, kind, b) == len(cli._build_dset(ctx, kind, b)), \
+                (kind, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_cost_before_field_sizes_single_constraint_sets_at_degree_2(fields, p):
+    from tracecodes import cli
+    ctx = fields(p, 2)
+    for kind in ("d1", "d2"):
+        for b in range(p):
+            assert cli._set_size(p, 2, kind, b) == len(cli._build_dset(ctx, kind, b)), \
                 (kind, b)
 
 

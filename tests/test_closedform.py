@@ -28,13 +28,13 @@ from oracle import codeword, correction_sums_direct
 
 
 def test_parameter_regimes():
-    assert parameter_regime(3, 6).index == 1
-    assert parameter_regime(5, 4).index == 2
-    assert parameter_regime(3, 4).index == 2
-    assert parameter_regime(3, 3).index == 3
-    assert parameter_regime(5, 5).index == 3
-    assert parameter_regime(5, 3).index == 4
-    assert parameter_regime(3, 5).index == 4
+    assert parameter_regime(3, 6) == 1
+    assert parameter_regime(5, 4) == 2
+    assert parameter_regime(3, 4) == 2
+    assert parameter_regime(3, 3) == 3
+    assert parameter_regime(5, 5) == 3
+    assert parameter_regime(5, 3) == 4
+    assert parameter_regime(3, 5) == 4
     with pytest.raises(DegreeTooSmallError):
         parameter_regime(3, 2)
 
@@ -355,9 +355,12 @@ def test_predict_cwe_matches_enumeration(fields):
 
 def test_expansion_rejects_a_negative_symbol_count(monkeypatch):
     from tracecodes import closedform
-    # at (3,3), regime 3, eps1 = -5 turns the pattern q3 + chi(rho) * eps1
-    # into 1 - 5 = -4 coordinates equal to the square rho = 1
-    monkeypatch.setattr(closedform, "_sign_quarter", lambda numer: -5)
+    # at (3,3), regime 3, eps1 = eta(-1)^2: an eta(-1) of -5 makes it 25 and
+    # turns the pattern q3 + chi(rho) * eps1 into 1 - 25 = -24 coordinates
+    # equal to the non-square rho = 2
+    legendre = closedform.legendre
+    monkeypatch.setattr(closedform, "legendre",
+                        lambda a, p: -5 if a == -1 else legendre(a, p))
     with pytest.raises(FrequencyMismatchError, match="negative symbol count"):
         predict_cwe(3, 3)
 
@@ -406,7 +409,7 @@ def test_closed_form_smoke_grid():
 def test_prediction_bundle(fields):
     pred = prediction(5, 4)
     assert pred.k == 4
-    assert pred.regime.index == 2
+    assert pred.regime == 2
     brute = exhaustive_cwe(fields(5, 4), build_defining_set(fields(5, 4), 1))
     assert pred.cwe.terms == brute.terms
     assert brute.dimension() == pred.k

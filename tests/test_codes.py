@@ -48,6 +48,11 @@ def test_defining_set_b_zero_flagged(fields):
     dset = build_defining_set(ctx, 0)
     assert not dset.in_closed_form_scope
     assert dset.has_zero  # Tr(0) = 0 and Tr(0^2) = 0
+    assert not build_defining_set(ctx, 3).in_closed_form_scope  # b = 0 in F_3
+    # the single-constraint sets lie outside the closed forms at every value
+    for b in range(3):
+        assert not build_defining_set_general(ctx, trace_value=b).in_closed_form_scope
+        assert not build_defining_set_general(ctx, trace_square_value=b).in_closed_form_scope
 
 
 def test_defining_set_degree_guard(fields):
@@ -177,8 +182,7 @@ def test_non_frobenius_stable_set_rejected(fields):
     ctx = fields(3, 3)
     assert _pow_raw(ctx, ctx.alpha, 3) != ctx.alpha
     dset = DefiningSet(ctx=ctx, logs=(1,), has_zero=False, trace_value=None,
-                       trace_square_value=None, exclude_zero=True,
-                       in_closed_form_scope=False)
+                       trace_square_value=None, exclude_zero=True)
     with pytest.raises(NotFrobeniusStableError):
         exhaustive_cwe(ctx, dset)
 
