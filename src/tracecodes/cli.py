@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import closedform, codes, report, verification
 from .errors import BudgetExceededError, EmptyDefiningSetError, TraceCodesError
@@ -369,7 +369,7 @@ def cmd_sweep(args) -> int:
     return 1 if any_failed else 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

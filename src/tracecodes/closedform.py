@@ -15,8 +15,6 @@ and by whether p divides m.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
 from .codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
 from .errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
@@ -112,17 +110,30 @@ def predicted_length(p: int, m: int) -> int:
 # Symbol-count decomposition for a single codeword
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TraceProfile:
     """Trace data of a nonzero codeword index a: tr_sq = Tr(a^2) and
     tr = Tr(a); prime_value is a itself when a lies in the prime
-    subfield (needed because the decomposition treats those separately)."""
+    subfield (needed because the decomposition treats those separately).
+    Profiles compare and hash by value: codewords with equal profiles
+    have equal symbol counts, so callers key those counts on them."""
 
-    p: int
-    m_p: int
-    tr_sq: int
-    tr: int
-    prime_value: Optional[int] = None
+    __slots__ = ("p", "m_p", "tr_sq", "tr", "prime_value")
+
+    def __init__(self, p: int, m_p: int, tr_sq: int, tr: int, prime_value: int | None = None):
+        self.p = p
+        self.m_p = m_p
+        self.tr_sq = tr_sq
+        self.tr = tr
+        self.prime_value = prime_value
+
+    def _key(self) -> tuple:
+        return (self.p, self.m_p, self.tr_sq, self.tr, self.prime_value)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is TraceProfile and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_log(cls, ctx: FieldContext, k: int) -> "TraceProfile":
@@ -321,16 +332,19 @@ def symbol_count_closed(p: int, m: int, prof: TraceProfile, rho: int) -> int:
 # Counting (A, B) pairs by discriminant and by the character of A
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PairCounts:
     """Counts over pairs (A, B) with A in F_p^*, B in F_p and
     discriminant D = B^2 - m_p*A."""
 
-    disc_square: int      # pairs with D a nonzero square
-    disc_nonsquare: int   # pairs with D a non-square
-    disc_zero: int        # pairs with D = 0
-    a_square: int         # pairs with D != 0 and A a square
-    a_nonsquare: int      # pairs with D != 0 and A a non-square
+    __slots__ = ("disc_square", "disc_nonsquare", "disc_zero", "a_square", "a_nonsquare")
+
+    def __init__(self, disc_square: int, disc_nonsquare: int, disc_zero: int, a_square: int,
+                 a_nonsquare: int):
+        self.disc_square = disc_square        # pairs with D a nonzero square
+        self.disc_nonsquare = disc_nonsquare  # pairs with D a non-square
+        self.disc_zero = disc_zero            # pairs with D = 0
+        self.a_square = a_square              # pairs with D != 0 and A a square
+        self.a_nonsquare = a_nonsquare        # pairs with D != 0 and A a non-square
 
 
 def discriminant_pair_counts(p: int, m_p: int) -> PairCounts:
@@ -383,6 +397,12 @@ def _spike(p: int, rest: int, at: int, *rhos: int) -> list[int]:
     return counts
 
 
+def _shifted(doubled: list[int], p: int, rho0: int) -> list[int]:
+    """row[(rho - rho0) % p] for rho = 1, ..., p - 1, sliced out of
+    ``doubled``, a row over t in F_p written out twice."""
+    return doubled[p + 1 - rho0:2 * p - rho0]
+
+
 def _expand_terms(p: int, m: int) -> tuple[int, dict]:
     mp = m % p
     regime = parameter_regime(p, m)
@@ -422,12 +442,12 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         eps1 = legendre(-1, p) ** ((m + 1) // 2)
         s = eps1 * p ** ((m - 3) // 2)
         half = (p - 1) * p ** (m - 2) // 2
+        plus = [q3 + chi[t] * s for t in range(p)] * 2
+        minus = [q3 - chi[t] * s for t in range(p)] * 2
         acc.add(p ** (m - 1) - p, [q3] * (p - 1))
-        acc.add(half, [q3 + chi[rho] * s for rho in syms])
-        acc.add(half, [q3 - chi[rho] * s for rho in syms])
-        for rho0 in syms:
-            acc.add(half, [q3 + chi[(rho - rho0) % p] * s for rho in syms])
-            acc.add(half, [q3 - chi[(rho - rho0) % p] * s for rho in syms])
+        for rho0 in range(p):  # q3 +- chi(rho - rho0) * s
+            acc.add(half, _shifted(plus, p, rho0))
+            acc.add(half, _shifted(minus, p, rho0))
 
     else:
         eps1 = legendre(-1, p) ** ((m + 1) // 2)
@@ -436,20 +456,26 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         freq2 = n + theta * p ** ((m - 1) // 2) - 1
         nonsquares = [d for d in syms if chi[d] == -1]
         mp2 = mp * mp
+        # base rows over t in F_p: q3 + chi(t(t - k)) * ts for each k, and
+        # q3 + chi(m_p^2 t^2 - delta) * ts for each non-square delta; every
+        # pattern below is one of them read at t = rho - rho0
+        pair = [[q3 + chi[t * (t - k) % p] * ts for t in range(p)] * 2 for k in range(p)]
+        disc = [[q3 + chi[(mp2 * t * t - delta) % p] * ts for t in range(p)] * 2
+                for delta in nonsquares]
         acc.add(freq2, [q3] * (p - 1))
-        for rho0 in syms:
-            acc.add(n, [q3 + chi[rho * (rho - rho0) % p] * ts for rho in syms])
+        for rho0 in syms:  # chi(rho(rho - rho0))
+            acc.add(n, _shifted(pair[rho0], p, 0))
             acc.add(freq2, _spike(p, q3, q3 - ts, rho0))
-        for rho0, rho1 in itertools.combinations(syms, 2):
-            acc.add(n, [q3 + chi[(rho - rho0) * (rho - rho1) % p] * ts for rho in syms])
-        for delta in nonsquares:
-            acc.add(n, [q3 + chi[(mp2 * rho * rho - delta) % p] * ts for rho in syms])
-        # at rho = rho0 the argument is -delta, and chi(-delta) = -chi(-1)
-        # makes the value q3 - chi(m_p) * eps1 * p^((m - 3)/2)
+        for rho0, rho1 in itertools.combinations(syms, 2):  # chi((rho - rho0)(rho - rho1))
+            acc.add(n, _shifted(pair[rho1 - rho0], p, rho0))
+        for row in disc:  # chi(m_p^2 rho^2 - delta)
+            acc.add(n, _shifted(row, p, 0))
+        # chi(m_p^2 (rho - rho0)^2 - delta): at rho = rho0 the argument is
+        # -delta, and chi(-delta) = -chi(-1) makes the value
+        # q3 - chi(m_p) * eps1 * p^((m - 3)/2)
         for rho0 in syms:
-            for delta in nonsquares:
-                acc.add(n, [q3 + chi[(mp2 * (rho - rho0) ** 2 - delta) % p] * ts
-                            for rho in syms])
+            for row in disc:
+                acc.add(n, _shifted(row, p, rho0))
 
     return n, acc.terms
 
@@ -545,18 +571,21 @@ def classify_optimality(p: int, m: int) -> CodeSummary:
     return predict_weight_distribution(p, m).summary(p)
 
 
-@dataclass
 class CwePrediction:
     """Everything the closed forms say about the code for one (p, m)."""
 
-    p: int
-    m: int
-    regime: int
-    n: int
-    k: int
-    cwe: CompleteWeightEnumerator
-    wd: WeightDistribution
-    summary: CodeSummary
+    __slots__ = ("p", "m", "regime", "n", "k", "cwe", "wd", "summary")
+
+    def __init__(self, p: int, m: int, regime: int, n: int, k: int,
+                 cwe: CompleteWeightEnumerator, wd: WeightDistribution, summary: CodeSummary):
+        self.p = p
+        self.m = m
+        self.regime = regime
+        self.n = n
+        self.k = k
+        self.cwe = cwe
+        self.wd = wd
+        self.summary = summary
 
 
 def prediction(p: int, m: int) -> CwePrediction:

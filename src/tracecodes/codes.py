@@ -12,10 +12,8 @@ map a |-> codeword), so no codeword hashing is needed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
-from typing import Optional
 
 from .errors import (
     BudgetExceededError,
@@ -35,7 +33,6 @@ DEFAULT_BUDGET = 10**8
 # Defining sets
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DefiningSet:
     """A defining set held as the discrete logs of its nonzero elements,
     read off ``ctx.trace_exp``: alpha^k lies in {Tr(x) = b, Tr(x^2) = c}
@@ -43,12 +40,16 @@ class DefiningSet:
     ascend, so coordinate order is reproducible: 0 first when
     ``has_zero``, then alpha^k for each k in ``logs``."""
 
-    ctx: FieldContext = field(repr=False)
-    logs: tuple[int, ...] = field(repr=False)
-    has_zero: bool
-    trace_value: Optional[int]
-    trace_square_value: Optional[int]
-    exclude_zero: bool
+    __slots__ = ("ctx", "logs", "has_zero", "trace_value", "trace_square_value", "exclude_zero")
+
+    def __init__(self, ctx: FieldContext, logs: tuple[int, ...], has_zero: bool,
+                 trace_value: int | None, trace_square_value: int | None, exclude_zero: bool):
+        self.ctx = ctx
+        self.logs = logs
+        self.has_zero = has_zero
+        self.trace_value = trace_value
+        self.trace_square_value = trace_square_value
+        self.exclude_zero = exclude_zero
 
     def __len__(self) -> int:
         return len(self.logs) + self.has_zero
@@ -78,8 +79,8 @@ def _square_traces(ctx: FieldContext) -> list[int]:
     return ctx.trace_exp[0::2] * 2
 
 
-def build_defining_set_general(ctx: FieldContext, trace_value: Optional[int] = None,
-                               trace_square_value: Optional[int] = None,
+def build_defining_set_general(ctx: FieldContext, trace_value: int | None = None,
+                               trace_square_value: int | None = None,
                                exclude_zero: bool = False) -> DefiningSet:
     """All x satisfying the conjunction of the present constraints.  x = 0
     satisfies a present constraint iff its value is 0."""
@@ -114,14 +115,16 @@ def build_defining_set(ctx: FieldContext, b: int = 1) -> DefiningSet:
 # Complete weight enumerator and weight distribution
 # ----------------------------------------------------------------------
 
-@dataclass
 class CompleteWeightEnumerator:
     """Composition -> frequency multiset for one code; compositions are
     tuples (k_0, ..., k_{p-1}) summing to the length n."""
 
-    p: int
-    n: int
-    terms: dict[tuple[int, ...], int]
+    __slots__ = ("p", "n", "terms")
+
+    def __init__(self, p: int, n: int, terms: dict[tuple[int, ...], int]):
+        self.p = p
+        self.n = n
+        self.terms = terms
 
     def total(self) -> int:
         return sum(self.terms.values())
@@ -158,11 +161,13 @@ class CompleteWeightEnumerator:
         return WeightDistribution(n=self.n, k=self.dimension(), counts=counts)
 
 
-@dataclass
 class WeightDistribution:
-    n: int
-    k: int
-    counts: dict[int, int]
+    __slots__ = ("n", "k", "counts")
+
+    def __init__(self, n: int, k: int, counts: dict[int, int]):
+        self.n = n
+        self.k = k
+        self.counts = counts
 
     def minimum_distance(self) -> int:
         return min(w for w, c in self.counts.items() if w > 0 and c > 0)
@@ -377,14 +382,17 @@ def trace_pair_table(ctx: FieldContext) -> dict[tuple[int, int], int]:
 # Summary and classification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CodeSummary:
-    n: int
-    k: int
-    d: int
-    griesmer_sum: int
-    griesmer_optimal: bool
-    mds: bool
+    __slots__ = ("n", "k", "d", "griesmer_sum", "griesmer_optimal", "mds")
+
+    def __init__(self, n: int, k: int, d: int, griesmer_sum: int, griesmer_optimal: bool,
+                 mds: bool):
+        self.n = n
+        self.k = k
+        self.d = d
+        self.griesmer_sum = griesmer_sum
+        self.griesmer_optimal = griesmer_optimal
+        self.mds = mds
 
 
 def griesmer_lower_bound(k: int, d: int, p: int) -> int:

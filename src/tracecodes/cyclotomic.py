@@ -8,7 +8,7 @@ character sum in the package, and every comparison in it is exact.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import MixedRootOrderError
 

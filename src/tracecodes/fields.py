@@ -33,8 +33,8 @@ worker processes forked after it.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DegreeTooSmallError,
@@ -350,7 +350,7 @@ class FieldContext:
         Power and discrete-log tables for alpha (log[0] is -1).
     """
 
-    def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
+    def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None,
                  size_cap: int = DEFAULT_SIZE_CAP):
         check_characteristic(p)
         if m < 1:
@@ -552,7 +552,7 @@ class FieldContext:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus})"
 
 
-def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None,
+def make_field(p: int, m: int, modulus: Sequence[int] | None = None,
                size_cap: int = DEFAULT_SIZE_CAP) -> FieldContext:
     """Construct F_{p^m} deterministically.
 

@@ -12,7 +12,8 @@ import marshal
 import os
 import signal
 import sys
-from typing import BinaryIO, Callable, Sequence
+from collections.abc import Callable, Sequence
+from io import BufferedReader
 
 
 def fork_map(fn: Callable, jobs: Sequence) -> list:
@@ -26,7 +27,7 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
     An exception in a child is raised again in the caller with its type
     and message.  Every child is reaped before this returns or raises;
     children whose result was never read are killed first."""
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    children: list[tuple[int, BufferedReader]] = []  # (pid, read end of its pipe)
     try:
         for job in jobs[1:]:
             rfd, wfd = os.pipe()
@@ -68,7 +69,7 @@ def _run_child(fn, job, wfd: int) -> None:
         os._exit(status)
 
 
-def _receive(pid: int, pipe: BinaryIO):
+def _receive(pid: int, pipe: BufferedReader):
     with pipe:
         data = pipe.read()
     if not data:

@@ -10,7 +10,6 @@ stability.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .codes import CodeSummary, CompleteWeightEnumerator, DefiningSet, WeightDistribution
 
@@ -59,8 +58,8 @@ def wd_list(wd: WeightDistribution) -> list[dict]:
     return [{"weight": w, "count": wd.counts[w]} for w in sorted(wd.counts)]
 
 
-def params_dict(p: int, m: int, modulus, b: Optional[int] = None,
-                defining_set: Optional[DefiningSet] = None) -> dict:
+def params_dict(p: int, m: int, modulus, b: int | None = None,
+                defining_set: DefiningSet | None = None) -> dict:
     out = {"p": p, "m": m, "modulus": list(modulus)}
     if b is not None:
         out["b"] = b
@@ -72,7 +71,7 @@ def params_dict(p: int, m: int, modulus, b: Optional[int] = None,
 
 def code_document(*, params: dict, summary: CodeSummary,
                   cwe: CompleteWeightEnumerator, wd: WeightDistribution,
-                  extra: Optional[dict] = None) -> dict:
+                  extra: dict | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": params,

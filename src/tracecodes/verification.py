@@ -8,20 +8,19 @@ counterexample payload when a comparison fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
-
-from . import charsums, closedform, codes
+from . import charsums, closedform, codes, report
 from .errors import NonPowerCodewordCountError
 from .fields import FieldContext, legendre, make_field
 
 
-@dataclass
 class Verdict:
-    name: str
-    passed: bool
-    details: str
-    data: Optional[dict] = field(default=None)
+    __slots__ = ("name", "passed", "details", "data")
+
+    def __init__(self, name: str, passed: bool, details: str, data: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.details = details
+        self.data = data
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
@@ -156,9 +155,10 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
                     a_sq += 1
                 else:
                     a_non += 1
-        want = closedform.discriminant_pair_counts(p, mp)
-        got = closedform.PairCounts(disc_square=t_plus, disc_nonsquare=t_minus,
-                                    disc_zero=t_zero, a_square=a_sq, a_nonsquare=a_non)
+        got = {"disc_square": t_plus, "disc_nonsquare": t_minus, "disc_zero": t_zero,
+               "a_square": a_sq, "a_nonsquare": a_non}
+        pc = closedform.discriminant_pair_counts(p, mp)
+        want = {key: getattr(pc, key) for key in got}
         ok = got == want
         verdicts.append(Verdict(
             name=f"discriminant-pair-counts p={p} m_p={mp}", passed=ok,
@@ -254,8 +254,8 @@ def verify_griesmer(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> l
     details = (f"[{summary.n},{summary.k},{summary.d}] griesmer_sum={summary.griesmer_sum}"
                f" optimal={summary.griesmer_optimal} mds={summary.mds}")
     return [Verdict(name=name, passed=ok, details=details,
-                    data=None if ok else {"brute": summary.__dict__,
-                                          "closed": pred.__dict__})]
+                    data=None if ok else {"brute": report.summary_dict(summary),
+                                          "closed": report.summary_dict(pred)})]
 
 
 def verify_equivalence(ctx: FieldContext) -> list[Verdict]:

@@ -152,6 +152,24 @@ def test_verify_griesmer_fails_on_frequencies_no_code_has(capsys, monkeypatch):
         assert "is not a power of 3" in griesmer["details"]
 
 
+def test_verify_griesmer_reports_both_summaries_on_a_mismatch(capsys, monkeypatch):
+    from tracecodes import closedform
+    from tracecodes.codes import CodeSummary
+    wrong = CodeSummary(n=6, k=4, d=3, griesmer_sum=6, griesmer_optimal=True, mds=False)
+    monkeypatch.setattr(closedform, "classify_optimality", lambda p, m: wrong)
+    rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", "griesmer")
+    assert rc == 1
+    [verdict] = json.loads(out)["verification"]
+    assert verdict["passed"] is False
+    keys = ["n", "k", "d", "griesmer_sum", "griesmer_optimal", "mds"]
+    assert list(verdict["data"]) == ["brute", "closed"]
+    assert list(verdict["data"]["brute"]) == keys and list(verdict["data"]["closed"]) == keys
+    assert verdict["data"]["brute"] == {"n": 6, "k": 4, "d": 2, "griesmer_sum": 5,
+                                        "griesmer_optimal": False, "mds": False}
+    assert verdict["data"]["closed"] == {"n": 6, "k": 4, "d": 3, "griesmer_sum": 6,
+                                         "griesmer_optimal": True, "mds": False}
+
+
 def test_verify_text_names_the_field(capsys):
     rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", "all",
                      "--format", "text")
@@ -470,6 +488,18 @@ def test_cli_import_leaves_the_process_pool_out():
             "assert not any(name in sys.modules for name in pools)\n")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Each CLI call is a fresh interpreter, so what importing the package
+    pulls in is paid on every call; -S keeps site's own imports out."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, tracecodes.cli\n"
+            "bad = {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
+            "assert not bad, sorted(bad)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
