@@ -60,27 +60,27 @@ def gauss_sum_direct(ctx: FieldContext) -> CyclotomicInteger:
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
 
 
-def quadratic_exponential_sum(ctx: FieldContext, a2: int, a1: int, a0: int) -> CyclotomicInteger:
-    """sum of zeta^Tr(a2*x^2 + a1*x + a0) over all x, by direct summation.
+def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,
+                              l0: int | None) -> CyclotomicInteger:
+    """sum of zeta^Tr(a2*x^2 + a1*x + a0) over all x, by direct summation,
+    with each coefficient given by its log (a = alpha^l) or None for 0.
 
     Only the additivity of the trace is used: for x = alpha^k the
     exponent is Tr(a2*x^2) + Tr(a1*x) + Tr(a0), that is trace_exp at
-    log a2 + 2k plus trace_exp at log a1 + k (both mod N = r - 1) plus
-    Tr(a0).  Over k in [0, N) the first term is the rotation of
-    trace_exp by log a2 read with stride 2, twice over (N is even), and
-    the second the rotation by log a1; x = 0 contributes Tr(a0), which
-    is trace_exp at log a0, or 0 when a0 = 0."""
-    if a2 == 0:
+    l2 + 2k plus trace_exp at l1 + k (both mod N = r - 1) plus Tr(a0).
+    Over k in [0, N) the first term is the rotation of trace_exp by l2
+    read with stride 2, twice over (N is even), and the second the
+    rotation by l1; x = 0 contributes Tr(a0), which is trace_exp at l0,
+    or 0 when a0 = 0."""
+    if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
-    p, te, log = ctx.p, ctx.trace_exp, ctx.log
-    l2 = log[a2]
+    p, te = ctx.p, ctx.trace_exp
     quad = (te[l2:] + te[:l2])[::2] * 2
-    if a1 == 0:
+    if l1 is None:
         sums = Counter(quad)
     else:
-        l1 = log[a1]
         sums = Counter(map(add, quad, te[l1:] + te[:l1]))
-    c = te[log[a0]] if a0 else 0
+    c = 0 if l0 is None else te[l0]
     counts = [0] * p
     counts[c] = 1  # x = 0
     for v, freq in sums.items():
@@ -88,25 +88,27 @@ def quadratic_exponential_sum(ctx: FieldContext, a2: int, a1: int, a0: int) -> C
     return CyclotomicInteger.from_exponent_counts(p, counts)
 
 
-def quadratic_exponential_sum_closed(ctx: FieldContext, a2: int, a1: int, a0: int,
+def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int | None,
+                                     l0: int | None,
                                      gauss: CyclotomicInteger | None = None) -> CyclotomicInteger:
     """Completed-square form: zeta^Tr(a0 - a1^2/(4*a2)) * eta(a2) * G,
     with G the quadratic Gauss sum of the same field (direct value by
-    default, so the identity test stays a genuine cross-check).
+    default, so the identity test stays a genuine cross-check), and the
+    coefficients given by their logs as in :func:`quadratic_exponential_sum`.
 
-    Read in logs: eta(a2) is -1 exactly when log a2 is odd, and
-    Tr(a1^2/(4*a2)) is trace_exp at 2*log a1 - log a2 - log 4, mod r - 1,
-    with log 4 the log of 4 mod p in F_p^*."""
-    if a2 == 0:
+    Read in logs: eta(a2) is -1 exactly when l2 is odd, and
+    Tr(a1^2/(4*a2)) is trace_exp at 2*l1 - l2 - log 4, mod r - 1, with
+    log 4 the log of 4 mod p in F_p^*."""
+    if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
     if gauss is None:
         gauss = gauss_sum_direct(ctx)
-    te, log = ctx.trace_exp, ctx.log
-    shift = te[log[a0]] if a0 else 0
-    if a1:
-        shift -= te[(2 * log[a1] - log[a2] - ctx.prime_log(4)) % (ctx.r - 1)]
+    te = ctx.trace_exp
+    shift = 0 if l0 is None else te[l0]
+    if l1 is not None:
+        shift -= te[(2 * l1 - l2 - ctx.prime_log(4)) % (ctx.r - 1)]
     out = gauss * CyclotomicInteger.zeta_power(ctx.p, shift)
-    if log[a2] % 2:
+    if l2 % 2:
         out = -out
     return out
 
@@ -120,13 +122,17 @@ def cyclotomic_numbers_direct(ctx: FieldContext) -> dict[tuple[int, int], int]:
     x in class i with x + 1 in class j, where class 0 holds the nonzero
     squares and class 1 the non-squares.  One exhaustive scan.
 
-    Adding 1 steps the constant coefficient, the low base-p digit of an
-    index: x + 1 is the next index, or p - 1 back when that digit is
-    p - 1.  So the indices with low digit d pair off with those with low
-    digit d + 1 mod p, and each pair is read from the log parities."""
+    Each index gets a class byte from ``exp``: alpha^k is a square
+    exactly when k is even, and zero is class 2, in neither.  Adding 1
+    steps the constant coefficient, the low base-p digit of an index:
+    x + 1 is the next index, or p - 1 back when that digit is p - 1.  So
+    the indices with low digit d pair off with those with low digit
+    d + 1 mod p, and each pair is read from the class bytes."""
     p = ctx.p
-    cls = list(map((2).__rmod__, ctx.log))
-    cls[0] = 2  # zero is in neither class
+    cls = bytearray(ctx.r)
+    cls[0] = 2
+    for x in ctx.exp[1::2]:
+        cls[x] = 1
     pairs = Counter()
     for d in range(p):
         pairs.update(zip(cls[d::p], cls[(d + 1) % p::p]))

@@ -140,7 +140,7 @@ class TraceProfile:
         """The profile of a = alpha^k, read off ``ctx.trace_exp``: a^2 is
         alpha^(2k), and a lies in F_p iff N = (r - 1)/(p - 1) divides k,
         where it is ``ctx.prime_powers[k // N]``."""
-        if k < 0:  # ctx.log[0]
+        if k < 0:  # no log: the zero element
             raise ValueError("the zero element has no symbol-count profile")
         rm1, tr = ctx.r - 1, ctx.trace_exp
         k %= rm1

@@ -8,21 +8,17 @@ the prime subfield.
 
 A :class:`FieldContext` fixes the modulus polynomial and a primitive
 element alpha; construction does nothing else.  Each table is built on
-first read.  The code C_D reads the field only through the absolute
-trace, and ``trace_exp``, the traces of the powers of alpha, is a
-linear recurring sequence (Lidl-Niederreiter, *Finite Fields*, ch. 8):
-2m polynomial products seed it, Berlekamp-Massey finds its recurrence
-and window doubling fills it in, in time linear in p^m with no other
-table.  Sums over elements also read the discrete-log table: Tr(x)
-is ``trace_exp[log x]`` and the quadratic character of x is the parity
-of log x.  The power and log tables come from one walk over the powers
-of alpha, and multiplication by alpha is F_p-linear: reading the
-base-p digits of an index in base 2p - 1 (its "spread") makes the
-digit-wise sum of two elements a plain integer sum with no carries, and
-two half-tables of size at most (2p - 1)^ceil(m/2) map such a sum back
-to an index, so each step is a few lookups.  ``add`` and ``mul`` are
-lookups on the same tables, for walking the field one element at a
-time.  Construction is deterministic: the default modulus is the
+first read.  An F_p-linear functional of alpha^k, its trace or one of
+its coordinates, is a linear recurring sequence in k
+(Lidl-Niederreiter, *Finite Fields*, ch. 8): 2m polynomial products
+seed it, Berlekamp-Massey finds the recurrence on the traces, and
+window doubling fills each sequence in, in time linear in p^m.
+``trace_exp`` is the trace sequence; ``exp``, the index of alpha^k,
+sums the m coordinate sequences.  There is no log table:
+sums over the field run over the exponent k, so Tr(x) is
+``trace_exp[k]`` and the quadratic character of x is the parity of k.
+``add`` and ``mul`` are table-free, for walking the field one element
+at a time.  Construction is deterministic: the default modulus is the
 lexicographically first monic irreducible polynomial (tail
 coefficients read low-degree-first as a base-p integer) and the
 primitive element is the smallest index of full multiplicative order.
@@ -33,6 +29,8 @@ worker processes forked after it.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 
@@ -231,17 +229,6 @@ def check_size(p: int, m: int, size_cap: int) -> int:
     return r
 
 
-def _digit_table(digits: int, radix: int, base: int, p: int, scale: int = 1) -> list[int]:
-    """Entry i: the ``digits`` base-``radix`` digits of i, each taken mod
-    p, read in base ``base`` and multiplied by ``scale``."""
-    table = [0]
-    weight = scale
-    for _ in range(digits):
-        table = [v + (c % p) * weight for c in range(radix) for v in table]
-        weight *= base
-    return table
-
-
 def _berlekamp_massey(s: Sequence[int], p: int) -> list[int]:
     """The connection polynomial C (low degree first, C[0] = 1, length
     L + 1 for the linear complexity L) of the shortest recurrence
@@ -342,12 +329,11 @@ class FieldContext:
     alpha : int
         Index of the primitive element.
     trace_exp : list[int]
-        Absolute trace of alpha^k for k in [0, r - 1), from its linear
-        recurrence.
+        Absolute trace of alpha^k for k in [0, r - 1).
+    exp : list[int]
+        Index of alpha^k for k in [0, r - 1).
     prime_powers : list[int]
         alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): F_p^*.
-    exp, log : list[int]
-        Power and discrete-log tables for alpha (log[0] is -1).
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int] | None = None,
@@ -369,13 +355,6 @@ class FieldContext:
         self.alpha = self._find_primitive()
 
     # -- construction internals ----------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free multiply, used only while the tables are being built."""
-        p, m, f = self.p, self.m, self.modulus
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = _poly_mul_mod(ca, cb, f, p)
-        return self.index(prod)
 
     def _find_primitive(self) -> int:
         """The smallest index of multiplicative order r - 1.  For m > 1 the
@@ -408,34 +387,79 @@ class FieldContext:
             raise AssertionError("trace left the prime subfield")
         return [t[0] % p for t in sums]
 
+    def _trace_of(self, c: Sequence[int]) -> int:
+        """The trace of the element with polynomial-basis coefficients c."""
+        return sum(map(operator.mul, c, self._basis_traces)) % self.p
+
+    @cached_property
+    def _recurrence(self) -> tuple[list[list[int]], list[int]]:
+        """(powers, h): the coefficients of alpha^k for k in [0, 2m), and
+        the characteristic polynomial h (monic, low degree first) of every
+        F_p-linear functional of alpha^k, its trace or a coordinate:
+        alpha's minimal polynomial (Lidl-Niederreiter, ch. 8), found by
+        Berlekamp-Massey on the first 2m traces.  m consecutive traces fix
+        alpha^k (the trace form is nondegenerate), so their linear
+        complexity is m."""
+        p, m = self.p, self.m
+        a, power, powers = self.coeffs(self.alpha), [1] + [0] * (m - 1), []
+        for _ in range(2 * m):
+            powers.append(power)
+            power = _poly_mul_mod(power, a, self.modulus, p)
+        conn = _berlekamp_massey(list(map(self._trace_of, powers)), p)
+        if len(conn) != m + 1:
+            raise AssertionError(f"linear complexity {len(conn) - 1} != m = {m}")
+        return powers, conn[::-1]
+
+    def _spot_check(self, s: Sequence[int], read: Callable[[list[int]], int]) -> None:
+        """AssertionError unless the filled term s[k] is ``read`` of the
+        coefficients of alpha^k, by square-and-multiply, at k = 1,
+        (r - 1)/2 and r - 2."""
+        a, rm1 = self.coeffs(self.alpha), self.r - 1
+        for k in (1, rm1 // 2, rm1 - 1):
+            if s[k] != read(_poly_powmod(a, k, self.modulus, self.p)):
+                raise AssertionError(f"recurrence fill differs from alpha^{k}")
+
     @cached_property
     def trace_exp(self) -> list[int]:
         """Tr(alpha^k) for k in [0, r - 1).  With N = r - 1, the trace of
         a*x for nonzero a, x is trace_exp[(log a + log x) % N], so sums
         and codewords over F_r^* read rotated slices of this one list.
 
-        s_k = Tr(alpha^k) obeys the recurrence of alpha's minimal
-        polynomial (Lidl-Niederreiter, ch. 8).  Its first 2m terms, by
-        polynomial multiplication, give that polynomial by
-        Berlekamp-Massey; window doubling fills in the rest.  m
-        consecutive terms fix alpha^k (the trace form is
-        nondegenerate), so the m terms at k repeat those at 0 exactly
-        when alpha^k = 1: at k = r - 1, and at no (r - 1)/q."""
+        m consecutive terms fix alpha^k, so the m terms at k repeat those
+        at 0 exactly when alpha^k = 1: at k = r - 1, and at no (r - 1)/q."""
         p, m, rm1 = self.p, self.m, self.r - 1
-        bt, a = self._basis_traces, self.coeffs(self.alpha)
-        seed, power = [], [1] + [0] * (m - 1)
-        for _ in range(2 * m):
-            seed.append(sum(map(operator.mul, power, bt)) % p)
-            power = _poly_mul_mod(power, a, self.modulus, p)
-        conn = _berlekamp_massey(seed, p)
-        if len(conn) != m + 1:
-            raise AssertionError(f"linear complexity {len(conn) - 1} != m = {m}")
-        s = _recurrence_fill(seed, conn[::-1], rm1 + m, p)
+        powers, h = self._recurrence
+        s = _recurrence_fill(list(map(self._trace_of, powers)), h, rm1 + m, p)
         start = s[:m]
         if s[rm1:] != start or any(s[rm1 // q:rm1 // q + m] == start
                                    for q in prime_factors(rm1)):
             raise AssertionError("primitive element order check failed")
+        self._spot_check(s, self._trace_of)
         return list(s[:rm1])
+
+    @cached_property
+    def exp(self) -> list[int]:
+        """The index of alpha^k for k in [0, r - 1).  Coordinate j of
+        alpha^k is a linear functional, so its sequence c_j is one
+        recurrence fill; in 4-byte slots of one big int the fills sum to
+        sum_j p^j * c_j, no slot carrying into the next.  alpha^(r - 1) = 1
+        and no alpha^((r - 1)/q) = 1 check the order."""
+        p, r, order = self.p, self.r, sys.byteorder
+        powers, h = self._recurrence
+        acc, rm1 = 0, r - 1
+        for j in range(self.m):
+            c = _recurrence_fill([v[j] for v in powers], h, r, p)
+            if isinstance(c, list):
+                slots = array("I", c).tobytes()
+            else:  # a byte fill: c_j is the low byte of each slot
+                slots = bytearray(4 * r)
+                slots[0 if order == "little" else 3::4] = c
+            acc += p**j * int.from_bytes(slots, order)
+        s = array("I", acc.to_bytes(4 * r, order)).tolist()
+        if s.pop() != 1 or any(s[rm1 // q] == 1 for q in prime_factors(rm1)):
+            raise AssertionError("primitive element order check failed")
+        self._spot_check(s, self.index)
+        return s
 
     @cached_property
     def prime_powers(self) -> list[int]:
@@ -449,67 +473,6 @@ class FieldContext:
         """The log to base alpha of c mod p, a nonzero prime-field value:
         N times its log to base g = alpha^N."""
         return (self.r - 1) // (self.p - 1) * self.prime_powers.index(c % self.p)
-
-    @cached_property
-    def _spread_tables(self) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
-        """(p^h, (2p - 1)^h, sl, sh, rl, rh) for the low half of h digits:
-        sl/sh reread the base-p digits of an index's low/high half in
-        base 2p - 1 (its spread), rl/rh take base-(2p - 1) digits mod p
-        back to an index."""
-        p, m = self.p, self.m
-        h = (m + 1) // 2
-        base = 2 * p - 1
-        ph, bh = p**h, base**h
-        return (ph, bh, _digit_table(h, p, base, p), _digit_table(m - h, p, base, p, bh),
-                _digit_table(h, base, p, p), _digit_table(m - h, base, p, p, ph))
-
-    def _spread(self, x: int) -> int:
-        ph, _, sl, sh, _, _ = self._spread_tables
-        return sl[x % ph] + sh[x // ph]
-
-    def _reduce(self, s: int) -> int:
-        _, bh, _, _, rl, rh = self._spread_tables
-        return rl[s % bh] + rh[s // bh]
-
-    @cached_property
-    def _power_tables(self) -> tuple[list[int], list[int]]:
-        # t -> alpha*t is F_p-linear: with t = lo + hi*p^h, tabulate the
-        # spread images of alpha*lo and of alpha*hi*x^h from the images
-        # of c*x^j, then each step of the walk is two lookups and a reduce
-        p, m, r = self.p, self.m, self.r
-        h = (m + 1) // 2
-        rows = [[self._spread(self._mul_raw(self.alpha, c * p**j)) for c in range(p)]
-                for j in range(m)]
-        low, high = self._linear_table(rows[:h]), self._linear_table(rows[h:])
-        ph, bh, _, _, rl, rh = self._spread_tables
-        rm1 = r - 1
-        exp = [0] * rm1
-        log = [-1] * r
-        cur = 1
-        for k in range(rm1):
-            exp[k] = cur
-            log[cur] = k
-            s = low[cur % ph] + high[cur // ph]
-            cur = rl[s % bh] + rh[s // bh]
-        if cur != 1:
-            raise AssertionError("primitive element order check failed")
-        return exp, log
-
-    def _linear_table(self, rows: list[list[int]]) -> list[int]:
-        """Spread images of every digit vector, by linearity: entry i sums
-        rows[j][c_j] over the base-p digits c_j of i."""
-        table = [0]
-        for row in rows:
-            table = [self._spread(self._reduce(v + u)) for u in row for v in table]
-        return table
-
-    @cached_property
-    def exp(self) -> list[int]:
-        return self._power_tables[0]
-
-    @cached_property
-    def log(self) -> list[int]:
-        return self._power_tables[1]
 
     # -- element encoding ----------------------------------------------
 
@@ -530,23 +493,10 @@ class FieldContext:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        ph, bh, sl, sh, rl, rh = self._spread_tables
-        s = sl[x % ph] + sh[x // ph] + sl[y % ph] + sh[y // ph]
-        return rl[s % bh] + rh[s // bh]
+        return self.index([u + v for u, v in zip(self.coeffs(x), self.coeffs(y))])
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        rm1 = self.r - 1
-        t = self.log[x] + self.log[y]
-        if t >= rm1:
-            t -= rm1
-        return self.exp[t]
-
-    def trace(self, x: int) -> int:
-        """Absolute trace down to F_p, as an integer in [0, p): the base-p
-        digits of x dotted with the basis traces."""
-        return sum(map(operator.mul, self.coeffs(x), self._basis_traces)) % self.p
+        return self.index(_poly_mul_mod(self.coeffs(x), self.coeffs(y), self.modulus, self.p))
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={self.modulus})"

@@ -74,16 +74,22 @@ def verify_gauss_sums(ctx: FieldContext) -> list[Verdict]:
 
 def verify_quadratic_sums(ctx: FieldContext, samples: int = 100, seed: int = 0) -> list[Verdict]:
     """Direct quadratic exponential sums against the completed-square
-    form, on random coefficient triples."""
+    form, on random coefficient triples drawn as logs: a2 = alpha^l2,
+    and a1, a0 uniform over the field, with log r - 1 standing for 0."""
     rng = random.Random(seed)
     gauss = charsums.gauss_sum_direct(ctx)
+    rm1 = ctx.r - 1
+
+    def uniform() -> int | None:
+        k = rng.randrange(ctx.r)
+        return None if k == rm1 else k
+
     for _ in range(samples):
-        a2 = rng.randrange(1, ctx.r)
-        a1 = rng.randrange(ctx.r)
-        a0 = rng.randrange(ctx.r)
-        direct = charsums.quadratic_exponential_sum(ctx, a2, a1, a0)
-        closed = charsums.quadratic_exponential_sum_closed(ctx, a2, a1, a0, gauss=gauss)
+        l2, l1, l0 = rng.randrange(rm1), uniform(), uniform()
+        direct = charsums.quadratic_exponential_sum(ctx, l2, l1, l0)
+        closed = charsums.quadratic_exponential_sum_closed(ctx, l2, l1, l0, gauss=gauss)
         if direct != closed:
+            a2, a1, a0 = (0 if k is None else ctx.exp[k] for k in (l2, l1, l0))
             return [Verdict(
                 name=f"quadratic-sum p={ctx.p} m={ctx.m}",
                 passed=False,

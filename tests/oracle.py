@@ -4,10 +4,12 @@
 multiplication per coordinate, with no use of the orbit symmetry that
 :func:`tracecodes.exhaustive_cwe` relies on; :func:`codeword` builds one
 codeword the same way, for checking :func:`tracecodes.orbit_compositions`.
-The character sums and :func:`correction_sums_direct` call
-``ctx.add``/``ctx.mul`` per element and read the traces from
-:func:`trace_table` instead of reading ``ctx.trace_exp`` in bulk.
-O(r * n) and O(r): for tests on small fields only.
+The character sums and :func:`correction_sums_direct` add and multiply
+one element at a time, through :func:`add` and the lookup :func:`mul`,
+and read the traces from :func:`trace_table` instead of reading
+``ctx.trace_exp`` in bulk.  The per-element tables, :func:`power_tables`
+and :func:`trace_table`, live here rather than in the package, which
+builds no log table.  O(r * n) and O(r): for tests on small fields only.
 """
 
 import cmath
@@ -41,17 +43,18 @@ def non_primitive_modulus(p, m, tail):
 def elements(ctx, dset):
     """The field indices of ``dset``, in coordinate order: 0 when the set
     holds it, then alpha^k for each of its logs k."""
-    return (0,) * dset.has_zero + tuple(ctx.exp[k] for k in dset.logs)
+    exp, _ = power_tables(ctx)
+    return (0,) * dset.has_zero + tuple(exp[k] for k in dset.logs)
 
 
 def direct_cwe_terms(ctx, dset) -> dict:
     p = ctx.p
     rm1 = ctx.r - 1
     tr = trace_table(ctx)
-    tr_exp = [tr[e] for e in ctx.exp]
+    tr_exp = [tr[e] for e in power_tables(ctx)[0]]
     xs = elements(ctx, dset)
     zero_in = 1 if 0 in xs else 0
-    d_logs = [ctx.log[x] for x in xs if x != 0]
+    d_logs = [log(ctx, x) for x in xs if x != 0]
     terms = {}
     for la in range(rm1):
         counts = [0] * p
@@ -70,7 +73,7 @@ def direct_cwe_terms(ctx, dset) -> dict:
 
 def codeword(ctx, dset, a):
     tr = trace_table(ctx)
-    return tuple(tr[ctx.mul(a, x)] for x in elements(ctx, dset))
+    return tuple(tr[mul(ctx, a, x)] for x in elements(ctx, dset))
 
 
 # -- character sums, one field operation per element ------------------------
@@ -79,7 +82,7 @@ def gauss_sum_direct(ctx):
     tr = trace_table(ctx)
     counts = [0] * ctx.p
     for x in range(1, ctx.r):
-        counts[tr[x]] += (-1) ** ctx.log[x]  # the quadratic character
+        counts[tr[x]] += (-1) ** log(ctx, x)  # the quadratic character
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
 
 
@@ -87,7 +90,7 @@ def quadratic_exponential_sum(ctx, a2, a1, a0):
     tr = trace_table(ctx)
     counts = [0] * ctx.p
     for x in range(ctx.r):
-        y = ctx.add(ctx.mul(a2, ctx.mul(x, x)), ctx.add(ctx.mul(a1, x), a0))
+        y = add(ctx.p, mul(ctx, a2, mul(ctx, x, x)), add(ctx.p, mul(ctx, a1, x), a0))
         counts[tr[y]] += 1
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
 
@@ -106,8 +109,8 @@ def correction_sums_direct(ctx, a, rho):
     s_lin = s_sq = s_mix = 0
     for x in range(ctx.r):
         tx = tr[x]
-        tx2 = tr[ctx.mul(x, x)]
-        tax = tr[ctx.mul(a, x)]
+        tx2 = tr[mul(ctx, x, x)]
+        tax = tr[mul(ctx, a, x)]
         e_lin = e(tx - 1)
         e_sq = e(tx2)
         e_sym = e(tax - rho)
@@ -120,12 +123,12 @@ def correction_sums_direct(ctx, a, rho):
 def cyclotomic_number_direct(ctx, i, j):
     count = 0
     for x in range(1, ctx.r):
-        if ctx.log[x] % 2 != i:
+        if log(ctx, x) % 2 != i:
             continue
-        y = ctx.add(x, 1)
+        y = add(ctx.p, x, 1)
         if y == 0:
             continue
-        if ctx.log[y] % 2 == j:
+        if log(ctx, y) % 2 == j:
             count += 1
     return count
 
@@ -154,19 +157,21 @@ def add(p, x, y):
 
 
 def _pow_raw(ctx, a, e):
-    """a^e by square-and-multiply with ctx._mul_raw."""
+    """a^e by square-and-multiply with the table-free ctx.mul."""
     result = 1
     while e:
         if e & 1:
-            result = ctx._mul_raw(result, a)
+            result = ctx.mul(result, a)
         e >>= 1
         if e:
-            a = ctx._mul_raw(a, a)
+            a = ctx.mul(a, a)
     return result
 
 
+@lru_cache(maxsize=4)
 def power_tables(ctx):
-    """exp and log of ctx.alpha, walking the powers with ctx._mul_raw."""
+    """exp and log of ctx.alpha (log[0] is -1), walking the powers with
+    the table-free ctx.mul; the last few fields' tables are kept."""
     rm1 = ctx.r - 1
     exp = [0] * rm1
     log = [-1] * ctx.r
@@ -174,9 +179,22 @@ def power_tables(ctx):
     for k in range(rm1):
         exp[k] = cur
         log[cur] = k
-        cur = ctx._mul_raw(cur, ctx.alpha)
+        cur = ctx.mul(cur, ctx.alpha)
     assert cur == 1
     return exp, log
+
+
+def log(ctx, x):
+    """The log of x to base ctx.alpha, or None for x = 0."""
+    return power_tables(ctx)[1][x] if x else None
+
+
+def mul(ctx, x, y):
+    """x * y by adding logs in the power tables."""
+    if x == 0 or y == 0:
+        return 0
+    exp, logs = power_tables(ctx)
+    return exp[(logs[x] + logs[y]) % (ctx.r - 1)]
 
 
 @lru_cache(maxsize=4)

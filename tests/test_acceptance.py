@@ -177,8 +177,9 @@ def test_criterion_07_quadratic_sum_identity():
             a2 = rng.randrange(1, ctx.r)
             a1 = rng.randrange(ctx.r)
             a0 = rng.randrange(ctx.r)
-            assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
-                quadratic_exponential_sum_closed(ctx, a2, a1, a0, gauss=gauss), \
+            logs = [oracle.log(ctx, a) for a in (a2, a1, a0)]
+            assert quadratic_exponential_sum(ctx, *logs) == \
+                quadratic_exponential_sum_closed(ctx, *logs, gauss=gauss), \
                 (p, m, a2, a1, a0)
     _report(7, "completed-square identity exact for 100 random quadratics over "
                "each of F_9, F_25, F_27, F_49")
@@ -243,8 +244,8 @@ def test_criterion_11_symbol_count_decomposition():
         for a in range(1, ctx.r):
             counts = [0] * p
             for x in oracle.elements(ctx, dset):
-                counts[tr[ctx.mul(a, x)]] += 1
-            prof = TraceProfile.from_log(ctx, ctx.log[a])
+                counts[tr[oracle.mul(ctx, a, x)]] += 1
+            prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
             for rho in range(p):
                 assert symbol_count_closed(p, m, prof, rho) == counts[rho], \
                     (p, m, a, rho)

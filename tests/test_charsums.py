@@ -127,12 +127,14 @@ def test_gauss_fp_is_direct_sum(fields):
 
 def test_quadratic_sum_examples(fields):
     ctx = fields(3, 2)
-    assert quadratic_exponential_sum(ctx, 1, 0, 0).as_int() == 3
+    # a2 = 1 = alpha^0, a1 = a0 = 0
+    assert quadratic_exponential_sum(ctx, 0, None, None).as_int() == 3
     # adding a constant multiplies the sum by a root of unity
-    base = quadratic_exponential_sum(ctx, 1, 0, 0)
+    base = quadratic_exponential_sum(ctx, 0, None, None)
+    tr = oracle.trace_table(ctx)
     for c in range(ctx.r):
-        shifted = quadratic_exponential_sum(ctx, 1, 0, c)
-        assert shifted == base * CyclotomicInteger.zeta_power(3, ctx.trace(c))
+        shifted = quadratic_exponential_sum(ctx, 0, None, oracle.log(ctx, c))
+        assert shifted == base * CyclotomicInteger.zeta_power(3, tr[c])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -160,17 +162,18 @@ def test_quadratic_sum_identity_random(pair, data):
         a2 = data.draw(a2s, label="a2")
         a1, a0 = data.draw(coeffs, label="a1"), data.draw(coeffs, label="a0")
         want = oracle.quadratic_exponential_sum(ctx, a2, a1, a0)
-        assert quadratic_exponential_sum(ctx, a2, a1, a0) == want, (a2, a1, a0)
-        assert quadratic_exponential_sum_closed(ctx, a2, a1, a0, gauss=gauss) == want, \
+        logs = [oracle.log(ctx, a) for a in (a2, a1, a0)]
+        assert quadratic_exponential_sum(ctx, *logs) == want, (a2, a1, a0)
+        assert quadratic_exponential_sum_closed(ctx, *logs, gauss=gauss) == want, \
             (a2, a1, a0)
 
 
 def test_quadratic_sum_rejects_zero_leading(fields):
     ctx = fields(3, 2)
     with pytest.raises(ZeroLeadingCoefficientError):
-        quadratic_exponential_sum(ctx, 0, 1, 0)
+        quadratic_exponential_sum(ctx, None, 0, None)
     with pytest.raises(ZeroLeadingCoefficientError):
-        quadratic_exponential_sum_closed(ctx, 0, 1, 0)
+        quadratic_exponential_sum_closed(ctx, None, 0, None)
 
 
 def test_cyclotomic_numbers_closed_values():

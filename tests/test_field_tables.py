@@ -1,10 +1,10 @@
-"""Field tables and O(1) addition against the table-free oracle."""
+"""Field tables and table-free addition against the oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecodes import make_field, prime_factors
+from tracecodes import fields, make_field, prime_factors
 from tracecodes.fields import FieldContext
 
 import oracle
@@ -13,22 +13,19 @@ import oracle
 PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 10) if p**m <= 2 * 10**4]
 
 
-# both sides of the byte-slot edge 2(p - 1) <= 255 of the trace_exp fill
+# both sides of the byte-slot edge 2(p - 1) <= 255 of the recurrence fills,
+# and p > 255, whose exp coordinates fill no byte
 EDGE_PAIRS = [(127, 2), (131, 2), (257, 2)]
 
 
 def _assert_tables_match_oracle(ctx):
-    """trace_exp, from its recurrence, is the oracle's trace table read
-    along the oracle's power walk; the lazy tables equal the oracle's,
-    and so does the table-free trace on a stride of about 500 elements."""
-    exp, log = oracle.power_tables(ctx)
+    """trace_exp and exp, each from recurrence fills, are the oracle's
+    trace table read along the oracle's power walk, and that walk."""
+    exp, _ = oracle.power_tables(ctx)
     trace_table = oracle.trace_table(ctx)
     assert ctx.trace_exp == [trace_table[x] for x in exp]
-    assert type(ctx.exp) is list and type(ctx.log) is list
+    assert type(ctx.exp) is list
     assert ctx.exp == exp
-    assert ctx.log == log
-    sample = range(0, ctx.r, max(1, ctx.r // 500))
-    assert [ctx.trace(x) for x in sample] == [trace_table[x] for x in sample]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -55,7 +52,7 @@ def test_tables_across_the_byte_slot_edge(p, m):
 def test_add_matches_oracle(fields, pair, data):
     p, m = pair
     ctx = fields(p, m)
-    top = ctx.r - 1  # every digit p - 1: each spread digit of top + top is 2p - 2
+    top = ctx.r - 1  # every digit p - 1: each digit of top + top wraps to p - 2
     element = st.one_of(st.integers(0, top), st.just(top))
     for _ in range(20):
         x, y = data.draw(element, label="x"), data.draw(element, label="y")
@@ -103,9 +100,29 @@ def test_non_primitive_alpha_fails_the_order_check(monkeypatch):
     ctx = make_field(3, 4)
     square = ctx.mul(ctx.alpha, ctx.alpha)  # order 40 of 80, still of degree 4
     monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: square)
-    with pytest.raises(AssertionError, match="primitive element order check failed"):
-        make_field(3, 4).trace_exp
+    for table in ("trace_exp", "exp"):
+        with pytest.raises(AssertionError, match="primitive element order check failed"):
+            getattr(make_field(3, 4), table)
     # 2 lies in F_3: Tr(2^k) has linear complexity 1
     monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: 2)
-    with pytest.raises(AssertionError, match="linear complexity 1 != m = 4"):
-        make_field(3, 4).trace_exp
+    for table in ("trace_exp", "exp"):
+        with pytest.raises(AssertionError, match="linear complexity 1 != m = 4"):
+            getattr(make_field(3, 4), table)
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (131, 2)])
+@pytest.mark.parametrize("table", ["trace_exp", "exp"])
+def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m, table):
+    """One wrong term of a fill, at k = r - 2 away from the order check's
+    terms, fails the comparison with alpha^k by square-and-multiply."""
+    ctx = make_field(p, m)
+    original = fields._recurrence_fill
+
+    def corrupt(seed, h, n, p):
+        s = original(seed, h, n, p)
+        s[ctx.r - 2] = (s[ctx.r - 2] + 1) % p
+        return s
+
+    monkeypatch.setattr(fields, "_recurrence_fill", corrupt)
+    with pytest.raises(AssertionError, match=rf"recurrence fill differs from alpha\^{ctx.r - 2}$"):
+        getattr(ctx, table)

@@ -41,6 +41,8 @@ CASES = {
     # reading deviates at odd m, and at p = 1 mod 8, where it agrees
     "verify-7-3-sums": ["verify", "--p", "7", "--m", "3", "--scope", "sums"],
     "verify-17-3-sums": ["verify", "--p", "17", "--m", "3", "--scope", "sums"],
+    # 2(p - 1) > 255: the recurrence fills go through list windows
+    "verify-131-2-sums": ["verify", "--p", "131", "--m", "2", "--scope", "sums"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
 }
 

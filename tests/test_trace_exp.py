@@ -2,6 +2,8 @@
 ``ctx.trace_exp`` in bulk, against the per-element walks in
 ``tests/oracle.py``."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from tracecodes import (
     build_defining_set,
     build_defining_set_general,
+    charsums,
     cyclotomic_numbers_direct,
     exhaustive_cwe,
     gauss_sum_direct,
@@ -31,6 +34,7 @@ from tracecodes.verification import (
     verify_cwe,
     verify_equivalence,
     verify_griesmer,
+    verify_quadratic_sums,
 )
 
 import oracle
@@ -43,7 +47,7 @@ CASES = [(p, m, kind) for p, m in PAIRS for kind in ("main", "d1", "d2")
          if _orbit_count(p, m) * p ** (m - (2 if kind == "main" else 1)) <= 10**6]
 # r * n field multiplications; above it the walk checks 20 drawn indices
 ORACLE_LIMIT = 2 * 10**5
-# fields whose tables tests/oracle.py rebuilds one _mul_raw at a time
+# fields whose tables tests/oracle.py rebuilds one ctx.mul at a time
 SMALL_PAIRS = [(p, m) for p, m in PAIRS if p**m <= 3000]
 
 
@@ -80,7 +84,7 @@ def test_bulk_sums_match_walks(pair, data):
     for _ in range(3):
         a2 = data.draw(a2s, label="a2")
         a1, a0 = data.draw(coeffs, label="a1"), data.draw(coeffs, label="a0")
-        assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
+        assert quadratic_exponential_sum(ctx, *[oracle.log(ctx, a) for a in (a2, a1, a0)]) == \
             oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
 
 
@@ -168,7 +172,7 @@ def test_corners_match_walks(fields, p, m):
     ctx = fields(p, m)
     top = ctx.r - 1
     for a2, a1, a0 in [(1, 0, 0), (p - 1, 0, top), (top, top, 0), (ctx.alpha, 1, 1)]:
-        assert quadratic_exponential_sum(ctx, a2, a1, a0) == \
+        assert quadratic_exponential_sum(ctx, *[oracle.log(ctx, a) for a in (a2, a1, a0)]) == \
             oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (a2, a1, a0)
     assert cyclotomic_numbers_direct(ctx) == \
         {(i, j): oracle.cyclotomic_number_direct(ctx, i, j) for i in (0, 1) for j in (0, 1)}
@@ -191,7 +195,7 @@ def test_pipeline_after_make_field_does_no_field_arithmetic(p, m):
     def forbidden(*args):
         raise AssertionError("element-wise field operation")
 
-    for op in ("mul", "trace", "add"):
+    for op in ("mul", "add"):
         setattr(ctx, op, forbidden)
     build_defining_set_general(ctx, trace_value=1)
     build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
@@ -209,7 +213,7 @@ def test_one_trace_exp_per_context():
     assert "trace_exp" not in vars(ctx)  # built on first use only
     exhaustive_cwe(ctx, build_defining_set(ctx, 1))
     table = vars(ctx)["trace_exp"]
-    assert table == [ctx.trace(x) for x in ctx.exp]
+    assert table == [oracle.trace_table(ctx)[x] for x in ctx.exp]
     gauss_sum_direct(ctx)
     orbit_compositions(ctx, build_defining_set(ctx, 1))
     assert ctx.trace_exp is table
@@ -229,22 +233,42 @@ TABLE_FREE_RUNS = [
     for field in (["--p", "5", "--m", "4", "--modulus", "3,0,0,0,1"], ["--p", "3", "--m", "5"])]
 
 
+def _forbidden(*args):
+    raise AssertionError("element table or element-wise operation")
+
+
 @pytest.mark.parametrize("argv", TABLE_FREE_RUNS, ids=" ".join)
 def test_code_commands_build_no_element_tables(capsys, monkeypatch, argv):
     """Every command reads logs, trace_exp and prime_powers only: the
-    power table, the trace of an element and element-wise arithmetic
-    raise, and the output is unchanged.  Only the sums scope, whose
-    quadratic character is the parity of a log, reads the log table."""
+    power table and element-wise arithmetic raise, and the output is
+    unchanged.  Only the sums scope, whose cyclotomic numbers read class
+    bytes off exp, builds the power table; no log table exists."""
+    for name in ("log", "trace", "_power_tables", "_spread_tables"):
+        assert not hasattr(FieldContext, name), name
     assert main(argv) == 0
     want = capsys.readouterr().out
-
-    def forbidden(*args):
-        raise AssertionError("element table or element-wise operation")
-
-    tables = ("exp",) if {"sums", "all"} & set(argv) else ("exp", "log")
-    for table in tables:
-        monkeypatch.setattr(FieldContext, table, property(forbidden))
-    for op in ("trace", "add", "mul"):
-        monkeypatch.setattr(FieldContext, op, forbidden)
+    if not {"sums", "all"} & set(argv):
+        monkeypatch.setattr(FieldContext, "exp", property(_forbidden))
+    for op in ("add", "mul"):
+        monkeypatch.setattr(FieldContext, op, _forbidden)
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+def test_quadratic_sums_read_exp_only_to_report(monkeypatch):
+    """The quadratic-sum check draws logs: a passing run reads no power
+    table, and a failing one names its first triple through exp."""
+    ctx = make_field(5, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldContext, "exp", property(_forbidden))
+        [verdict] = verify_quadratic_sums(ctx, samples=50, seed=3)
+    assert verdict.passed
+    original = charsums.quadratic_exponential_sum_closed
+    monkeypatch.setattr(charsums, "quadratic_exponential_sum_closed",
+                        lambda *args, **kwargs: -original(*args, **kwargs))
+    [verdict] = verify_quadratic_sums(ctx, samples=50, seed=3)
+    rng = random.Random(3)
+    logs = rng.randrange(ctx.r - 1), rng.randrange(ctx.r), rng.randrange(ctx.r)
+    want = [0 if k == ctx.r - 1 else ctx.exp[k] for k in logs]
+    assert not verdict.passed
+    assert verdict.data == dict(zip(("a2", "a1", "a0"), want))
