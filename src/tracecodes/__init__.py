@@ -19,8 +19,6 @@ from .charsums import (
 )
 from .closedform import (
     CwePrediction,
-    PairCounts,
-    TraceProfile,
     classify_optimality,
     correction_sums,
     correction_sums_at_zero,

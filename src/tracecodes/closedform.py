@@ -18,7 +18,7 @@ import itertools
 
 from .codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
 from .errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
-from .fields import FieldContext, legendre
+from .fields import legendre
 
 
 # ----------------------------------------------------------------------
@@ -109,55 +109,14 @@ def predicted_length(p: int, m: int) -> int:
 # ----------------------------------------------------------------------
 # Symbol-count decomposition for a single codeword
 # ----------------------------------------------------------------------
+#
+# A nonzero codeword index a enters only through its trace profile, the
+# tuple (Tr(a^2), Tr(a), prime_value) of values in F_p, with prime_value
+# a itself when a lies in F_p and None otherwise: codewords with equal
+# profiles have equal symbol counts.  Below, A = Tr(a^2), B = Tr(a) and
+# the discriminant is B^2 - m_p*A.
 
-class TraceProfile:
-    """Trace data of a nonzero codeword index a: tr_sq = Tr(a^2) and
-    tr = Tr(a); prime_value is a itself when a lies in the prime
-    subfield (needed because the decomposition treats those separately).
-    Profiles compare and hash by value: codewords with equal profiles
-    have equal symbol counts, so callers key those counts on them."""
-
-    __slots__ = ("p", "m_p", "tr_sq", "tr", "prime_value")
-
-    def __init__(self, p: int, m_p: int, tr_sq: int, tr: int, prime_value: int | None = None):
-        self.p = p
-        self.m_p = m_p
-        self.tr_sq = tr_sq
-        self.tr = tr
-        self.prime_value = prime_value
-
-    def _key(self) -> tuple:
-        return (self.p, self.m_p, self.tr_sq, self.tr, self.prime_value)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is TraceProfile and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @classmethod
-    def from_log(cls, ctx: FieldContext, k: int) -> "TraceProfile":
-        """The profile of a = alpha^k, read off ``ctx.trace_exp``: a^2 is
-        alpha^(2k), and a lies in F_p iff N = (r - 1)/(p - 1) divides k,
-        where it is ``ctx.prime_powers[k // N]``."""
-        if k < 0:  # no log: the zero element
-            raise ValueError("the zero element has no symbol-count profile")
-        rm1, tr = ctx.r - 1, ctx.trace_exp
-        k %= rm1
-        j, rest = divmod(k, rm1 // (ctx.p - 1))
-        return cls(p=ctx.p, m_p=ctx.m_p, tr_sq=tr[2 * k % rm1], tr=tr[k],
-                   prime_value=None if rest else ctx.prime_powers[j])
-
-    @property
-    def discriminant(self) -> int:
-        return (self.tr * self.tr - self.m_p * self.tr_sq) % self.p
-
-    def quadratic(self, rho: int) -> int:
-        """-m_p*rho^2 + 2*B*rho - A reduced mod p."""
-        return (-self.m_p * rho * rho + 2 * self.tr * rho - self.tr_sq) % self.p
-
-
-def correction_sums(p: int, m: int, prof: TraceProfile, rho: int) -> tuple[int, int, int]:
+def correction_sums(p: int, m: int, prof: tuple, rho: int) -> tuple[int, int, int]:
     """The three exact integer corrections in the decomposition
 
         N_rho = n/p + (S_lin + S_sq + S_mix) / p^3        (rho != 0)
@@ -170,15 +129,13 @@ def correction_sums(p: int, m: int, prof: TraceProfile, rho: int) -> tuple[int, 
     rho %= p
     if rho == 0:
         raise RhoZeroError("use correction_sums_at_zero for the zero symbol")
-    if prof.p != p or prof.m_p != m % p:
-        raise ValueError("profile does not match (p, m)")
     r = p**m
     mp = m % p
     even = (m % 2 == 0)
-    A, B = prof.tr_sq, prof.tr
+    A, B, prime_value = prof
 
-    if prof.prime_value is not None:
-        s_lin = (p - 1) * r if rho == prof.prime_value else -r
+    if prime_value is not None:
+        s_lin = (p - 1) * r if rho == prime_value else -r
     else:
         s_lin = 0
 
@@ -207,14 +164,14 @@ def correction_sums(p: int, m: int, prof: TraceProfile, rho: int) -> tuple[int, 
             else:
                 s_mix = -(p + 1) * gm
         else:
-            delta = prof.discriminant
+            delta = (B * B - mp * A) % p
             if delta == 0:
                 if (rho * B) % p == A:
                     s_mix = (p * p - p - 1) * gm
                 else:
                     s_mix = -(p + 1) * gm
             elif legendre(delta, p) == 1:
-                if prof.quadratic(rho) == 0:
+                if (-mp * rho * rho + 2 * B * rho - A) % p == 0:
                     s_mix = (p * p - 2 * p - 1) * gm
                 else:
                     s_mix = -(2 * p + 1) * gm
@@ -242,14 +199,14 @@ def correction_sums(p: int, m: int, prof: TraceProfile, rho: int) -> tuple[int, 
             else:
                 s_mix = (legendre(2 * B * rho - mp * rho * rho, p) * p + eta_mp) * gg
         else:
-            delta = prof.discriminant
+            delta = (B * B - mp * A) % p
             if delta == 0:
                 if (rho * B) % p == A:
                     s_mix = -(p - 2) * eta_mp * gg
                 else:
                     s_mix = 2 * eta_mp * gg
             else:
-                f_rho = prof.quadratic(rho)
+                f_rho = (-mp * rho * rho + 2 * B * rho - A) % p
                 if f_rho == 0:
                     s_mix = (legendre(-A, p) + eta_mp) * gg
                 else:
@@ -258,19 +215,17 @@ def correction_sums(p: int, m: int, prof: TraceProfile, rho: int) -> tuple[int, 
     return s_lin, s_sq, s_mix
 
 
-def correction_sums_at_zero(p: int, m: int, prof: TraceProfile) -> tuple[int, int, int]:
+def correction_sums_at_zero(p: int, m: int, prof: tuple) -> tuple[int, int, int]:
     """Same decomposition for the zero symbol (the rho = 0 analogue of
     :func:`correction_sums`; only the regime with odd m and p not
     dividing m is needed for the weight tables, but all four are
     evaluated so the identity can be checked everywhere)."""
-    if prof.p != p or prof.m_p != m % p:
-        raise ValueError("profile does not match (p, m)")
     r = p**m
     mp = m % p
     even = (m % 2 == 0)
-    A, B = prof.tr_sq, prof.tr
+    A, B, prime_value = prof
 
-    s_lin = -r if prof.prime_value is not None else 0
+    s_lin = -r if prime_value is not None else 0
 
     if even:
         gm = gauss_int(p, m)
@@ -290,7 +245,7 @@ def correction_sums_at_zero(p: int, m: int, prof: TraceProfile) -> tuple[int, in
         if A == 0:
             s_mix = (p - 1) * gm if B == 0 else -gm
         else:
-            delta = prof.discriminant
+            delta = (B * B - mp * A) % p
             if delta == 0:
                 s_mix = -gm
             else:
@@ -307,7 +262,7 @@ def correction_sums_at_zero(p: int, m: int, prof: TraceProfile) -> tuple[int, in
         if A == 0:
             s_mix = -(p - 1) * eta_mp * gg if B == 0 else eta_mp * gg
         else:
-            delta = prof.discriminant
+            delta = (B * B - mp * A) % p
             if delta == 0:
                 s_mix = -(p - 2) * eta_mp * gg
             else:
@@ -316,7 +271,7 @@ def correction_sums_at_zero(p: int, m: int, prof: TraceProfile) -> tuple[int, in
     return s_lin, s_sq, s_mix
 
 
-def symbol_count_closed(p: int, m: int, prof: TraceProfile, rho: int) -> int:
+def symbol_count_closed(p: int, m: int, prof: tuple, rho: int) -> int:
     """Exact closed-form count of coordinates equal to rho in the
     codeword of any nonzero a with the given trace profile."""
     n = predicted_length(p, m)
@@ -332,22 +287,10 @@ def symbol_count_closed(p: int, m: int, prof: TraceProfile, rho: int) -> int:
 # Counting (A, B) pairs by discriminant and by the character of A
 # ----------------------------------------------------------------------
 
-class PairCounts:
-    """Counts over pairs (A, B) with A in F_p^*, B in F_p and
-    discriminant D = B^2 - m_p*A."""
-
-    __slots__ = ("disc_square", "disc_nonsquare", "disc_zero", "a_square", "a_nonsquare")
-
-    def __init__(self, disc_square: int, disc_nonsquare: int, disc_zero: int, a_square: int,
-                 a_nonsquare: int):
-        self.disc_square = disc_square        # pairs with D a nonzero square
-        self.disc_nonsquare = disc_nonsquare  # pairs with D a non-square
-        self.disc_zero = disc_zero            # pairs with D = 0
-        self.a_square = a_square              # pairs with D != 0 and A a square
-        self.a_nonsquare = a_nonsquare        # pairs with D != 0 and A a non-square
-
-
-def discriminant_pair_counts(p: int, m_p: int) -> PairCounts:
+def discriminant_pair_counts(p: int, m_p: int) -> dict[str, int]:
+    """Counts over pairs (A, B), A in F_p^* and B in F_p, by their
+    discriminant D = B^2 - m_p*A: D a nonzero square, a non-square or
+    zero, and, among pairs with D != 0, A a square or a non-square."""
     if m_p % p == 0:
         raise ValueError("the discriminant split requires p not dividing m")
     t_plus = (p - 1) * (p - 2) // 2
@@ -356,37 +299,13 @@ def discriminant_pair_counts(p: int, m_p: int) -> PairCounts:
         a_sq, a_non = t_plus, t_minus
     else:
         a_sq, a_non = t_minus, t_plus
-    return PairCounts(disc_square=t_plus, disc_nonsquare=t_minus,
-                      disc_zero=p - 1, a_square=a_sq, a_nonsquare=a_non)
+    return {"disc_square": t_plus, "disc_nonsquare": t_minus, "disc_zero": p - 1,
+            "a_square": a_sq, "a_nonsquare": a_non}
 
 
 # ----------------------------------------------------------------------
 # Full complete-weight-enumerator prediction
 # ----------------------------------------------------------------------
-
-class _Accumulator:
-    """Collects (composition, frequency) terms from value patterns."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.terms: dict[tuple[int, ...], int] = {}
-
-    def add(self, freq: int, counts: list[int]) -> None:
-        """Count ``freq`` codewords with counts[rho - 1] coordinates equal
-        to rho, for rho = 1, ..., p - 1; symbol 0 fills the rest of n."""
-        if freq < 0:
-            raise FrequencyMismatchError(f"negative pattern frequency {freq}")
-        if freq == 0:
-            return
-        low = min(counts)
-        if low < 0:
-            raise FrequencyMismatchError(f"negative symbol count {low}")
-        zero = self.n - sum(counts)
-        if zero < 0:
-            raise FrequencyMismatchError("symbol counts exceed the length")
-        key = (zero, *counts)
-        self.terms[key] = self.terms.get(key, 0) + freq
-
 
 def _spike(p: int, rest: int, at: int, *rhos: int) -> list[int]:
     """The p - 1 symbol counts that are ``at`` on each of ``rhos`` and
@@ -408,35 +327,52 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
     regime = parameter_regime(p, m)
     n = predicted_length(p, m)
     q3 = p ** (m - 3)
-    acc = _Accumulator(n)
+    terms: dict[tuple[int, ...], int] = {}
+
+    def add(freq: int, counts: list[int]) -> None:
+        """Count ``freq`` codewords with counts[rho - 1] coordinates equal
+        to rho, for rho = 1, ..., p - 1; symbol 0 fills the rest of n."""
+        if freq < 0:
+            raise FrequencyMismatchError(f"negative pattern frequency {freq}")
+        if freq == 0:
+            return
+        low = min(counts)
+        if low < 0:
+            raise FrequencyMismatchError(f"negative symbol count {low}")
+        zero = n - sum(counts)
+        if zero < 0:
+            raise FrequencyMismatchError("symbol counts exceed the length")
+        key = (zero, *counts)
+        terms[key] = terms.get(key, 0) + freq
+
     syms = range(1, p)
     # chi[0] = 0, so a pattern whose character argument vanishes at
     # rho = rho0 (or at rho0 and rho1) takes the value q3 there by itself
     chi = [legendre(t, p) for t in range(p)]
-    acc.add(1, [0] * (p - 1))  # a = 0
+    add(1, [0] * (p - 1))  # a = 0
     for rho0 in syms:  # a in F_p^*: every coordinate of the codeword is rho0
-        acc.add(1, _spike(p, 0, n, rho0))
+        add(1, _spike(p, 0, n, rho0))
 
     if regime == 1:
         eps = legendre(-1, p) ** (m // 2)
         t = p ** ((m - 4) // 2)
-        acc.add(p ** (m - 1) - p, [q3] * (p - 1))
-        acc.add((p - 1) * p ** (m - 2), [q3 + eps * t] * (p - 1))
+        add(p ** (m - 1) - p, [q3] * (p - 1))
+        add((p - 1) * p ** (m - 2), [q3 + eps * t] * (p - 1))
         for rho0 in syms:
-            acc.add((p - 1) * p ** (m - 2),
-                    _spike(p, q3 + eps * t, q3 - (p - 1) * eps * t, rho0))
+            add((p - 1) * p ** (m - 2),
+                _spike(p, q3 + eps * t, q3 - (p - 1) * eps * t, rho0))
 
     elif regime == 2:
         eps = legendre(-1, p) ** (m // 2)
         u = eps * p ** ((m - 4) // 2)
         big = eps * p ** ((m - 2) // 2)
-        acc.add(p ** (m - 2) - 1, [q3] * (p - 1))
-        acc.add((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, [q3 - u] * (p - 1))
+        add(p ** (m - 2) - 1, [q3] * (p - 1))
+        add((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, [q3 - u] * (p - 1))
         for rho0 in syms:
-            acc.add(p ** (m - 2) - 1, _spike(p, q3, q3 - big, rho0))
-            acc.add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0))
+            add(p ** (m - 2) - 1, _spike(p, q3, q3 - big, rho0))
+            add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0))
         for rho0, rho1 in itertools.combinations(syms, 2):
-            acc.add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0, rho1))
+            add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0, rho1))
 
     elif regime == 3:
         eps1 = legendre(-1, p) ** ((m + 1) // 2)
@@ -444,10 +380,10 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         half = (p - 1) * p ** (m - 2) // 2
         plus = [q3 + chi[t] * s for t in range(p)] * 2
         minus = [q3 - chi[t] * s for t in range(p)] * 2
-        acc.add(p ** (m - 1) - p, [q3] * (p - 1))
+        add(p ** (m - 1) - p, [q3] * (p - 1))
         for rho0 in range(p):  # q3 +- chi(rho - rho0) * s
-            acc.add(half, _shifted(plus, p, rho0))
-            acc.add(half, _shifted(minus, p, rho0))
+            add(half, _shifted(plus, p, rho0))
+            add(half, _shifted(minus, p, rho0))
 
     else:
         eps1 = legendre(-1, p) ** ((m + 1) // 2)
@@ -462,22 +398,22 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         pair = [[q3 + chi[t * (t - k) % p] * ts for t in range(p)] * 2 for k in range(p)]
         disc = [[q3 + chi[(mp2 * t * t - delta) % p] * ts for t in range(p)] * 2
                 for delta in nonsquares]
-        acc.add(freq2, [q3] * (p - 1))
+        add(freq2, [q3] * (p - 1))
         for rho0 in syms:  # chi(rho(rho - rho0))
-            acc.add(n, _shifted(pair[rho0], p, 0))
-            acc.add(freq2, _spike(p, q3, q3 - ts, rho0))
+            add(n, _shifted(pair[rho0], p, 0))
+            add(freq2, _spike(p, q3, q3 - ts, rho0))
         for rho0, rho1 in itertools.combinations(syms, 2):  # chi((rho - rho0)(rho - rho1))
-            acc.add(n, _shifted(pair[rho1 - rho0], p, rho0))
+            add(n, _shifted(pair[rho1 - rho0], p, rho0))
         for row in disc:  # chi(m_p^2 rho^2 - delta)
-            acc.add(n, _shifted(row, p, 0))
+            add(n, _shifted(row, p, 0))
         # chi(m_p^2 (rho - rho0)^2 - delta): at rho = rho0 the argument is
         # -delta, and chi(-delta) = -chi(-1) makes the value
         # q3 - chi(m_p) * eps1 * p^((m - 3)/2)
         for rho0 in syms:
             for row in disc:
-                acc.add(n, _shifted(row, p, rho0))
+                add(n, _shifted(row, p, rho0))
 
-    return n, acc.terms
+    return n, terms
 
 
 def predict_cwe(p: int, m: int) -> CompleteWeightEnumerator:

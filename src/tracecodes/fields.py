@@ -372,20 +372,15 @@ class FieldContext:
 
     @cached_property
     def _basis_traces(self) -> list[int]:
-        """Tr(x^j) for j in [0, m): the sum of the conjugates
-        (x^j)^(p^k) = (x^(p^k))^j, with x^(p^k) from ``_frobenius_chain``."""
+        """Tr(x^j) for j in [0, m).  The roots of the modulus f are the
+        conjugates of x, so these are the power sums s_j of its roots, by
+        Newton's identities: s_0 = m and, for 0 < j < m,
+        s_j = -(j*f_(m-j) + sum over 0 < i < j of f_(m-i)*s_(j-i))."""
         p, m, f = self.p, self.m, self.modulus
-        sums = [[int(i == j) for i in range(m)] for j in range(m)]  # k = 0
-        for conj in _frobenius_chain(f, p)[1:m]:
-            power = conj
-            sums[0][0] += 1
-            for j in range(1, m):
-                if j > 1:
-                    power = _poly_mul_mod(power, conj, f, p)
-                sums[j] = [(u + v) % p for u, v in zip(sums[j], power)]
-        if any(any(t[1:]) for t in sums):
-            raise AssertionError("trace left the prime subfield")
-        return [t[0] % p for t in sums]
+        s = [m % p]
+        for j in range(1, m):
+            s.append(-(j * f[m - j] + sum(f[m - i] * s[j - i] for i in range(1, j))) % p)
+        return s
 
     def _trace_of(self, c: Sequence[int]) -> int:
         """The trace of the element with polynomial-basis coefficients c."""

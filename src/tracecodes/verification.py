@@ -60,7 +60,7 @@ def verify_gauss_sums(ctx: FieldContext) -> list[Verdict]:
             passed=mag_ok,
             details=f"G*conj(G) = {p**mm} in Z[zeta_p]" if mag_ok
             else f"G*conj(G) = {list(norm.coeffs)} != {p**mm}"))
-        deviates = charsums.quartic_reading_sign(p, mm) == -1
+        deviates = direct != closed * charsums.quartic_reading_sign(p, mm)
         expected = (p % 8 in (5, 7)) and (mm % 2 == 1)
         note = ("quartic sign convention deviates from the summed value by (-1)^m"
                 if deviates else "quartic sign convention agrees with the summed value")
@@ -163,8 +163,7 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
                     a_non += 1
         got = {"disc_square": t_plus, "disc_nonsquare": t_minus, "disc_zero": t_zero,
                "a_square": a_sq, "a_nonsquare": a_non}
-        pc = closedform.discriminant_pair_counts(p, mp)
-        want = {key: getattr(pc, key) for key in got}
+        want = closedform.discriminant_pair_counts(p, mp)
         ok = got == want
         verdicts.append(Verdict(
             name=f"discriminant-pair-counts p={p} m_p={mp}", passed=ok,
@@ -178,11 +177,15 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     step = rm1 // (p - 1)
     perms = [codes.relabelling(p, c) for c in ctx.prime_powers]
     lb = ctx.prime_log(dset.trace_value)
-    closed: dict[closedform.TraceProfile, list[int]] = {}
+    tr, prime_powers = ctx.trace_exp, ctx.prime_powers
+    closed: dict[tuple, list[int]] = {}
     failures = []
     for la, _, comp in compositions:
         for j, perm in enumerate(perms):
-            prof = closedform.TraceProfile.from_log(ctx, la + j * step + lb)
+            # b*c*alpha^la = alpha^k lies in F_p iff step = N divides k
+            k = (la + j * step + lb) % rm1
+            q, rest = divmod(k, step)
+            prof = (tr[2 * k % rm1], tr[k], None if rest else prime_powers[q])
             if prof not in closed:
                 closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
                                 for rho in range(p)]

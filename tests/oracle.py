@@ -71,6 +71,14 @@ def direct_cwe_terms(ctx, dset) -> dict:
     return terms
 
 
+def profile(ctx, a):
+    """The trace profile (Tr(a^2), Tr(a), a if a lies in F_p else None)
+    of a nonzero a, from the oracle's own tables: a lies in F_p exactly
+    when its index is below p."""
+    tr = trace_table(ctx)
+    return tr[mul(ctx, a, a)], tr[a], a if a < ctx.p else None
+
+
 def codeword(ctx, dset, a):
     tr = trace_table(ctx)
     return tuple(tr[mul(ctx, a, x)] for x in elements(ctx, dset))

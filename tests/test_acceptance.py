@@ -11,7 +11,6 @@ import time
 import pytest
 
 from tracecodes import (
-    TraceProfile,
     build_defining_set,
     build_defining_set_general,
     classify_optimality,
@@ -228,8 +227,8 @@ def test_criterion_10_discriminant_pair_counts():
                     else:
                         a_non += 1
             pc = discriminant_pair_counts(p, mp)
-            assert (pc.disc_square, pc.disc_nonsquare, pc.disc_zero,
-                    pc.a_square, pc.a_nonsquare) == \
+            assert (pc["disc_square"], pc["disc_nonsquare"], pc["disc_zero"],
+                    pc["a_square"], pc["a_nonsquare"]) == \
                 (t_plus, t_minus, t_zero, a_sq, a_non), (p, mp)
     _report(10, "pair counts by discriminant and leading character exact for "
                 "p in {3,5,7,11,13}, both residue classes")
@@ -245,7 +244,7 @@ def test_criterion_11_symbol_count_decomposition():
             counts = [0] * p
             for x in oracle.elements(ctx, dset):
                 counts[tr[oracle.mul(ctx, a, x)]] += 1
-            prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
+            prof = oracle.profile(ctx, a)
             for rho in range(p):
                 assert symbol_count_closed(p, m, prof, rho) == counts[rho], \
                     (p, m, a, rho)

@@ -67,6 +67,25 @@ def test_magnitude_verdict_is_exact(monkeypatch):
     assert not verdict.passed and verdict.details.endswith("!= 37")
 
 
+@pytest.mark.parametrize("p,deviating", [(3, []), (7, [1, 3])])
+def test_sign_convention_verdict_reads_the_summed_value(monkeypatch, p, deviating):
+    """The quartic reading is compared with the summed value itself, so a
+    negated direct sum fails the verdict at every degree."""
+    from tracecodes import charsums
+    from tracecodes.verification import verify_gauss_sums
+
+    def signs(ctx):
+        return [v for v in verify_gauss_sums(ctx) if v.name.startswith("gauss-sum-sign")]
+
+    ctx = make_field(p, 3)
+    verdicts = signs(ctx)
+    assert all(v.passed for v in verdicts)
+    assert [mm for mm, v in enumerate(verdicts, 1) if v.data["deviates"]] == deviating
+    original = charsums.gauss_sum_direct
+    monkeypatch.setattr(charsums, "gauss_sum_direct", lambda ctx: -original(ctx))
+    assert not any(v.passed for v in signs(ctx))
+
+
 def test_gauss_exact_integers():
     assert gauss_int(3, 2) == 3
     assert gauss_int(5, 2) == -5

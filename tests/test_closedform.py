@@ -2,7 +2,6 @@ import pytest
 
 from tracecodes import (
     CyclotomicInteger,
-    TraceProfile,
     build_defining_set,
     classify_optimality,
     correction_sums,
@@ -88,7 +87,7 @@ def test_correction_sums_vs_direct(fields):
     for p, m in [(3, 4), (3, 3), (5, 3)]:
         ctx = fields(p, m)
         for a in range(1, ctx.r):
-            prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
+            prof = oracle.profile(ctx, a)
             for rho in range(1, p):
                 assert correction_sums(p, m, prof, rho) == \
                     correction_sums_direct(ctx, a, rho), (p, m, a, rho)
@@ -99,7 +98,7 @@ def test_correction_sums_vs_direct(fields):
 def test_correction_sums_regime1(fields):
     ctx = fields(3, 6)
     for a in range(1, ctx.r):
-        prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
+        prof = oracle.profile(ctx, a)
         for rho in range(3):
             got = correction_sums(3, 6, prof, rho) if rho else \
                 correction_sums_at_zero(3, 6, prof)
@@ -112,7 +111,7 @@ def test_correction_sums_spot_values(fields):
     gm = gauss_int(p, m)
     r = p**m
     a = 2  # prime-subfield element
-    prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
+    prof = oracle.profile(ctx, a)
     s_lin, s_sq, s_mix = correction_sums(p, m, prof, 2)
     assert s_lin == (p - 1) * r
     s_lin, _, _ = correction_sums(p, m, prof, 3)
@@ -120,8 +119,8 @@ def test_correction_sums_spot_values(fields):
     # a outside the prime subfield with Tr(a^2) = 0 contributes
     # -(p-1)*G_m through the square-constraint term
     for a in range(p, r):
-        prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
-        if prof.tr_sq == 0:
+        prof = oracle.profile(ctx, a)
+        if prof[0] == 0:  # Tr(a^2)
             _, s_sq, _ = correction_sums(p, m, prof, 1)
             assert s_sq == -(p - 1) * gm
             break
@@ -160,7 +159,7 @@ def test_symbol_count_closed_vs_brute(fields):
         ctx = fields(p, m)
         dset = build_defining_set(ctx, 1)
         for a in range(1, ctx.r):
-            prof = TraceProfile.from_log(ctx, oracle.log(ctx, a))
+            prof = oracle.profile(ctx, a)
             for rho in range(p):
                 assert symbol_count_closed(p, m, prof, rho) == \
                     codeword(ctx, dset, a).count(rho), (p, m, a, rho)
@@ -171,9 +170,9 @@ def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
     from tracecodes.verification import verify_counts
     ctx = fields(3, 4)
     dset = build_defining_set(ctx, 1)
-    target = TraceProfile.from_log(ctx, oracle.log(ctx, ctx.alpha))
+    target = oracle.profile(ctx, ctx.alpha)
     first_a = min(a for a in range(1, ctx.r)
-                  if TraceProfile.from_log(ctx, oracle.log(ctx, a)) == target)
+                  if oracle.profile(ctx, a) == target)
     original = closedform.symbol_count_closed
     monkeypatch.setattr(closedform, "symbol_count_closed",
                         lambda p, m, prof, rho: original(p, m, prof, rho) + (prof == target))
@@ -292,25 +291,17 @@ def test_predict_cwe_checks_the_frequency_total(monkeypatch):
 
 def test_rho_zero_guard(fields):
     ctx = fields(5, 3)
-    prof = TraceProfile.from_log(ctx, oracle.log(ctx, 7))
+    prof = oracle.profile(ctx, 7)
     with pytest.raises(RhoZeroError):
         correction_sums(5, 3, prof, 0)
 
 
-def test_profile_requires_nonzero():
-    import tracecodes
-    with pytest.raises(ValueError):
-        ctx = tracecodes.make_field(5, 3)
-        TraceProfile.from_log(ctx, -1)  # no log: the zero element
-
-
 def test_discriminant_pair_counts_closed():
-    pc = discriminant_pair_counts(5, 3)
-    assert (pc.disc_square, pc.disc_nonsquare) == (6, 10)
-    assert (pc.a_square, pc.a_nonsquare) == (10, 6)  # eta(3) = -1 mod 5
-    assert pc.disc_zero == 4
+    assert discriminant_pair_counts(5, 3) == {
+        "disc_square": 6, "disc_nonsquare": 10, "disc_zero": 4,
+        "a_square": 10, "a_nonsquare": 6}  # eta(3) = -1 mod 5
     pc = discriminant_pair_counts(7, 1)
-    assert (pc.disc_square, pc.disc_nonsquare) == (15, 21)
+    assert (pc["disc_square"], pc["disc_nonsquare"]) == (15, 21)
 
 
 def test_discriminant_pair_counts_vs_exhaustive():
@@ -333,10 +324,9 @@ def test_discriminant_pair_counts_vs_exhaustive():
                         a_sq += 1
                     else:
                         a_non += 1
-            pc = discriminant_pair_counts(p, mp)
-            assert (pc.disc_square, pc.disc_nonsquare, pc.disc_zero) == \
-                (t_plus, t_minus, t_zero), (p, mp)
-            assert (pc.a_square, pc.a_nonsquare) == (a_sq, a_non), (p, mp)
+            assert discriminant_pair_counts(p, mp) == {
+                "disc_square": t_plus, "disc_nonsquare": t_minus, "disc_zero": t_zero,
+                "a_square": a_sq, "a_nonsquare": a_non}, (p, mp)
 
 
 def test_predict_cwe_reference_codes():

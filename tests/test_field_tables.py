@@ -20,9 +20,12 @@ EDGE_PAIRS = [(127, 2), (131, 2), (257, 2)]
 
 def _assert_tables_match_oracle(ctx):
     """trace_exp and exp, each from recurrence fills, are the oracle's
-    trace table read along the oracle's power walk, and that walk."""
+    trace table read along the oracle's power walk, and that walk.  The
+    basis traces from Newton's identities on the modulus are the oracle's
+    traces of x^j, the index p^j, summed over Frobenius conjugates."""
     exp, _ = oracle.power_tables(ctx)
     trace_table = oracle.trace_table(ctx)
+    assert ctx._basis_traces == [trace_table[ctx.p**j] for j in range(ctx.m)]
     assert ctx.trace_exp == [trace_table[x] for x in exp]
     assert type(ctx.exp) is list
     assert ctx.exp == exp

@@ -37,8 +37,9 @@ CASES = {
                                 "--samples", "300", "--modulus", "3,0,0,0,1"],
     "verify-3-5-all-modulus": ["verify", "--p", "3", "--m", "5", "--scope", "all",
                                "--samples", "250", "--modulus", "2,2,0,0,0,1"],
-    # the Gauss sign-convention verdicts at p = 7 mod 8, where the quartic
-    # reading deviates at odd m, and at p = 1 mod 8, where it agrees
+    # the Gauss sign-convention verdicts at p = 5 and 7 mod 8, where the
+    # quartic reading deviates at odd m, and at p = 1 mod 8, where it agrees
+    "verify-13-3-sums": ["verify", "--p", "13", "--m", "3", "--scope", "sums"],
     "verify-7-3-sums": ["verify", "--p", "7", "--m", "3", "--scope", "sums"],
     "verify-17-3-sums": ["verify", "--p", "17", "--m", "3", "--scope", "sums"],
     # 2(p - 1) > 255: the recurrence fills go through list windows
