@@ -14,6 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
+from .codes import _WORDS_PER_SYMBOL
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
 from .fields import FieldContext, legendre
@@ -67,25 +68,57 @@ def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,
 
     Only the additivity of the trace is used: for x = alpha^k the
     exponent is Tr(a2*x^2) + Tr(a1*x) + Tr(a0), that is trace_exp at
-    l2 + 2k plus trace_exp at l1 + k (both mod N = r - 1) plus Tr(a0).
-    Over k in [0, N) the first term is the rotation of trace_exp by l2
-    read with stride 2, twice over (N is even), and the second the
-    rotation by l1; x = 0 contributes Tr(a0), which is trace_exp at l0,
-    or 0 when a0 = 0."""
+    l2 + 2k plus trace_exp at l1 + k (both mod N = r - 1) plus Tr(a0);
+    x = 0 contributes Tr(a0), which is trace_exp at l0, or 0 when a0 = 0.
+    The counts over k come from the field's trace bitmasks when
+    :func:`_masks_win`, else from a ``Counter`` over the trace list."""
     if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
-    p, te = ctx.p, ctx.trace_exp
-    quad = (te[l2:] + te[:l2])[::2] * 2
+    p = ctx.p
+    kernel = _mask_counts if _masks_win(p, ctx.r) else _counter_counts
+    counts = kernel(ctx, l2, l1)
+    counts[0] += 1  # x = 0
+    c = 0 if l0 is None else ctx.trace_exp[l0]
+    return CyclotomicInteger.from_exponent_counts(p, counts[p - c:] + counts[:p - c])
+
+
+def _masks_win(p: int, r: int) -> bool:
+    """Whether :func:`_mask_counts` beats :func:`_counter_counts` in F_r:
+    p^2 passes over ceil(2(r - 1)/64) words against about r list reads,
+    priced in :data:`codes._WORDS_PER_SYMBOL` words per read as the
+    orbit walk's kernels are.  It switches near p = 25."""
+    return p < 256 and p * p * -(-2 * (r - 1) // 64) < _WORDS_PER_SYMBOL * r
+
+
+def _mask_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
+    """counts[w], w in F_p: the k in [0, N) with Tr(a2*x^2) + Tr(a1*x) = w
+    for x = alpha^k, a2 = alpha^l2 and a1 = alpha^l1 or 0.  Bit k of
+    quads[u], half mask l2 % 2 shifted right by l2 // 2 and cut to N bits,
+    is set iff Tr(a2*x^2) = u; bit k of the linear mask v shifted right by
+    l1 iff Tr(a1*x) = v.  The pair (u, v) counts the set bits of their AND."""
+    p, cut = ctx.p, (1 << ctx.r - 1) - 1
+    quads = [mask >> l2 // 2 & cut for mask in ctx.half_masks[l2 % 2]]
     if l1 is None:
-        sums = Counter(quad)
-    else:
-        sums = Counter(map(add, quad, te[l1:] + te[:l1]))
-    c = 0 if l0 is None else te[l0]
+        return [quad.bit_count() for quad in quads]
+    lins = [mask >> l1 for mask in ctx.trace_masks]
     counts = [0] * p
-    counts[c] = 1  # x = 0
-    for v, freq in sums.items():
-        counts[(v + c) % p] += freq
-    return CyclotomicInteger.from_exponent_counts(p, counts)
+    for u, quad in enumerate(quads):
+        for w, lin in enumerate(lins, u):  # w = u + v
+            counts[w % p] += (quad & lin).bit_count()
+    return counts
+
+
+def _counter_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
+    """The counts of :func:`_mask_counts`, from the trace list: Tr(a2*x^2)
+    over k in [0, N) is the rotation of trace_exp by l2 read with stride 2,
+    twice over (N is even), and Tr(a1*x) the rotation by l1."""
+    te = ctx.trace_exp
+    quad = (te[l2:] + te[:l2])[::2] * 2
+    sums = Counter(quad) if l1 is None else Counter(map(add, quad, te[l1:] + te[:l1]))
+    counts = [0] * ctx.p
+    for w, freq in sums.items():
+        counts[w % ctx.p] += freq
+    return counts
 
 
 def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int | None,
@@ -127,16 +160,22 @@ def cyclotomic_numbers_direct(ctx: FieldContext) -> dict[tuple[int, int], int]:
     steps the constant coefficient, the low base-p digit of an index:
     x + 1 is the next index, or p - 1 back when that digit is p - 1.  So
     the indices with low digit d pair off with those with low digit
-    d + 1 mod p, and each pair is read from the class bytes."""
+    d + 1 mod p, and each pair is read from the class bytes: the big-int
+    sum of 3 times one slice and the other holds byte 3i + j < 9 at each
+    pair (i, j), carrying into no other byte."""
     p = ctx.p
     cls = bytearray(ctx.r)
     cls[0] = 2
     for x in ctx.exp[1::2]:
         cls[x] = 1
-    pairs = Counter()
+    size = ctx.r // p
+    pairs = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     for d in range(p):
-        pairs.update(zip(cls[d::p], cls[(d + 1) % p::p]))
-    return {(i, j): pairs[i, j] for i in (0, 1) for j in (0, 1)}
+        both = (3 * int.from_bytes(cls[d::p], "little")
+                + int.from_bytes(cls[(d + 1) % p::p], "little")).to_bytes(size, "little")
+        for i, j in pairs:
+            pairs[i, j] += both.count(3 * i + j)
+    return pairs
 
 
 def cyclotomic_numbers_order2(r: int) -> dict[tuple[int, int], int]:

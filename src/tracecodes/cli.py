@@ -13,6 +13,7 @@ diagnostics and timings to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -388,5 +389,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The console entry point: :func:`main`'s exit code, with every
+    object left alive frozen into the permanent generation first, so
+    that interpreter shutdown does not walk and free each module's
+    reference cycles.  ``atexit`` handlers still run.  :func:`main`
+    itself freezes nothing, as callers that stay alive after it
+    returns, tests and benchmarks among them, still want the collector."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -275,18 +275,13 @@ def _symbol_walk(ctx: FieldContext, dset: DefiningSet):
 
 def _bit_walk(ctx: FieldContext, dset: DefiningSet):
     """The bitset kernel, same contract as :func:`_symbol_walk`.  Bit k
-    of masks[rho - 1] is set iff Tr(alpha^k) = rho, for k < 2(r - 1), and
-    dmask has bit dl set for each log dl of D; then the codeword of
-    alpha^la has (masks[rho - 1] & dmask << la).bit_count() symbols rho,
-    and symbol 0 fills the rest of its n."""
+    of ``ctx.trace_masks[rho]`` is set iff Tr(alpha^k) = rho, for
+    k < 2(r - 1), and dmask has bit dl set for each log dl of D; then the
+    codeword of alpha^la has (trace_masks[rho] & dmask << la).bit_count()
+    symbols rho, and symbol 0 fills the rest of its n."""
     p, n, rm1 = ctx.p, len(dset), ctx.r - 1
     assert p < 256  # one byte per trace value
-    doubled = bytes(ctx.trace_exp) * 2
-    masks = []
-    for rho in range(1, p):
-        # int() reads the most significant digit first, so reverse to put k at bit k
-        table = bytes(49 if v == rho else 48 for v in range(256))  # b"1" / b"0"
-        masks.append(int(doubled.translate(table)[::-1], 2))
+    masks = ctx.trace_masks[1:]
     digits = bytearray(b"0") * rm1
     for dl in dset.logs:
         digits[dl] = 49

@@ -274,15 +274,21 @@ def _byte_window_sum(p: int) -> Callable[[list, int], bytes]:
     return window_sum
 
 
-def _list_window_sum(p: int) -> Callable[[list, int], list[int]]:
-    """sum_i c_i * w_i mod p, entry by entry, over list windows, for
-    primes too wide for byte slots (2(p - 1) > 255, so m <= 3 under the
-    size cap)."""
+def _list_window_sum(p: int, m: int) -> Callable[[list, int], list[int]]:
+    """sum_i c_i * w_i mod p, entry by entry, over at most m list windows
+    of values in [0, p), for primes too wide for byte slots
+    (2(p - 1) > 255).  Each window is one big int of 4-byte slots, the
+    windows are summed with weights c_i, and the sum is read back as an
+    ``array`` and reduced: a slot holds at most m(p - 1)^2, so no slot
+    carries into the next.  Where that passes 2^32 (m = 1 and p > 65536
+    under the size cap) the slots are 8 bytes wide."""
+    code = "I" if m * (p - 1) ** 2 < 2**32 else "Q"
+    width, order = array(code).itemsize, sys.byteorder
+    assert m * (p - 1) ** 2 < 2 ** (8 * width)
+
     def window_sum(terms: list[tuple[int, list[int]]], k: int) -> list[int]:
-        acc = [0] * k
-        for c, w in terms:
-            acc = list(map(operator.add, acc, map(c.__mul__, w)))
-        return list(map(p.__rmod__, acc))
+        acc = sum(c * int.from_bytes(array(code, w).tobytes(), order) for c, w in terms)
+        return list(map(p.__rmod__, array(code, acc.to_bytes(width * k, order))))
     return window_sum
 
 
@@ -297,7 +303,7 @@ def _recurrence_fill(seed: Sequence[int], h: Sequence[int], n: int, p: int) -> S
     if 2 * (p - 1) <= 255:
         s, window_sum = bytearray(seed), _byte_window_sum(p)
     else:
-        s, window_sum = list(seed), _list_window_sum(p)
+        s, window_sum = list(seed), _list_window_sum(p, m)
     # x * (h_1 + h_2 x + ... + h_m x^(m-1)) = -h_0 mod h gives x^-1
     inv_h0 = pow(-h[0], -1, p)
     back = _poly_powmod([v * inv_h0 % p for v in h[1:]], m - 1, h, p)
@@ -308,6 +314,16 @@ def _recurrence_fill(seed: Sequence[int], h: Sequence[int], n: int, p: int) -> S
         s += window_sum([(ci, s[i:i + k]) for i, ci in enumerate(c) if ci], k)
         c = _poly_mul_mod(_poly_mul_mod(c, c, h, p), back, h, p)
     return s
+
+
+def _level_masks(seq: bytes, p: int) -> list[int]:
+    """For each v in [0, p), the int with bit k set iff seq[k] = v."""
+    masks = []
+    for v in range(p):
+        # int() reads the most significant digit first, so reverse to put k at bit k
+        table = bytes(49 if t == v else 48 for t in range(256))  # b"1" / b"0"
+        masks.append(int(seq.translate(table)[::-1], 2))
+    return masks
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +348,12 @@ class FieldContext:
         Absolute trace of alpha^k for k in [0, r - 1).
     exp : list[int]
         Index of alpha^k for k in [0, r - 1).
+    trace_masks : list[int]
+        Per trace value v, bit k set iff Tr(alpha^(k mod (r - 1))) = v,
+        for k < 2(r - 1); p < 256.
+    half_masks : tuple[list[int], list[int]]
+        Per parity e and trace value u, bit k set iff
+        Tr(alpha^(2k + e)) = u, for k < 3(r - 1)/2; p < 256.
     prime_powers : list[int]
         alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): F_p^*.
     """
@@ -455,6 +477,25 @@ class FieldContext:
             raise AssertionError("primitive element order check failed")
         self._spot_check(s, self.index)
         return s
+
+    @cached_property
+    def trace_masks(self) -> list[int]:
+        """The p linear masks: bit k of trace_masks[v] is set iff
+        Tr(alpha^(k mod (r - 1))) = v, for k < 2(r - 1), so
+        ``trace_masks[v] >> l`` reads Tr(alpha^(l + k)) = v at bit k.
+        Needs p < 256, one byte per trace value."""
+        return _level_masks(bytes(self.trace_exp) * 2, self.p)
+
+    @cached_property
+    def half_masks(self) -> tuple[list[int], list[int]]:
+        """The 2 x p half masks: bit k of half_masks[e][u] is set iff
+        Tr(alpha^(2k + e)) = u, for k < 3(r - 1)/2, so
+        ``half_masks[l % 2][u] >> l // 2`` reads Tr(alpha^l * x^2) = u at
+        bit k, x = alpha^k, for k < r - 1.  Kept apart from
+        :attr:`trace_masks` because only the quadratic sums read them.
+        Needs p < 256."""
+        te = self.trace_exp
+        return tuple(_level_masks(bytes(te[e::2]) * 3, self.p) for e in (0, 1))
 
     @cached_property
     def prime_powers(self) -> list[int]:

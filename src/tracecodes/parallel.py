@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 import sys
 from collections.abc import Callable, Sequence
 from io import BufferedReader
@@ -47,6 +46,7 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
     finally:
         for pid, pipe in children:
             if not pipe.closed:  # the map failed before reading this child
+                import signal  # only here: importing it costs every CLI call
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from tracecodes import (
     CyclotomicInteger,
+    charsums,
     cyclotomic_numbers_direct,
     cyclotomic_numbers_order2,
     gauss_int,
@@ -185,6 +186,62 @@ def test_quadratic_sum_identity_random(pair, data):
         assert quadratic_exponential_sum(ctx, *logs) == want, (a2, a1, a0)
         assert quadratic_exponential_sum_closed(ctx, *logs, gauss=gauss) == want, \
             (a2, a1, a0)
+
+
+# p on both sides of charsums._masks_win, which holds through p = 23 at
+# m >= 2 and fails from p = 29
+MASK_PAIRS = [(p, m) for p in (3, 5, 7, 11, 23, 29, 31, 37) for m in range(1, 8)
+              if p**m <= 3000]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(MASK_PAIRS), data=st.data())
+def test_quadratic_sum_masks_equal_counter_and_oracle(pair, data):
+    """The bitmask counts equal the Counter counts on either side of the
+    rule, and the sum that runs equals the per-element walk, on default
+    and drawn moduli, with l1 and l0 a log or None."""
+    p, m = pair
+    modulus = None
+    if data.draw(st.booleans(), label="drawn modulus"):
+        modulus = oracle.irreducible_from(p, m, data.draw(st.integers(0, p**m - 1), label="tail"))
+    ctx = make_field(p, m, modulus=modulus)
+    exp, _ = oracle.power_tables(ctx)
+    logs = st.integers(0, ctx.r - 2)
+    for _ in range(3):
+        l2 = data.draw(logs, label="l2")
+        l1, l0 = (data.draw(st.none() | logs, label=name) for name in ("l1", "l0"))
+        assert charsums._mask_counts(ctx, l2, l1) == charsums._counter_counts(ctx, l2, l1)
+        a2, a1, a0 = (0 if k is None else exp[k] for k in (l2, l1, l0))
+        assert quadratic_exponential_sum(ctx, l2, l1, l0) == \
+            oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (l2, l1, l0)
+
+
+def test_quadratic_sum_rule_switches_near_25():
+    assert all(charsums._masks_win(p, p**m) for p, m in [(3, 12), (5, 8), (7, 5), (23, 3)])
+    assert not any(charsums._masks_win(p, p**m) for p, m in [(29, 3), (37, 3), (257, 2)])
+
+
+def test_masks_are_built_once_per_context(monkeypatch):
+    """The orbit walk and the quadratic sums read one set of linear masks;
+    the half masks wait for the first quadratic sum, so a build never
+    makes them."""
+    from tracecodes import codes, fields
+    built = []
+    original = fields._level_masks
+    monkeypatch.setattr(fields, "_level_masks",
+                        lambda seq, p: built.append(len(seq)) or original(seq, p))
+    ctx = make_field(3, 6)
+    rm1 = ctx.r - 1
+    dset = codes.build_defining_set(ctx, 1)
+    assert codes._bits_win(ctx.p, ctx.r, len(dset))
+    for _ in range(2):
+        codes.exhaustive_cwe(ctx, dset)
+    assert built == [2 * rm1]
+    assert "half_masks" not in vars(ctx)
+    for l2 in range(4):
+        quadratic_exponential_sum(ctx, l2, l2 + 1, None)
+        quadratic_exponential_sum(ctx, l2, None, l2)
+    assert built == [2 * rm1, 3 * rm1 // 2, 3 * rm1 // 2]
 
 
 def test_quadratic_sum_rejects_zero_leading(fields):

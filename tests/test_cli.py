@@ -496,7 +496,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     pulls in is paid on every call; -S keeps site's own imports out."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, tracecodes.cli\n"
-            "bad = {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
+            "bad = {'dataclasses', 'inspect', 'typing', 'signal'} & set(sys.modules)\n"
             "assert not bad, sorted(bad)\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
@@ -582,3 +582,47 @@ def test_sweep_is_the_same_for_every_worker_count(capsys):
     assert len(serial[1].splitlines()) == 3
     assert "sweep summary:" in serial[2]
     assert run(capsys, *argv, "--workers", "2") == serial
+
+
+def _module_run(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["predict", "--p", "3", "--m", "4"], 0),
+    (["sweep", "--p-list", "3,5,7,2", "--m-list", "3"], 1),  # p = 2 fails
+    (["build", "--p", "4", "--m", "3"], 2),
+    (["build", "--p", "3", "--m", "13"], 3)])
+def test_module_entry_point_exits_as_main(capsys, argv, code):
+    """python -m tracecodes goes through cli.run, which freezes the heap
+    before the interpreter exits: same code and stdout as main()."""
+    proc = _module_run("-m", "tracecodes", *argv)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == code
+    assert (proc.returncode, proc.stdout) == (rc, out), proc.stderr
+
+
+def test_run_freezes_and_main_does_not(capsys):
+    import gc
+    before = gc.get_freeze_count()
+    assert run(capsys, "predict", "--p", "3", "--m", "4")[0] == 0
+    assert gc.get_freeze_count() == before
+    code = ("import gc, sys\n"
+            "from tracecodes.cli import run\n"
+            "sys.argv = ['tracecodes', 'predict', '--p', '3', '--m', '4']\n"
+            "assert run() == 0\n"
+            "assert gc.get_freeze_count() > 0\n")
+    proc = _module_run("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_profiling_the_module_still_prints_its_stats(capsys):
+    """run() leaves through the normal shutdown, so cProfile, which prints
+    after the module's SystemExit, still reports."""
+    proc = _module_run("-m", "cProfile", "-m", "tracecodes", "predict", "--p", "3", "--m", "4")
+    _, out, _ = run(capsys, "predict", "--p", "3", "--m", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(out)
+    assert "function calls" in proc.stdout[len(out):]

@@ -50,6 +50,17 @@ def test_tables_across_the_byte_slot_edge(p, m):
     _assert_tables_match_oracle(make_field(p, m, modulus=oracle.non_primitive_modulus(p, m, 0)))
 
 
+@pytest.mark.parametrize("p", [65521, 100003])
+def test_list_window_slots_at_degree_1(p):
+    """A list-window slot holds m(p - 1)^2 < 2^32 up to p = 65521 at
+    m = 1, and wider primes take 8-byte slots.  At m = 1 the trace is the
+    identity, so both tables are the powers of alpha mod p."""
+    ctx = make_field(p, 1)
+    powers = [pow(ctx.alpha, k, p) for k in range(p - 1)]
+    assert ctx.trace_exp == powers
+    assert ctx.exp == powers
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS), data=st.data())
 def test_add_matches_oracle(fields, pair, data):
