@@ -14,7 +14,6 @@ from collections import Counter
 from functools import lru_cache
 from operator import add
 
-from .codes import _WORDS_PER_SYMBOL
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
 from .fields import FieldContext, legendre
@@ -82,12 +81,22 @@ def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,
     return CyclotomicInteger.from_exponent_counts(p, counts[p - c:] + counts[:p - c])
 
 
+# Per call, the mask kernel does p^2 AND and bit_count passes over
+# ceil((r - 1)/64) words (the half mask is cut to r - 1 bits), the Counter
+# kernel r list reads.  Measured per call on a 2-core box, Python 3.11.7,
+# from (3,2) to (29,4): a pass costs about 140 ns plus 5-8 ns per word,
+# so _PASS_WORDS words, and a read 72-126 ns, 12-17 words.  _READ_WORDS
+# takes the low end: the kernels come within 10% per call at (29,3), (31,3)
+# and (29,4), where the masks' one-off build (15 ms at (29,3)) is unpriced.
+_PASS_WORDS = 28
+_READ_WORDS = 12
+
+
 def _masks_win(p: int, r: int) -> bool:
-    """Whether :func:`_mask_counts` beats :func:`_counter_counts` in F_r:
-    p^2 passes over ceil(2(r - 1)/64) words against about r list reads,
-    priced in :data:`codes._WORDS_PER_SYMBOL` words per read as the
-    orbit walk's kernels are.  It switches near p = 25."""
-    return p < 256 and p * p * -(-2 * (r - 1) // 64) < _WORDS_PER_SYMBOL * r
+    """Whether :func:`_mask_counts` beats :func:`_counter_counts` in F_r,
+    priced in 64-bit words as above.  It never does at m <= 2, and at
+    m >= 3 it does through p = 23; p < 256 is what the masks need."""
+    return p < 256 and p * p * (_PASS_WORDS + -(-(r - 1) // 64)) < _READ_WORDS * r
 
 
 def _mask_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
