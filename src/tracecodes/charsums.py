@@ -10,6 +10,8 @@ g**2 = eta(-1) * p.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from functools import lru_cache
 from operator import add
@@ -161,23 +163,34 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int 
 
 def cyclotomic_numbers_direct(ctx: FieldContext) -> dict[tuple[int, int], int]:
     """The four order-2 cyclotomic numbers keyed by (i, j): the number of
-    x in class i with x + 1 in class j, where class 0 holds the nonzero
+    y in class i with y + 1 in class j, where class 0 holds the nonzero
     squares and class 1 the non-squares.  One exhaustive scan.
 
-    Each index gets a class byte from ``exp``: alpha^k is a square
-    exactly when k is even, and zero is class 2, in neither.  Adding 1
-    steps the constant coefficient, the low base-p digit of an index:
-    x + 1 is the next index, or p - 1 back when that digit is p - 1.  So
-    the indices with low digit d pair off with those with low digit
-    d + 1 mod p, and each pair is read from the class bytes: the big-int
-    sum of 3 times one slice and the other holds byte 3i + j < 9 at each
+    Elements are read in trace coordinates: J(x) = sum over i < m of
+    p^i * Tr(alpha^i * x) is an F_p-linear bijection of F_r onto [0, r),
+    since the trace form is nondegenerate.  J(alpha^k) sums trace_exp
+    rotated by i, weighted by p^i, in 4-byte slots of one big int that
+    hold at most r - 1 and so carry into no other slot.  With
+    c = alpha^k1 the element where J is 1, J(x + c) steps the low base-p
+    digit of J(x), so the J with low digit d pair off with those with
+    low digit d + 1 mod p.  Put x = c*y: the pairs (x, x + c) are the
+    pairs (y, y + 1), and y = alpha^(k - k1) is a square exactly when
+    k - k1 is even, so x gets the class byte of y, and zero is class 2,
+    in neither.  Each pair is read from the class bytes: the big-int sum
+    of 3 times one slice and the other holds byte 3i + j < 9 at each
     pair (i, j), carrying into no other byte."""
-    p = ctx.p
-    cls = bytearray(ctx.r)
+    p, r, order = ctx.p, ctx.r, sys.byteorder
+    assert r - 1 < 2**32  # a coordinate fits its 4-byte slot
+    words = array("I", ctx.trace_exp).tobytes()
+    acc = sum(p**i * int.from_bytes(words[4 * i:] + words[:4 * i], order)
+              for i in range(ctx.m))
+    coords = array("I", acc.to_bytes(4 * (r - 1), order))
+    cls = bytearray(r)
     cls[0] = 2
-    for x in ctx.exp[1::2]:
+    k1 = coords.index(1)  # c = alpha^k1
+    for x in coords[1 - k1 % 2::2]:  # k - k1 odd: y = x/c is a non-square
         cls[x] = 1
-    size = ctx.r // p
+    size = r // p
     pairs = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     for d in range(p):
         both = (3 * int.from_bytes(cls[d::p], "little")

@@ -8,15 +8,14 @@ the prime subfield.
 
 A :class:`FieldContext` fixes the modulus polynomial and a primitive
 element alpha; construction does nothing else.  Each table is built on
-first read.  An F_p-linear functional of alpha^k, its trace or one of
-its coordinates, is a linear recurring sequence in k
+first read.  The trace of alpha^k is a linear recurring sequence in k
 (Lidl-Niederreiter, *Finite Fields*, ch. 8): 2m polynomial products
-seed it, Berlekamp-Massey finds the recurrence on the traces, and
-window doubling fills each sequence in, in time linear in p^m.
-``trace_exp`` is the trace sequence; ``exp``, the index of alpha^k,
-sums the m coordinate sequences.  There is no log table:
-sums over the field run over the exponent k, so Tr(x) is
-``trace_exp[k]`` and the quadratic character of x is the parity of k.
+seed it, Berlekamp-Massey finds the recurrence, and window doubling
+fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
+the one element table.  There is no power or log table: sums over the
+field run over the exponent k, so Tr(x) is ``trace_exp[k]`` and the
+quadratic character of x is the parity of k; ``power`` names one
+alpha^k by square-and-multiply.
 ``add`` and ``mul`` are table-free, for walking the field one element
 at a time.  Construction is deterministic: the default modulus is the
 lexicographically first monic irreducible polynomial (tail
@@ -346,8 +345,6 @@ class FieldContext:
         Index of the primitive element.
     trace_exp : list[int]
         Absolute trace of alpha^k for k in [0, r - 1).
-    exp : list[int]
-        Index of alpha^k for k in [0, r - 1).
     trace_masks : list[int]
         Per trace value v, bit k set iff Tr(alpha^(k mod (r - 1))) = v,
         for k < 2(r - 1); p < 256.
@@ -409,74 +406,35 @@ class FieldContext:
         return sum(map(operator.mul, c, self._basis_traces)) % self.p
 
     @cached_property
-    def _recurrence(self) -> tuple[list[list[int]], list[int]]:
-        """(powers, h): the coefficients of alpha^k for k in [0, 2m), and
-        the characteristic polynomial h (monic, low degree first) of every
-        F_p-linear functional of alpha^k, its trace or a coordinate:
-        alpha's minimal polynomial (Lidl-Niederreiter, ch. 8), found by
-        Berlekamp-Massey on the first 2m traces.  m consecutive traces fix
-        alpha^k (the trace form is nondegenerate), so their linear
-        complexity is m."""
-        p, m = self.p, self.m
-        a, power, powers = self.coeffs(self.alpha), [1] + [0] * (m - 1), []
-        for _ in range(2 * m):
-            powers.append(power)
-            power = _poly_mul_mod(power, a, self.modulus, p)
-        conn = _berlekamp_massey(list(map(self._trace_of, powers)), p)
-        if len(conn) != m + 1:
-            raise AssertionError(f"linear complexity {len(conn) - 1} != m = {m}")
-        return powers, conn[::-1]
-
-    def _spot_check(self, s: Sequence[int], read: Callable[[list[int]], int]) -> None:
-        """AssertionError unless the filled term s[k] is ``read`` of the
-        coefficients of alpha^k, by square-and-multiply, at k = 1,
-        (r - 1)/2 and r - 2."""
-        a, rm1 = self.coeffs(self.alpha), self.r - 1
-        for k in (1, rm1 // 2, rm1 - 1):
-            if s[k] != read(_poly_powmod(a, k, self.modulus, self.p)):
-                raise AssertionError(f"recurrence fill differs from alpha^{k}")
-
-    @cached_property
     def trace_exp(self) -> list[int]:
         """Tr(alpha^k) for k in [0, r - 1).  With N = r - 1, the trace of
         a*x for nonzero a, x is trace_exp[(log a + log x) % N], so sums
         and codewords over F_r^* read rotated slices of this one list.
 
-        m consecutive terms fix alpha^k, so the m terms at k repeat those
-        at 0 exactly when alpha^k = 1: at k = r - 1, and at no (r - 1)/q."""
-        p, m, rm1 = self.p, self.m, self.r - 1
-        powers, h = self._recurrence
-        s = _recurrence_fill(list(map(self._trace_of, powers)), h, rm1 + m, p)
+        The traces of alpha^k for k < 2m seed the fill, and Berlekamp-Massey
+        on them finds its characteristic polynomial h, alpha's minimal
+        polynomial (Lidl-Niederreiter, ch. 8).  m consecutive traces fix
+        alpha^k (the trace form is nondegenerate), so their linear
+        complexity is m, and the m terms at k repeat those at 0 exactly
+        when alpha^k = 1: at k = r - 1, and at no (r - 1)/q.  The terms at
+        k = 1, (r - 1)/2 and r - 2 are checked by square-and-multiply."""
+        p, m, rm1, f = self.p, self.m, self.r - 1, self.modulus
+        a, power, seed = self.coeffs(self.alpha), [1] + [0] * (m - 1), []
+        for _ in range(2 * m):
+            seed.append(self._trace_of(power))
+            power = _poly_mul_mod(power, a, f, p)
+        conn = _berlekamp_massey(seed, p)
+        if len(conn) != m + 1:
+            raise AssertionError(f"linear complexity {len(conn) - 1} != m = {m}")
+        s = _recurrence_fill(seed, conn[::-1], rm1 + m, p)
         start = s[:m]
         if s[rm1:] != start or any(s[rm1 // q:rm1 // q + m] == start
                                    for q in prime_factors(rm1)):
             raise AssertionError("primitive element order check failed")
-        self._spot_check(s, self._trace_of)
+        for k in (1, rm1 // 2, rm1 - 1):
+            if s[k] != self._trace_of(_poly_powmod(a, k, f, p)):
+                raise AssertionError(f"recurrence fill differs from alpha^{k}")
         return list(s[:rm1])
-
-    @cached_property
-    def exp(self) -> list[int]:
-        """The index of alpha^k for k in [0, r - 1).  Coordinate j of
-        alpha^k is a linear functional, so its sequence c_j is one
-        recurrence fill; in 4-byte slots of one big int the fills sum to
-        sum_j p^j * c_j, no slot carrying into the next.  alpha^(r - 1) = 1
-        and no alpha^((r - 1)/q) = 1 check the order."""
-        p, r, order = self.p, self.r, sys.byteorder
-        powers, h = self._recurrence
-        acc, rm1 = 0, r - 1
-        for j in range(self.m):
-            c = _recurrence_fill([v[j] for v in powers], h, r, p)
-            if isinstance(c, list):
-                slots = array("I", c).tobytes()
-            else:  # a byte fill: c_j is the low byte of each slot
-                slots = bytearray(4 * r)
-                slots[0 if order == "little" else 3::4] = c
-            acc += p**j * int.from_bytes(slots, order)
-        s = array("I", acc.to_bytes(4 * r, order)).tolist()
-        if s.pop() != 1 or any(s[rm1 // q] == 1 for q in prime_factors(rm1)):
-            raise AssertionError("primitive element order check failed")
-        self._spot_check(s, self.index)
-        return s
 
     @cached_property
     def trace_masks(self) -> list[int]:
@@ -504,6 +462,11 @@ class FieldContext:
         p = self.p
         g = _poly_powmod(self.coeffs(self.alpha), (self.r - 1) // (p - 1), self.modulus, p)[0]
         return [pow(g, j, p) for j in range(p - 1)]
+
+    def power(self, k: int) -> int:
+        """The index of alpha^k, by square-and-multiply: for naming an
+        element in a report, not for walking the field."""
+        return self.index(_poly_powmod(self.coeffs(self.alpha), k, self.modulus, self.p))
 
     def prime_log(self, c: int) -> int:
         """The log to base alpha of c mod p, a nonzero prime-field value:

@@ -89,7 +89,7 @@ def verify_quadratic_sums(ctx: FieldContext, samples: int = 100, seed: int = 0) 
         direct = charsums.quadratic_exponential_sum(ctx, l2, l1, l0)
         closed = charsums.quadratic_exponential_sum_closed(ctx, l2, l1, l0, gauss=gauss)
         if direct != closed:
-            a2, a1, a0 = (0 if k is None else ctx.exp[k] for k in (l2, l1, l0))
+            a2, a1, a0 = (0 if k is None else ctx.power(k) for k in (l2, l1, l0))
             return [Verdict(
                 name=f"quadratic-sum p={ctx.p} m={ctx.m}",
                 passed=False,
@@ -172,7 +172,8 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
 
     # a = c*(alpha^la)^(p^i), c = alpha^(j*N), shares the composition of
     # c*alpha^la and the profile of b*c*alpha^la (D_b = b*D_1 permutes a's
-    # codeword into the D_1 codeword of a*b); a failing class reports its smallest a
+    # codeword into the D_1 codeword of a*b); failures report a = alpha^k
+    # for the smallest failing log k
     rm1 = ctx.r - 1
     step = rm1 // (p - 1)
     perms = [codes.relabelling(p, c) for c in ctx.prime_powers]
@@ -192,10 +193,11 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
             want = closed[prof]
             got = [comp[w] for w in perm]
             if got != want:
-                failures.append((min(ctx.exp[(la * p**i + j * step) % rm1]
-                                     for i in range(m)), got, want))
+                failures.append((min((la * p**i + j * step) % rm1 for i in range(m)),
+                                 got, want))
     if failures:
-        a, got, want = min(failures)
+        k, got, want = min(failures)
+        a = ctx.power(k)
         rho = next(r for r in range(p) if got[r] != want[r])
         verdicts.append(Verdict(
             name=f"symbol-count-decomposition p={p} m={m}", passed=False,

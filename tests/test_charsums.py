@@ -282,6 +282,31 @@ def test_cyclotomic_numbers_direct_vs_closed(fields):
         assert (row0, row1) == ((h - 1, h) if h % 2 == 0 else (h, h - 1))
 
 
+# (p, m, modulus, k1 odd): the scan pairs x with x + c, c = alpha^k1 the
+# element whose trace coordinates are (1, 0, ..., 0), and flips both
+# classes when k1 is odd.  p divides m at (3,3) and (3,6), so c != 1;
+# c = 1 at m = 1; (127,2) and (131,2) sit either side of the byte-slot
+# edge 2(p - 1) <= 255, and (131,3) reads a list fill at r = 2.2*10^6.
+FLIP_CASES = [(3, 3, None, True), (3, 6, None, True), (7, 3, None, True),
+              (127, 2, None, True), (131, 2, None, True), (131, 3, None, True),
+              (3, 5, None, False), (5, 4, (3, 0, 0, 0, 1), False), (5, 1, None, False)]
+
+
+@pytest.mark.parametrize("p,m,modulus,odd", FLIP_CASES)
+def test_cyclotomic_scan_on_both_sides_of_the_flip(fields, p, m, modulus, odd):
+    ctx = fields(p, m, modulus)
+    te, n = ctx.trace_exp, ctx.r - 1
+    k1 = next(k for k in range(n)
+              if te[k] == 1 and not any(te[(k + i) % n] for i in range(1, m)))
+    assert k1 % 2 == odd
+    if ctx.r <= 2 * 10**4:
+        want = {(i, j): oracle.cyclotomic_number_direct(ctx, i, j)
+                for i in (0, 1) for j in (0, 1)}
+    else:
+        want = cyclotomic_numbers_order2(ctx.r)
+    assert cyclotomic_numbers_direct(ctx) == want
+
+
 def test_cyclotomic_verdict_reports_smallest_differing_pair(monkeypatch, fields):
     from tracecodes import charsums
     from tracecodes.verification import verify_cyclotomic_numbers

@@ -171,8 +171,9 @@ def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
     ctx = fields(3, 4)
     dset = build_defining_set(ctx, 1)
     target = oracle.profile(ctx, ctx.alpha)
-    first_a = min(a for a in range(1, ctx.r)
-                  if oracle.profile(ctx, a) == target)
+    # the report names alpha^k for the smallest failing log k
+    first_a = next(a for a in oracle.power_tables(ctx)[0]
+                   if oracle.profile(ctx, a) == target)
     original = closedform.symbol_count_closed
     monkeypatch.setattr(closedform, "symbol_count_closed",
                         lambda p, m, prof, rho: original(p, m, prof, rho) + (prof == target))
@@ -185,7 +186,7 @@ def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
 def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
     from tracecodes import codes
     from tracecodes.verification import verify_counts
-    p, m, bad = 5, 4, 3
+    p, m, bad = 5, 4, 4
     ctx = fields(p, m)
     dset = build_defining_set(ctx, 1)
     original = codes.relabelling
@@ -202,17 +203,22 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
         return [word.count(rho) for rho in range(p)]
 
     # a = bad * y, y Frobenius-conjugate to a representative, is read as
-    # y's composition under the wrong relabelling
+    # y's composition under the wrong relabelling; the report names
+    # a = alpha^k for the smallest failing log k
+    exp, log = oracle.power_tables(ctx)
     cases = []
     for la, _, _ in codes.orbit_compositions(ctx, dset):
         for i in range(m):
-            y = ctx.exp[la * p**i % (ctx.r - 1)]
+            y = exp[la * p**i % (ctx.r - 1)]
             brute = [comp(y)[w] for w in wrong(p, bad)]
-            closed = comp(oracle.mul(ctx, bad, y))
+            a = oracle.mul(ctx, bad, y)
+            closed = comp(a)
             if brute != closed:
-                cases.append((oracle.mul(ctx, bad, y), brute, closed))
-    a, brute, closed = min(cases)
-    assert a != cases[0][0]  # the smallest a is not in the first failing class
+                cases.append((log[a], brute, closed))
+    k, brute, closed = min(cases)
+    # the smallest failing log is not in the first failing class
+    assert k not in {case[0] for case in cases[:m]}
+    a = exp[k]
     rho = next(r for r in range(p) if brute[r] != closed[r])
     monkeypatch.setattr(codes, "relabelling", wrong)
     failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))

@@ -13,22 +13,21 @@ import oracle
 PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 10) if p**m <= 2 * 10**4]
 
 
-# both sides of the byte-slot edge 2(p - 1) <= 255 of the recurrence fills,
-# and p > 255, whose exp coordinates fill no byte
+# both sides of the byte-slot edge 2(p - 1) <= 255 of the recurrence fill,
+# and p > 255, whose traces fill no byte
 EDGE_PAIRS = [(127, 2), (131, 2), (257, 2)]
 
 
 def _assert_tables_match_oracle(ctx):
-    """trace_exp and exp, each from recurrence fills, are the oracle's
-    trace table read along the oracle's power walk, and that walk.  The
-    basis traces from Newton's identities on the modulus are the oracle's
-    traces of x^j, the index p^j, summed over Frobenius conjugates."""
+    """trace_exp, a recurrence fill, is the oracle's trace table read
+    along the oracle's power walk.  The basis traces from Newton's
+    identities on the modulus are the oracle's traces of x^j, the index
+    p^j, summed over Frobenius conjugates."""
     exp, _ = oracle.power_tables(ctx)
     trace_table = oracle.trace_table(ctx)
     assert ctx._basis_traces == [trace_table[ctx.p**j] for j in range(ctx.m)]
+    assert type(ctx.trace_exp) is list
     assert ctx.trace_exp == [trace_table[x] for x in exp]
-    assert type(ctx.exp) is list
-    assert ctx.exp == exp
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -54,11 +53,9 @@ def test_tables_across_the_byte_slot_edge(p, m):
 def test_list_window_slots_at_degree_1(p):
     """A list-window slot holds m(p - 1)^2 < 2^32 up to p = 65521 at
     m = 1, and wider primes take 8-byte slots.  At m = 1 the trace is the
-    identity, so both tables are the powers of alpha mod p."""
+    identity, so trace_exp is the powers of alpha mod p."""
     ctx = make_field(p, 1)
-    powers = [pow(ctx.alpha, k, p) for k in range(p - 1)]
-    assert ctx.trace_exp == powers
-    assert ctx.exp == powers
+    assert ctx.trace_exp == [pow(ctx.alpha, k, p) for k in range(p - 1)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -114,21 +111,18 @@ def test_non_primitive_alpha_fails_the_order_check(monkeypatch):
     ctx = make_field(3, 4)
     square = ctx.mul(ctx.alpha, ctx.alpha)  # order 40 of 80, still of degree 4
     monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: square)
-    for table in ("trace_exp", "exp"):
-        with pytest.raises(AssertionError, match="primitive element order check failed"):
-            getattr(make_field(3, 4), table)
+    with pytest.raises(AssertionError, match="primitive element order check failed"):
+        make_field(3, 4).trace_exp
     # 2 lies in F_3: Tr(2^k) has linear complexity 1
     monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: 2)
-    for table in ("trace_exp", "exp"):
-        with pytest.raises(AssertionError, match="linear complexity 1 != m = 4"):
-            getattr(make_field(3, 4), table)
+    with pytest.raises(AssertionError, match="linear complexity 1 != m = 4"):
+        make_field(3, 4).trace_exp
 
 
 @pytest.mark.parametrize("p,m", [(3, 5), (131, 2)])
-@pytest.mark.parametrize("table", ["trace_exp", "exp"])
-def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m, table):
-    """One wrong term of a fill, at k = r - 2 away from the order check's
-    terms, fails the comparison with alpha^k by square-and-multiply."""
+def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m):
+    """One wrong term of the fill, at k = r - 2 away from the order
+    check's terms, fails the comparison with alpha^k by square-and-multiply."""
     ctx = make_field(p, m)
     original = fields._recurrence_fill
 
@@ -139,4 +133,4 @@ def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m, table):
 
     monkeypatch.setattr(fields, "_recurrence_fill", corrupt)
     with pytest.raises(AssertionError, match=rf"recurrence fill differs from alpha\^{ctx.r - 2}$"):
-        getattr(ctx, table)
+        ctx.trace_exp

@@ -38,7 +38,6 @@ def test_make_field_is_deterministic():
     b = make_field(3, 3)
     assert a.modulus == b.modulus == (1, 2, 0, 1)
     assert a.alpha == b.alpha
-    assert a.exp == b.exp
     assert a.trace_exp == b.trace_exp
 
 

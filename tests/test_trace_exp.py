@@ -107,7 +107,7 @@ def test_defining_set_logs_match_elementwise_filter(pair, kind, data):
     want = {x for x in range(ctx.r)
             if (kind == "d2" or tr[x] == b) and (kind == "d1" or tr_square(x) == 0)
             and (kind != "d2" or x)}
-    got = {ctx.exp[k] for k in dset.logs} | ({0} if dset.has_zero else set())
+    got = {exp[k] for k in dset.logs} | ({0} if dset.has_zero else set())
     assert got == want
     assert len(dset) == len(want)
     assert list(dset.logs) == sorted(set(dset.logs))
@@ -122,14 +122,15 @@ def _compositions(ctx, walked):
     v moved to c*v."""
     p, rm1 = ctx.p, ctx.r - 1
     step = rm1 // (p - 1)
+    exp = oracle.power_tables(ctx)[0]
     comps = {}
     for la, _, comp in walked:
         for j in range(p - 1):
-            c = ctx.exp[j * step]
+            c = exp[j * step]
             scaled = [0] * p
             for v in range(p):
                 scaled[c * v % p] = comp[v]
-            members = {ctx.exp[(la * p**i + j * step) % rm1] for i in range(ctx.m)}
+            members = {exp[(la * p**i + j * step) % rm1] for i in range(ctx.m)}
             for a in members:
                 assert comps.setdefault(a, scaled) == scaled, a
     assert len(comps) == rm1
@@ -213,7 +214,7 @@ def test_one_trace_exp_per_context():
     assert "trace_exp" not in vars(ctx)  # built on first use only
     exhaustive_cwe(ctx, build_defining_set(ctx, 1))
     table = vars(ctx)["trace_exp"]
-    assert table == [oracle.trace_table(ctx)[x] for x in ctx.exp]
+    assert table == [oracle.trace_table(ctx)[x] for x in oracle.power_tables(ctx)[0]]
     gauss_sum_direct(ctx)
     orbit_compositions(ctx, build_defining_set(ctx, 1))
     assert ctx.trace_exp is table
@@ -239,28 +240,25 @@ def _forbidden(*args):
 
 @pytest.mark.parametrize("argv", TABLE_FREE_RUNS, ids=" ".join)
 def test_code_commands_build_no_element_tables(capsys, monkeypatch, argv):
-    """Every command reads logs, trace_exp and prime_powers only: the
-    power table and element-wise arithmetic raise, and the output is
-    unchanged.  Only the sums scope, whose cyclotomic numbers read class
-    bytes off exp, builds the power table; no log table exists."""
-    for name in ("log", "trace", "_power_tables", "_spread_tables"):
+    """Every command reads logs, trace_exp and prime_powers only: naming
+    an element by ``power`` and element-wise arithmetic raise, and the
+    output is unchanged.  No power or log table exists."""
+    for name in ("exp", "log", "trace", "_power_tables", "_spread_tables"):
         assert not hasattr(FieldContext, name), name
     assert main(argv) == 0
     want = capsys.readouterr().out
-    if not {"sums", "all"} & set(argv):
-        monkeypatch.setattr(FieldContext, "exp", property(_forbidden))
-    for op in ("add", "mul"):
+    for op in ("power", "add", "mul"):
         monkeypatch.setattr(FieldContext, op, _forbidden)
     assert main(argv) == 0
     assert capsys.readouterr().out == want
 
 
-def test_quadratic_sums_read_exp_only_to_report(monkeypatch):
-    """The quadratic-sum check draws logs: a passing run reads no power
-    table, and a failing one names its first triple through exp."""
+def test_quadratic_sums_read_power_only_to_report(monkeypatch):
+    """The quadratic-sum check draws logs: a passing run names no element,
+    and a failing one names its first triple through ``power``."""
     ctx = make_field(5, 4)
     with monkeypatch.context() as patch:
-        patch.setattr(FieldContext, "exp", property(_forbidden))
+        patch.setattr(FieldContext, "power", _forbidden)
         [verdict] = verify_quadratic_sums(ctx, samples=50, seed=3)
     assert verdict.passed
     original = charsums.quadratic_exponential_sum_closed
@@ -269,6 +267,7 @@ def test_quadratic_sums_read_exp_only_to_report(monkeypatch):
     [verdict] = verify_quadratic_sums(ctx, samples=50, seed=3)
     rng = random.Random(3)
     logs = rng.randrange(ctx.r - 1), rng.randrange(ctx.r), rng.randrange(ctx.r)
-    want = [0 if k == ctx.r - 1 else ctx.exp[k] for k in logs]
+    exp = oracle.power_tables(ctx)[0]
+    want = [0 if k == ctx.r - 1 else exp[k] for k in logs]
     assert not verdict.passed
     assert verdict.data == dict(zip(("a2", "a1", "a0"), want))
