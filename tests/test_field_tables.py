@@ -120,7 +120,8 @@ def test_non_primitive_alpha_fails_the_order_check(monkeypatch):
 
 
 @pytest.mark.parametrize("p,m", [(3, 5), (131, 2)])
-def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m):
+@pytest.mark.parametrize("table", ["trace_exp"])
+def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m, table):
     """One wrong term of the fill, at k = r - 2 away from the order
     check's terms, fails the comparison with alpha^k by square-and-multiply."""
     ctx = make_field(p, m)
@@ -133,4 +134,4 @@ def test_spot_check_sees_one_corrupt_term(monkeypatch, p, m):
 
     monkeypatch.setattr(fields, "_recurrence_fill", corrupt)
     with pytest.raises(AssertionError, match=rf"recurrence fill differs from alpha\^{ctx.r - 2}$"):
-        ctx.trace_exp
+        getattr(ctx, table)
