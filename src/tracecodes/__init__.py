@@ -44,7 +44,6 @@ from .codes import (
     exhaustive_cwe,
     griesmer_lower_bound,
     orbit_compositions,
-    scaled_defining_set_equivalent,
     summarize,
     trace_pair_table,
 )

@@ -206,8 +206,8 @@ def cmd_build(args) -> int:
                                workers=_resolve_workers(args, cost))
     wd = cwe.weight_distribution()
     doc = report.code_document(
-        params=report.params_dict(args.p, args.m, ctx.modulus, b=b,
-                                  defining_set=dset),
+        params=report.params_dict(args.p, args.m, ctx.modulus,
+                                  b=None if args.defining_set == "d2" else b, defining_set=dset),
         summary=wd.summary(ctx.p), cwe=cwe, wd=wd)
     _emit(doc, args.format)
     print(f"build p={args.p} m={args.m}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -274,7 +274,7 @@ def cmd_verify(args) -> int:
             verdicts += verification.verify_equivalence(ctx)
     doc = {
         "schema_version": report.SCHEMA_VERSION,
-        "params": {"p": args.p, "m": args.m, "scope": scope},
+        "params": {"p": args.p, "m": args.m, **({"b": b} if enumerates else {}), "scope": scope},
         "verification": [v.as_dict() for v in verdicts],
         "all_passed": all(v.passed for v in verdicts),
     }

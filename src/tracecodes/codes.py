@@ -398,18 +398,3 @@ def griesmer_lower_bound(k: int, d: int, p: int) -> int:
 def summarize(cwe: CompleteWeightEnumerator, p: int) -> CodeSummary:
     return cwe.weight_distribution().summary(p)
 
-
-def scaled_defining_set_equivalent(ctx: FieldContext, b: int) -> bool:
-    """Whether {x : Tr(x) = b, Tr(x^2) = 0} is b times the b = 1 set.
-
-    Then the code on it is the b = 1 code with its coordinates permuted:
-    the codeword of a at b*x is the codeword of a*b at x, and a |-> a*b
-    permutes F_r.  Both sets are built from ``trace_exp``; multiplying
-    by b adds log b to each log, mod r - 1."""
-    b %= ctx.p
-    if b == 0:
-        raise ValueError("b must be a nonzero prime-field value")
-    rm1 = ctx.r - 1
-    lb = ctx.prime_log(b)
-    scaled = {(k + lb) % rm1 for k in build_defining_set(ctx, 1).logs}
-    return set(build_defining_set(ctx, b).logs) == scaled

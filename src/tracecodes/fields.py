@@ -337,8 +337,8 @@ class FieldContext:
 
     Attributes
     ----------
-    p, m, r, m_p : int
-        Characteristic, degree, field size p^m and m reduced mod p.
+    p, m, r : int
+        Characteristic, degree and field size p^m.
     modulus : tuple[int, ...]
         Monic irreducible modulus, coefficients low degree first.
     alpha : int
@@ -364,7 +364,6 @@ class FieldContext:
         self.p = p
         self.m = m
         self.r = r
-        self.m_p = m % p
 
         if modulus is None:
             self.modulus = next(irreducible_polynomials(p, m))

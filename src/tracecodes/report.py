@@ -13,7 +13,7 @@ import json
 
 from .codes import CodeSummary, CompleteWeightEnumerator, DefiningSet, WeightDistribution
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def weight_poly_string(wd: WeightDistribution) -> str:

@@ -270,7 +270,21 @@ def verify_griesmer(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> l
 
 
 def verify_equivalence(ctx: FieldContext) -> list[Verdict]:
-    bad = [b for b in range(1, ctx.p) if not codes.scaled_defining_set_equivalent(ctx, b)]
+    """Whether D_b = {Tr(x) = b, Tr(x^2) = 0} is b*D_1 for b = 2, ..., p - 1;
+    then the code on D_b is the b = 1 code with its coordinates permuted
+    (the codeword of a at b*x is that of a*b at x).  One pass over the logs
+    where Tr(x^2) = 0 splits them by trace_exp into every D_b, ascending;
+    b*D_1 adds log b to each log of D_1, mod r - 1."""
+    rm1, tr = ctx.r - 1, ctx.trace_exp
+    d1 = codes.build_defining_set(ctx, 1).logs
+    by_trace = [[] for _ in range(ctx.p)]
+    for k in codes.build_defining_set_general(ctx, trace_square_value=0).logs:
+        by_trace[tr[k]].append(k)
+    bad = []
+    for b in range(2, ctx.p):
+        lb = ctx.prime_log(b)
+        if by_trace[b] != sorted((k + lb) % rm1 for k in d1):
+            bad.append(b)
     ok = not bad
     return [Verdict(name=f"scaled-set-equivalence p={ctx.p} m={ctx.m}", passed=ok,
                     details="codes agree for every nonzero defining trace value" if ok

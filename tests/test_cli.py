@@ -23,7 +23,7 @@ def test_build_json(capsys):
     rc, out, _ = run(capsys, "build", "--p", "5", "--m", "4")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert (doc["summary"]["n"], doc["summary"]["k"], doc["summary"]["d"]) == (20, 4, 14)
     assert doc["params"]["in_closed_form_scope"] is True
     comps = [tuple(e["composition"]) for e in doc["cwe"]]
@@ -93,9 +93,11 @@ def test_build_d1_and_d2(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert (doc["summary"]["n"], doc["summary"]["k"], doc["summary"]["d"]) == (243, 6, 162)
+    assert doc["params"]["b"] == 1
     rc, out, _ = run(capsys, "build", "--p", "5", "--m", "4", "--defining-set", "d2")
     doc = json.loads(out)
     assert (doc["summary"]["n"], doc["summary"]["k"], doc["summary"]["d"]) == (104, 4, 80)
+    assert "b" not in doc["params"]  # d2 reads no b
 
 
 def test_predict(capsys):
@@ -336,6 +338,18 @@ def test_verify_counts_reads_b_budget_and_workers(capsys):
             "trace-pair-counts p=5 m=4", "discriminant-pair-counts p=5 m_p=4",
             "symbol-count-decomposition p=5 m=4"]
         assert all(v["passed"] for v in verdicts)
+
+
+@pytest.mark.parametrize("scope,flags,b", [
+    ("counts", ["--b", "2"], 2), ("cwe", ["--b", "3"], 3), ("griesmer", ["--b", "4"], 4),
+    ("all", ["--b", "2", "--samples", "5"], 2), ("all", ["--samples", "5"], 1),
+    ("sums", ["--samples", "5"], None), ("equivalence", [], None),
+])
+def test_verify_params_carry_b_when_the_scope_enumerates(capsys, scope, flags, b):
+    rc, out, _ = run(capsys, "verify", "--p", "5", "--m", "3", "--scope", scope, *flags)
+    assert rc == 0
+    want = [("p", 5), ("m", 3)] + ([] if b is None else [("b", b)]) + [("scope", scope)]
+    assert list(json.loads(out)["params"].items()) == want
 
 
 def test_verify_rejects_b_divisible_by_p(capsys):

@@ -9,11 +9,11 @@ from tracecodes import (
     irreducible_polynomials,
     make_field,
     orbit_compositions,
-    scaled_defining_set_equivalent,
     summarize,
     trace_pair_table,
 )
 from tracecodes.codes import relabelling
+from tracecodes.verification import verify_equivalence
 from tracecodes.errors import (
     BudgetExceededError,
     DegreeTooSmallError,
@@ -197,32 +197,46 @@ def test_workers_give_identical_terms(fields):
 
 
 def test_scaled_set_equivalence(fields):
-    ctx = fields(3, 4)
-    assert all(scaled_defining_set_equivalent(ctx, b) for b in (1, 2))
-    ctx = fields(5, 3)
-    assert scaled_defining_set_equivalent(ctx, 2)
-    with pytest.raises(ValueError):
-        scaled_defining_set_equivalent(ctx, 0)
+    for p, m in [(3, 4), (5, 3)]:
+        assert verify_equivalence(fields(p, m))[0].passed, (p, m)
 
 
 def test_scaled_sets_have_the_b1_enumerator(fields):
-    # what scaled_defining_set_equivalent's set check implies, end to end
+    # what verify_equivalence's set check implies, end to end
     for p, m in [(3, 3), (3, 5), (3, 6), (5, 4), (3, 8), (7, 5)]:
         ctx = fields(p, m)
+        assert verify_equivalence(ctx)[0].passed, (p, m)
         base = exhaustive_cwe(ctx, build_defining_set(ctx, 1)).terms
         for b in range(2, p):
-            assert scaled_defining_set_equivalent(ctx, b), (p, m, b)
             assert exhaustive_cwe(ctx, build_defining_set(ctx, b)).terms == base, (p, m, b)
 
 
-def test_scaled_set_equivalence_builds_each_set(fields, monkeypatch):
-    from tracecodes import codes
-    from tracecodes.verification import verify_equivalence
-    original = codes.build_defining_set
-    monkeypatch.setattr(codes, "build_defining_set", lambda ctx, b=1: original(ctx, 1))
-    [verdict] = verify_equivalence(fields(5, 4))
+def test_scaled_set_equivalence_reads_each_set_off_trace_exp():
+    # Move one alpha^k from D_2 to D_3 by its trace alone.  k is odd, so
+    # every Tr(x^2) = trace_exp[2k mod (r - 1)] entry, an even index, stays;
+    # D_1 stays too, so only b = 2 and 3 can mismatch, and only if D_b is
+    # read off trace_exp rather than shifted from D_1.
+    ctx = make_field(5, 4)
+    tr = list(ctx.trace_exp)
+    k = next(k for k in range(1, ctx.r - 1, 2) if tr[k] == 2 and tr[2 * k % (ctx.r - 1)] == 0)
+    tr[k] = 3
+    ctx.__dict__["trace_exp"] = tr
+    [verdict] = verify_equivalence(ctx)
     assert not verdict.passed
-    assert verdict.details == "mismatch at b=[2, 3, 4]"
+    assert verdict.details == "mismatch at b=[2, 3]"
+
+
+def test_scaled_set_equivalence_builds_d1_once(fields, monkeypatch):
+    from tracecodes import codes
+    calls = []
+    original = codes.build_defining_set
+
+    def counted(ctx, b=1):
+        calls.append(b)
+        return original(ctx, b)
+    monkeypatch.setattr(codes, "build_defining_set", counted)
+    assert verify_equivalence(fields(5, 4))[0].passed
+    assert calls == [1]
 
 
 def test_representation_independence():

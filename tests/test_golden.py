@@ -27,7 +27,7 @@ CASES = {
     "build-3-5-d1": ["build", "--p", "3", "--m", "5", "--defining-set", "d1"],
     "build-7-4-b3-modulus": ["build", "--p", "7", "--m", "4", "--b", "3", "--modulus", "3,5,0,0,1"],
     "build-3-4-text": ["build", "--p", "3", "--m", "4", "--format", "text"],
-    # d2 reads no b, yet its params echo "b": 1
+    # d2 reads no b, so its params carry none
     "build-3-4-d2": ["build", "--p", "3", "--m", "4", "--defining-set", "d2"],
     "predict-3-4": ["predict", "--p", "3", "--m", "4"],
     "verify-3-4-all": ["verify", "--p", "3", "--m", "4", "--scope", "all"],
