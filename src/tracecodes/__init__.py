@@ -31,6 +31,7 @@ from .closedform import (
     predicted_length,
     prediction,
     symbol_count_closed,
+    symbol_counts_closed,
     trace_pair_count_closed,
 )
 from .codes import (

@@ -390,12 +390,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> int:
-    """The console entry point: :func:`main`'s exit code, with every
-    object left alive frozen into the permanent generation first, so
-    that interpreter shutdown does not walk and free each module's
-    reference cycles.  ``atexit`` handlers still run.  :func:`main`
-    itself freezes nothing, as callers that stay alive after it
-    returns, tests and benchmarks among them, still want the collector."""
+    """The console entry point: :func:`main`'s exit code.  The cyclic
+    collector is off for the whole call, since one short command frees
+    what it builds by reference counting and its young-generation passes
+    only cost time; at exit every object left alive is frozen into the
+    permanent generation, so that interpreter shutdown does not walk and
+    free each module's reference cycles.  ``atexit`` handlers still run.
+    :func:`main` itself leaves the collector alone, as callers that stay
+    alive after it returns, tests and benchmarks among them, still want it."""
+    gc.disable()
     code = main()
     gc.freeze()
     return code

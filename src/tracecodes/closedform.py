@@ -15,6 +15,7 @@ and by whether p divides m.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
 from .errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
@@ -281,6 +282,81 @@ def symbol_count_closed(p: int, m: int, prof: tuple, rho: int) -> int:
     else:
         terms = correction_sums(p, m, prof, rho)
     return _exact_div(n * p * p + sum(terms), p**3)
+
+
+@cache
+def _count_constants(p: int, m: int) -> tuple[int, int, tuple[int, ...]]:
+    """n, the Gauss integer (g^m for even m, the pair g^m * g for odd m)
+    and the table of legendre(t, p) for t in [0, p), once per (p, m)."""
+    g = gauss_int(p, m) if m % 2 == 0 else gauss_pair_int(p, m)
+    return predicted_length(p, m), g, tuple(legendre(t, p) for t in range(p))
+
+
+def symbol_counts_closed(p: int, m: int, prof: tuple) -> list[int]:
+    """``[symbol_count_closed(p, m, prof, rho) for rho in range(p)]``,
+    with n, the Gauss integer and the character table computed once per
+    (p, m).  For rho != 0 each case of :func:`correction_sums` becomes
+    one row over rho = 1, ..., p - 1: S_sq is constant, S_lin is -r but
+    at the prime value, and S_mix is constant, a spike at the one rho
+    where its condition holds, or chi of a polynomial in rho, where
+    chi(0) = 0 gives the value at the polynomial's roots."""
+    n, g, chi = _count_constants(p, m)
+    A, B, pv = prof
+    r, mp, syms = p**m, m % p, range(1, p)
+
+    def spike(rho0: int, at: int, rest: int) -> list[int]:
+        row = [rest] * (p - 1)
+        row[rho0 % p - 1] = at
+        return row
+
+    if m % 2 == 0:
+        s_sq = -(p - 1) * g if A == 0 else g
+        hit, miss = (p * p - p - 1) * g, -(p + 1) * g
+        delta = (B * B - mp * A) % p
+        if mp == 0:
+            if A == 0 and B == 0:
+                mix = [(p - 1) * g] * (p - 1)
+            elif A == 0 or B == 0:
+                mix = [-g] * (p - 1)
+            else:  # A == 2*rho*B
+                mix = spike(A * pow(2 * B, -1, p), hit, miss)
+        elif A == 0:
+            mix = [-g] * (p - 1) if B == 0 else spike(2 * B * pow(mp, -1, p), hit, miss)
+        elif delta == 0:  # rho*B == A
+            mix = spike(A * pow(B, -1, p), hit, miss)
+        elif chi[delta] == 1:  # -m_p*rho^2 + 2*B*rho - A vanishes at two rho
+            mix = [(p * p - 2 * p - 1) * g if (2 * B * rho - mp * rho * rho - A) % p == 0
+                   else -(2 * p + 1) * g for rho in syms]
+        else:
+            mix = [-g] * (p - 1)
+    else:
+        s_sq = 0 if A == 0 else -chi[-A % p] * g
+        eta = chi[-mp % p]
+        if mp == 0:
+            if A == 0 and B == 0:
+                mix = [0] * (p - 1)
+            elif A == 0:
+                mix = [chi[rho * B * pow(2, -1, p) % p] * p * g for rho in syms]
+            elif B == 0:
+                mix = [chi[-A % p] * g] * (p - 1)
+            else:
+                mix = [(chi[(2 * rho * B - A) % p] * p + chi[-A % p]) * g for rho in syms]
+        elif A == 0:
+            mix = [eta * g] * (p - 1) if B == 0 else \
+                [(chi[(2 * B * rho - mp * rho * rho) % p] * p + eta) * g for rho in syms]
+        elif (B * B - mp * A) % p == 0:  # rho*B == A
+            mix = spike(A * pow(B, -1, p), -(p - 2) * eta * g, 2 * eta * g)
+        else:
+            mix = [(p * chi[(2 * B * rho - mp * rho * rho - A) % p] + chi[-A % p] + eta) * g
+                   for rho in syms]
+    base = n * p * p + s_sq - (r if pv is not None else 0)
+    totals = [base + s for s in mix]
+    if pv is not None and 0 < pv < p:
+        totals[pv - 1] += p * r  # S_lin = (p - 1)*r at rho = pv, -r elsewhere
+    totals.insert(0, n * p * p + sum(correction_sums_at_zero(p, m, prof)))
+    # the rows take a handful of values: divide each one once
+    quotient = {t: _exact_div(t, p**3) for t in set(totals)}
+    return list(map(quotient.__getitem__, totals))
 
 
 # ----------------------------------------------------------------------

@@ -186,10 +186,20 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
+def _poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
+    """f(x) mod p by Horner's rule, coefficients low degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
     """Monic irreducible degree-m polynomials over F_p, in lexicographic
     order of the tail coefficients (read low-degree-first as a base-p
-    integer).  Coefficient tuples are low degree first, length m+1."""
+    integer).  Coefficient tuples are low degree first, length m+1.
+    For m >= 2 a root in F_p splits off a linear factor, so a candidate
+    with one is skipped before its Frobenius test: the filter is exact."""
     for tail in range(p**m):
         coeffs = []
         t = tail
@@ -197,8 +207,17 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
             t, c = divmod(t, p)
             coeffs.append(c)
         coeffs.append(1)
+        if m >= 2 and any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
+            continue
         if is_irreducible(coeffs, p):
             yield tuple(coeffs)
+
+
+def _linear_norm(c0: int, c1: int, f: Sequence[int], p: int) -> int:
+    """The norm to F_p of c0 + c1*x, c1 != 0, in F_p[x]/(f), f monic of
+    degree m: the product of c0 + c1*x_i over the roots x_i of f, which
+    is (-c1)^m * f(-c0/c1)."""
+    return pow(-c1, len(f) - 1, p) * _poly_eval(f, -c0 * pow(c1, -1, p), p) % p
 
 
 def check_characteristic(p: int) -> None:
@@ -375,16 +394,32 @@ class FieldContext:
     # -- construction internals ----------------------------------------
 
     def _find_primitive(self) -> int:
-        """The smallest index of multiplicative order r - 1.  For m > 1 the
-        search starts at p: the constants lie in F_p^*, of order dividing
-        p - 1 < r - 1."""
+        """The smallest index of multiplicative order r - 1: c^((r - 1)/q)
+        != 1 for every prime q | r - 1.  For m > 1 the search starts at
+        p: the constants lie in F_p^*, of order dividing p - 1 < r - 1.
+
+        For q | p - 1, c^((r - 1)/q) is N(c)^((p - 1)/q), with N(c) =
+        c^((r - 1)/(p - 1)) the norm to F_p, so those q ask only whether
+        N(c) generates F_p^*.  A candidate of degree at most 1 has its
+        norm from :func:`_linear_norm`, one Horner evaluation, and pays
+        square-and-multiply only for the q that do not divide p - 1;
+        every other candidate tests every q by square-and-multiply."""
         p, m, f = self.p, self.m, self.modulus
         rm1 = self.r - 1
-        cofactors = [rm1 // q for q in prime_factors(rm1)]
+        primes = prime_factors(rm1)
+        cofactors = [rm1 // q for q in primes]
+        outer = [rm1 // q for q in primes if (p - 1) % q]
+        inner = [(p - 1) // q for q in primes if (p - 1) % q == 0]
         one = [1] + [0] * (m - 1)
         for cand in range(p if m > 1 else 2, self.r):
             c = self.coeffs(cand)
-            if all(_poly_powmod(c, cf, f, p) != one for cf in cofactors):
+            tested = cofactors
+            if cand < p * p:  # c0 at m = 1, else c0 + c1*x with c1 != 0
+                norm = c[0] if m == 1 else _linear_norm(c[0], c[1], f, p)
+                if any(pow(norm, e, p) == 1 for e in inner):
+                    continue
+                tested = outer
+            if all(_poly_powmod(c, cf, f, p) != one for cf in tested):
                 return cand
         raise AssertionError("no primitive element found")  # unreachable
 

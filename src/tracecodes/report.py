@@ -50,7 +50,9 @@ def summary_dict(summary: CodeSummary) -> dict:
 
 
 def cwe_list(cwe: CompleteWeightEnumerator) -> list[dict]:
-    return [{"composition": list(comp), "frequency": freq}
+    """The terms in ascending composition order; a composition stays a
+    tuple, which ``json`` writes as an array."""
+    return [{"composition": comp, "frequency": freq}
             for comp, freq in sorted(cwe.terms.items())]
 
 
@@ -84,10 +86,37 @@ def code_document(*, params: dict, summary: CodeSummary,
     return doc
 
 
+class _DigitStrings(dict):
+    """str(k) for each int k asked for, each made once."""
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = str(k)
+        return text
+
+
+_compact_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _compact_cwe(entries: list[dict]) -> str:
+    """The compact JSON of a :func:`cwe_list`, one join per term over
+    cached digit strings: a CWE holds thousands of small counts, and few
+    distinct ones."""
+    digit = _DigitStrings().__getitem__
+    return "[" + ",".join([
+        f'{{"composition":[{",".join(map(digit, e["composition"]))}],'
+        f'"frequency":{e["frequency"]}}}' for e in entries]) + "]"
+
+
 def render_json(doc: dict, compact: bool = False) -> str:
-    if compact:
-        return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
-    return json.dumps(doc, ensure_ascii=False, indent=2)
+    """Indented JSON, or one compact line, the same bytes as
+    ``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))``; a
+    compact ``"cwe"`` array is written by :func:`_compact_cwe`."""
+    if not compact:
+        return json.dumps(doc, ensure_ascii=False, indent=2)
+    return "{" + ",".join(
+        f"{_compact_dumps(key)}:"
+        f"{_compact_cwe(value) if key == 'cwe' else _compact_dumps(value)}"
+        for key, value in doc.items()) + "}"
 
 
 def render_text(doc: dict) -> str:

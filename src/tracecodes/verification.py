@@ -8,6 +8,8 @@ counterexample payload when a comparison fails.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
+
 from . import charsums, closedform, codes, report
 from .errors import NonPowerCodewordCountError
 from .fields import FieldContext, legendre, make_field
@@ -176,22 +178,22 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     # for the smallest failing log k
     rm1 = ctx.r - 1
     step = rm1 // (p - 1)
-    perms = [codes.relabelling(p, c) for c in ctx.prime_powers]
+    perms = [itemgetter(*codes.relabelling(p, c)) for c in ctx.prime_powers]
     lb = ctx.prime_log(dset.trace_value)
     tr, prime_powers = ctx.trace_exp, ctx.prime_powers
-    closed: dict[tuple, list[int]] = {}
+    closed: dict[tuple, tuple[int, ...]] = {}
     failures = []
     for la, _, comp in compositions:
+        # b*c*alpha^la = alpha^k lies in F_p iff step = N divides k, and
+        # k = la + lb + j*step mod r - 1, a multiple of step
+        in_prime = (la + lb) % step == 0
         for j, perm in enumerate(perms):
-            # b*c*alpha^la = alpha^k lies in F_p iff step = N divides k
             k = (la + j * step + lb) % rm1
-            q, rest = divmod(k, step)
-            prof = (tr[2 * k % rm1], tr[k], None if rest else prime_powers[q])
-            if prof not in closed:
-                closed[prof] = [closedform.symbol_count_closed(p, m, prof, rho)
-                                for rho in range(p)]
-            want = closed[prof]
-            got = [comp[w] for w in perm]
+            prof = (tr[2 * k % rm1], tr[k], prime_powers[k // step] if in_prime else None)
+            want = closed.get(prof)
+            if want is None:
+                want = closed[prof] = tuple(closedform.symbol_counts_closed(p, m, prof))
+            got = perm(comp)
             if got != want:
                 failures.append((min((la * p**i + j * step) % rm1 for i in range(m)),
                                  got, want))
@@ -221,7 +223,10 @@ def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[V
     differing enumerator reports its smallest differing composition."""
     pred = closedform.prediction(ctx.p, ctx.m)
     brute, closed = cwe.terms, pred.cwe.terms
-    differ = [k for k in brute.keys() | closed.keys() if brute.get(k, 0) != closed.get(k, 0)]
+    # equal dicts settle the common case; the scan, where a term of
+    # frequency 0 counts as absent, runs only on a mismatch
+    differ = [] if brute == closed else \
+        [k for k in brute.keys() | closed.keys() if brute.get(k, 0) != closed.get(k, 0)]
     if not differ:
         verdicts = [Verdict(
             name="cwe", passed=True,

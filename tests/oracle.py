@@ -15,19 +15,35 @@ builds no log table.  O(r * n) and O(r): for tests on small fields only.
 import cmath
 from functools import lru_cache
 
-from tracecodes import is_irreducible, make_field
+from tracecodes import is_irreducible, make_field, prime_factors
 from tracecodes.cyclotomic import CyclotomicInteger
+from tracecodes.fields import _poly_powmod
 
 
 def irreducible_from(p, m, tail):
     """The first monic irreducible of degree m at or after the given tail,
-    tails read low-degree-first as base-p integers and wrapping around."""
+    tails read low-degree-first as base-p integers and wrapping around;
+    at tail 0, the default modulus by a search with no root pre-filter."""
     for k in range(p**m):
         t = (tail + k) % p**m
         coeffs = [(t // p**j) % p for j in range(m)] + [1]
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial")
+
+
+def first_primitive(p, m, modulus):
+    """The default alpha by the unfiltered search: the smallest index c
+    with c^((r - 1)/q) != 1 for every prime q | r - 1, each power by
+    ``_poly_powmod``, with no norm pre-filter."""
+    r = p**m
+    one = [1] + [0] * (m - 1)
+    for c in range(1, r):
+        coeffs = [(c // p**j) % p for j in range(m)]
+        if all(_poly_powmod(coeffs, (r - 1) // q, modulus, p) != one
+               for q in prime_factors(r - 1)):
+            return c
+    raise AssertionError("no primitive element")
 
 
 def non_primitive_modulus(p, m, tail):

@@ -5,8 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracecodes import report
 from tracecodes.cli import main
+from tracecodes.codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
 from tracecodes.report import cwe_monomial_string, weight_poly_string
 from tracecodes.verification import Verdict, exit_code_for
 
@@ -254,6 +258,43 @@ def test_render_helpers():
                             counts={0: 1, 14: 120, 15: 96, 16: 300, 19: 80, 20: 28})
     assert weight_poly_string(wd) == WE_STRING_5_4
     assert cwe_monomial_string((33, 24, 24), 162) == "162 z0^33 z1^24 z2^24"
+
+
+@st.composite
+def code_documents(draw):
+    """Code documents as a sweep line holds them: counts of several
+    digits, zero to a few CWE terms, verdicts with and without data, and
+    sometimes a comparison block."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 2000))
+    counts = st.integers(0, 2000)
+    terms = draw(st.dictionaries(st.tuples(*[counts] * p), st.integers(1, 10**12), max_size=4))
+    wd = WeightDistribution(n=n, k=3, counts=draw(st.dictionaries(counts, counts, max_size=4)))
+    summaries = st.builds(CodeSummary, n=counts, k=counts, d=counts, griesmer_sum=counts,
+                          griesmer_optimal=st.booleans(), mds=st.booleans())
+    params = {"p": p, "m": 3, "modulus": draw(st.lists(counts, max_size=4)),
+              "b": draw(st.integers(1, p - 1)), "defining_set": draw(st.text(max_size=20)),
+              "in_closed_form_scope": draw(st.booleans())}
+    data = st.none() | st.fixed_dictionaries({"composition": st.lists(counts, max_size=p),
+                                              "brute": counts, "closed": counts})
+    verdicts = st.lists(st.builds(Verdict, name=st.text(max_size=20), passed=st.booleans(),
+                                  details=st.text(max_size=20), data=data), max_size=3)
+    extra = {}
+    if draw(st.booleans()):
+        extra["verification"] = [v.as_dict() for v in draw(verdicts)]
+    if draw(st.booleans()):
+        extra["comparison"] = {"defining_set": draw(st.text(max_size=20)),
+                               "summary": report.summary_dict(draw(summaries))}
+    return report.code_document(params=params, summary=draw(summaries),
+                                cwe=CompleteWeightEnumerator(p=p, n=n, terms=terms), wd=wd,
+                                extra=extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_documents())
+def test_compact_json_is_json_dumps(doc):
+    assert report.render_json(doc, compact=True) == \
+        json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
 
 
 def test_sweep_rejects_b_divisible_by_p(capsys, monkeypatch):
@@ -621,13 +662,21 @@ def test_module_entry_point_exits_as_main(capsys, argv, code):
 def test_run_freezes_and_main_does_not(capsys):
     import gc
     before = gc.get_freeze_count()
-    assert run(capsys, "predict", "--p", "3", "--m", "4")[0] == 0
+    for enabled in (True, False):  # main() leaves the collector as it found it
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(capsys, "predict", "--p", "3", "--m", "4")[0] == 0
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
     assert gc.get_freeze_count() == before
     code = ("import gc, sys\n"
             "from tracecodes.cli import run\n"
             "sys.argv = ['tracecodes', 'predict', '--p', '3', '--m', '4']\n"
+            "assert gc.isenabled()\n"
             "assert run() == 0\n"
-            "assert gc.get_freeze_count() > 0\n")
+            "assert gc.get_freeze_count() > 0\n"
+            "assert not gc.isenabled()\n")
     proc = _module_run("-c", code)
     assert proc.returncode == 0, proc.stderr
 

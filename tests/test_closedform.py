@@ -17,6 +17,7 @@ from tracecodes import (
     predicted_length,
     prediction,
     symbol_count_closed,
+    symbol_counts_closed,
     trace_pair_count_closed,
     trace_pair_table,
 )
@@ -165,6 +166,18 @@ def test_symbol_count_closed_vs_brute(fields):
                     codeword(ctx, dset, a).count(rho), (p, m, a, rho)
 
 
+def test_symbol_counts_closed_is_the_per_symbol_form():
+    """One field per regime; every profile (A, B, prime value), the
+    trace profiles of real codewords among them."""
+    for p, m in [(3, 6), (5, 4), (3, 3), (5, 3)]:
+        for a_val in range(p):
+            for b_val in range(p):
+                for value in [None, *range(1, p)]:
+                    prof = (a_val, b_val, value)
+                    assert symbol_counts_closed(p, m, prof) == \
+                        [symbol_count_closed(p, m, prof, rho) for rho in range(p)], (p, m, prof)
+
+
 def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
     from tracecodes import closedform, codes
     from tracecodes.verification import verify_counts
@@ -174,9 +187,9 @@ def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
     # the report names alpha^k for the smallest failing log k
     first_a = next(a for a in oracle.power_tables(ctx)[0]
                    if oracle.profile(ctx, a) == target)
-    original = closedform.symbol_count_closed
-    monkeypatch.setattr(closedform, "symbol_count_closed",
-                        lambda p, m, prof, rho: original(p, m, prof, rho) + (prof == target))
+    original = closedform.symbol_counts_closed
+    monkeypatch.setattr(closedform, "symbol_counts_closed",
+                        lambda p, m, prof: [c + (prof == target) for c in original(p, m, prof)])
     failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
               if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]

@@ -5,10 +5,12 @@ import pytest
 from tracecodes import (
     irreducible_polynomials,
     is_irreducible,
+    is_prime,
     legendre,
     make_field,
     prime_factors,
 )
+from tracecodes.fields import _linear_norm, _poly_powmod
 from tracecodes.errors import (
     DegreeTooSmallError,
     EvenCharacteristicError,
@@ -171,6 +173,39 @@ def test_irreducible_against_root_search():
                 sum(c * pow(x, j, p) for j, c in enumerate(coeffs)) % p == 0
                 for x in range(p))
             assert is_irreducible(coeffs, p) == (not has_root)
+
+
+def test_searches_match_the_unfiltered_oracle():
+    """The root filter of the modulus search and the norm filter of the
+    primitive search change no default: same modulus and alpha as the
+    unfiltered searches, for every odd p <= 131 and p^m <= 2*10^5."""
+    for p in filter(is_prime, range(3, 132)):
+        m = 1
+        while p**m <= 2 * 10**5:
+            ctx = make_field(p, m)
+            assert ctx.modulus == oracle.irreducible_from(p, m, 0), (p, m)
+            assert ctx.alpha == oracle.first_primitive(p, m, ctx.modulus), (p, m)
+            m += 1
+
+
+def test_primitive_search_on_drawn_moduli():
+    rng = random.Random(21)
+    for _ in range(20):
+        p, m = rng.choice([(3, 4), (3, 6), (5, 3), (5, 4), (7, 3), (11, 2), (13, 3), (37, 3)])
+        modulus = oracle.irreducible_from(p, m, rng.randrange(1, p**m))
+        assert make_field(p, m, modulus=modulus).alpha == \
+            oracle.first_primitive(p, m, modulus), (p, m, modulus)
+
+
+def test_linear_norm_is_the_norm():
+    """(-c1)^m * f(-c0/c1) is c^((r - 1)/(p - 1)) for every c = c0 + c1*x."""
+    for p, m in [(3, 3), (5, 4), (37, 3), (3, 8)]:
+        f = make_field(p, m).modulus
+        e = (p**m - 1) // (p - 1)
+        for c0 in range(p):
+            for c1 in range(1, p):
+                norm = _poly_powmod([c0, c1] + [0] * (m - 2), e, f, p)
+                assert norm == [_linear_norm(c0, c1, f, p)] + [0] * (m - 1), (p, m, c0, c1)
 
 
 def test_element_encoding_roundtrip(fields):

@@ -45,6 +45,9 @@ CASES = {
     # 2(p - 1) > 255: the recurrence fills go through list windows
     "verify-131-2-sums": ["verify", "--p", "131", "--m", "2", "--scope", "sums"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
+    # compact lines whose counts reach two digits, with a comparison block
+    "sweep-11-13-d1": ["sweep", "--p-list", "11,13", "--m-list", "3",
+                       "--compare-defining-set", "d1"],
 }
 
 
