@@ -6,7 +6,8 @@ Subcommands: ``build`` (exhaustive enumeration of one code),
 builds with verification, streamed as JSON lines).
 
 Exit codes: 0 success / everything verified, 1 verification mismatch,
-2 invalid input, 3 resource budget exceeded.  Results go to stdout,
+2 invalid input, 3 resource budget exceeded, 120 stdout closed by its
+reader before the output was written.  Results go to stdout,
 diagnostics and timings to stderr.
 """
 
@@ -33,6 +34,8 @@ from .parallel import fork_map
 SCOPES = ("cwe", "sums", "counts", "griesmer", "equivalence", "all")
 CODE_SCOPES = {"cwe", "counts", "griesmer", "equivalence"}
 DEFAULT_SAMPLES = 100
+# the status CPython itself exits with when flushing stdout fails at exit
+EXIT_BROKEN_PIPE = 120
 
 
 def _parse_modulus(text: str) -> tuple[int, ...]:
@@ -397,9 +400,19 @@ def run() -> int:
     permanent generation, so that interpreter shutdown does not walk and
     free each module's reference cycles.  ``atexit`` handlers still run.
     :func:`main` itself leaves the collector alone, as callers that stay
-    alive after it returns, tests and benchmarks among them, still want it."""
+    alive after it returns, tests and benchmarks among them, still want it.
+
+    A reader that closes stdout early, such as ``head``, ends the call
+    with EXIT_BROKEN_PIPE and no traceback: stdout is pointed at
+    ``os.devnull``, so that the exit-time flush of what is left in its
+    buffer has nowhere to fail."""
     gc.disable()
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     gc.freeze()
     return code
 

@@ -392,10 +392,16 @@ def _spike(p: int, rest: int, at: int, *rhos: int) -> list[int]:
     return counts
 
 
-def _shifted(doubled: list[int], p: int, rho0: int) -> list[int]:
+def _shifted(doubled: tuple[int, ...], p: int, rho0: int) -> tuple[int, ...]:
     """row[(rho - rho0) % p] for rho = 1, ..., p - 1, sliced out of
     ``doubled``, a row over t in F_p written out twice."""
     return doubled[p + 1 - rho0:2 * p - rho0]
+
+
+def _base_row(row: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """A base row over t in F_p as its patterns read it: written out
+    twice, with its sum and its minimum."""
+    return tuple(row) * 2, sum(row), min(row)
 
 
 def _expand_terms(p: int, m: int) -> tuple[int, dict]:
@@ -403,9 +409,9 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
     regime = parameter_regime(p, m)
     n = predicted_length(p, m)
     q3 = p ** (m - 3)
-    terms: dict[tuple[int, ...], int] = {}
+    pairs: list[tuple[tuple[int, ...], int]] = []  # (composition, frequency) in turn
 
-    def add(freq: int, counts: list[int]) -> None:
+    def add(freq: int, counts) -> None:
         """Count ``freq`` codewords with counts[rho - 1] coordinates equal
         to rho, for rho = 1, ..., p - 1; symbol 0 fills the rest of n."""
         if freq < 0:
@@ -418,8 +424,24 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         zero = n - sum(counts)
         if zero < 0:
             raise FrequencyMismatchError("symbol counts exceed the length")
-        key = (zero, *counts)
-        terms[key] = terms.get(key, 0) + freq
+        pairs.append(((zero, *counts), freq))
+
+    def add_shifted(freq: int, base: tuple, rho0: int) -> None:
+        """``add(freq, _shifted(doubled, p, rho0))`` for the base row
+        (doubled, total, low) of :func:`_base_row`.  The pattern is a
+        slice of the row, so when the row's minimum is not negative
+        neither is any count, and the slice omits only t = -rho0, so
+        its sum is the row's sum less doubled[p - rho0].  Other rows,
+        and a frequency that is not positive, go through ``add``."""
+        doubled, total, low = base
+        counts = _shifted(doubled, p, rho0)
+        if low < 0 or freq <= 0:
+            add(freq, counts)
+            return
+        zero = n - total + doubled[p - rho0]
+        if zero < 0:
+            raise FrequencyMismatchError("symbol counts exceed the length")
+        pairs.append(((zero,) + counts, freq))
 
     syms = range(1, p)
     # chi[0] = 0, so a pattern whose character argument vanishes at
@@ -454,12 +476,12 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         eps1 = legendre(-1, p) ** ((m + 1) // 2)
         s = eps1 * p ** ((m - 3) // 2)
         half = (p - 1) * p ** (m - 2) // 2
-        plus = [q3 + chi[t] * s for t in range(p)] * 2
-        minus = [q3 - chi[t] * s for t in range(p)] * 2
+        plus = _base_row([q3 + chi[t] * s for t in range(p)])
+        minus = _base_row([q3 - chi[t] * s for t in range(p)])
         add(p ** (m - 1) - p, [q3] * (p - 1))
         for rho0 in range(p):  # q3 +- chi(rho - rho0) * s
-            add(half, _shifted(plus, p, rho0))
-            add(half, _shifted(minus, p, rho0))
+            add_shifted(half, plus, rho0)
+            add_shifted(half, minus, rho0)
 
     else:
         eps1 = legendre(-1, p) ** ((m + 1) // 2)
@@ -471,24 +493,30 @@ def _expand_terms(p: int, m: int) -> tuple[int, dict]:
         # base rows over t in F_p: q3 + chi(t(t - k)) * ts for each k, and
         # q3 + chi(m_p^2 t^2 - delta) * ts for each non-square delta; every
         # pattern below is one of them read at t = rho - rho0
-        pair = [[q3 + chi[t * (t - k) % p] * ts for t in range(p)] * 2 for k in range(p)]
-        disc = [[q3 + chi[(mp2 * t * t - delta) % p] * ts for t in range(p)] * 2
+        pair = [_base_row([q3 + chi[t * (t - k) % p] * ts for t in range(p)])
+                for k in range(p)]
+        disc = [_base_row([q3 + chi[(mp2 * t * t - delta) % p] * ts for t in range(p)])
                 for delta in nonsquares]
         add(freq2, [q3] * (p - 1))
         for rho0 in syms:  # chi(rho(rho - rho0))
-            add(n, _shifted(pair[rho0], p, 0))
+            add_shifted(n, pair[rho0], 0)
             add(freq2, _spike(p, q3, q3 - ts, rho0))
         for rho0, rho1 in itertools.combinations(syms, 2):  # chi((rho - rho0)(rho - rho1))
-            add(n, _shifted(pair[rho1 - rho0], p, rho0))
+            add_shifted(n, pair[rho1 - rho0], rho0)
         for row in disc:  # chi(m_p^2 rho^2 - delta)
-            add(n, _shifted(row, p, 0))
+            add_shifted(n, row, 0)
         # chi(m_p^2 (rho - rho0)^2 - delta): at rho = rho0 the argument is
         # -delta, and chi(-delta) = -chi(-1) makes the value
         # q3 - chi(m_p) * eps1 * p^((m - 3)/2)
         for rho0 in syms:
             for row in disc:
-                add(n, _shifted(row, p, rho0))
+                add_shifted(n, row, rho0)
 
+    terms = dict(pairs)  # one hash per composition
+    if len(terms) < len(pairs):  # a composition repeats: sum its frequencies
+        terms = {}
+        for key, freq in pairs:
+            terms[key] = terms.get(key, 0) + freq
     return n, terms
 
 

@@ -90,7 +90,14 @@ def build_defining_set_general(ctx: FieldContext, trace_value: int | None = None
     if trace_value is not None:
         trace_value %= ctx.p
         tr = ctx.trace_exp
-        logs = [k for k in logs if tr[k] == trace_value]
+        if ctx.p < 256:  # one byte per trace value: bytes.find scans in C
+            logs, find = [], bytes(tr).find
+            k = find(trace_value)
+            while k >= 0:
+                logs.append(k)
+                k = find(trace_value, k + 1)
+        else:
+            logs = [k for k in logs if tr[k] == trace_value]
     if trace_square_value is not None:
         trace_square_value %= ctx.p
         sq = _square_traces(ctx)
@@ -227,7 +234,8 @@ def check_budget(cost: int, budget: int) -> None:
 def relabelling(p: int, c: int) -> list[int]:
     """Scaling a codeword by c in F_p^* sends symbol v to c*v: the scaled
     composition is ``[comp[w] for w in relabelling(p, c)]``, comp read at w/c."""
-    return [w * pow(c, -1, p) % p for w in range(p)]
+    inverse = pow(c, -1, p)
+    return [w * inverse % p for w in range(p)]
 
 
 # Per representative, the bitset kernel does one shift and p - 1 AND and
@@ -345,19 +353,26 @@ def cwe_from_compositions(p: int, n: int, compositions) -> CompleteWeightEnumera
     # The relabellings form a group, so the compositions of one class share
     # their p - 1 images: each class is relabelled once, its weights summed.
     relabels = [itemgetter(*relabelling(p, c)) for c in range(1, p)]
-    class_of: dict[tuple[int, ...], list] = {}
-    classes = []  # [images, weight]
+    class_of: dict[tuple[int, ...], list[int]] = {}
+    classes = []  # ({image: weight}, images, weight), the weight a 1-cell list
     for _, s, comp in compositions:
-        cls = class_of.get(comp)
-        if cls is None:
-            cls = [[perm(comp) for perm in relabels], 0]
-            classes.append(cls)
-            class_of.update(dict.fromkeys(cls[0], cls))
-        cls[1] += s
+        weight = class_of.get(comp)
+        if weight is None:
+            weight = [0]
+            images = [perm(comp) for perm in relabels]
+            members = dict.fromkeys(images, weight)
+            class_of.update(members)
+            classes.append((members, images, weight))
+        weight[0] += s
     terms = {(n, *[0] * (p - 1)): 1}  # the zero codeword of a = 0
-    for images, freq in classes:
-        for key in images:
-            terms[key] = terms.get(key, 0) + freq
+    for members, images, (freq,) in classes:
+        if len(members) == p - 1:
+            # p - 1 distinct images, none in another class: dict.fromkeys and
+            # update reuse the hashes stored in ``members``
+            terms.update(dict.fromkeys(members, freq))
+        else:  # a nontrivial stabiliser, the zero composition's among them
+            for key in images:
+                terms[key] = terms.get(key, 0) + freq
     return CompleteWeightEnumerator(p=p, n=n, terms=terms)
 
 

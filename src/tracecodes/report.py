@@ -9,8 +9,6 @@ stability.
 
 from __future__ import annotations
 
-import json
-
 from .codes import CodeSummary, CompleteWeightEnumerator, DefiningSet, WeightDistribution
 
 SCHEMA_VERSION = 3
@@ -51,7 +49,7 @@ def summary_dict(summary: CodeSummary) -> dict:
 
 def cwe_list(cwe: CompleteWeightEnumerator) -> list[dict]:
     """The terms in ascending composition order; a composition stays a
-    tuple, which ``json`` writes as an array."""
+    tuple, which :func:`render_json` writes as an array."""
     return [{"composition": comp, "frequency": freq}
             for comp, freq in sorted(cwe.terms.items())]
 
@@ -94,7 +92,52 @@ class _DigitStrings(dict):
         return text
 
 
-_compact_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# json's escapes under ensure_ascii=False: the quote, the backslash and
+# every C0 control character
+_ESCAPES = str.maketrans({**{chr(c): f"\\u{c:04x}" for c in range(0x20)},
+                          '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+                          "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
+
+def _json_string(text: str) -> str:
+    return '"' + text.translate(_ESCAPES) + '"'
+
+
+def _json(value, nl: str | None) -> str:
+    """``value`` as JSON, the bytes of ``json.dumps`` with
+    ensure_ascii=False and either compact separators, when ``nl`` is
+    None, or indent=2, when ``nl`` is the newline and indent of the line
+    that ``value`` starts on.  Takes dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else raises TypeError."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = None if nl is None else nl + "  "
+    comma, colon = (",", ":") if nl is None else ("," + inner, ": ")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = comma.join([f"{_json_string(key)}{colon}{_json(item, inner)}"
+                           for key, item in value.items()])
+        return "{" + body + "}" if nl is None else "{" + inner + body + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # a composition is p ints: write them without a call each
+        body = comma.join([int.__repr__(item) if type(item) is int else _json(item, inner)
+                           for item in value])
+        return "[" + body + "]" if nl is None else "[" + inner + body + nl + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _compact_cwe(entries: list[dict]) -> str:
@@ -108,14 +151,14 @@ def _compact_cwe(entries: list[dict]) -> str:
 
 
 def render_json(doc: dict, compact: bool = False) -> str:
-    """Indented JSON, or one compact line, the same bytes as
-    ``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))``; a
-    compact ``"cwe"`` array is written by :func:`_compact_cwe`."""
+    """Indented JSON, the bytes of ``json.dumps(doc, ensure_ascii=False,
+    indent=2)``, or one compact line, those of ``json.dumps(doc,
+    ensure_ascii=False, separators=(",", ":"))``, both by :func:`_json`
+    but for a compact ``"cwe"`` array, which :func:`_compact_cwe` writes."""
     if not compact:
-        return json.dumps(doc, ensure_ascii=False, indent=2)
+        return _json(doc, "\n")
     return "{" + ",".join(
-        f"{_compact_dumps(key)}:"
-        f"{_compact_cwe(value) if key == 'cwe' else _compact_dumps(value)}"
+        f"{_json_string(key)}:{_compact_cwe(value) if key == 'cwe' else _json(value, None)}"
         for key, value in doc.items()) + "}"
 
 

@@ -10,12 +10,19 @@ and read the traces from :func:`trace_table` instead of reading
 ``ctx.trace_exp`` in bulk.  The per-element tables, :func:`power_tables`
 and :func:`trace_table`, live here rather than in the package, which
 builds no log table.  O(r * n) and O(r): for tests on small fields only.
+
+Two references work one term at a time instead of one element:
+:func:`expand_terms_per_pattern` writes out and checks every closed-form
+pattern on its own, and :func:`fold_per_image` relabels every
+composition by every c in F_p^* on its own.
 """
 
 import cmath
+import itertools
 from functools import lru_cache
 
-from tracecodes import is_irreducible, make_field, prime_factors
+from tracecodes import closedform, is_irreducible, make_field, prime_factors
+from tracecodes.errors import FrequencyMismatchError
 from tracecodes.cyclotomic import CyclotomicInteger
 from tracecodes.fields import _poly_powmod
 
@@ -243,3 +250,105 @@ def trace_table(ctx):
             j += 1
         table[idx] = s % p
     return table
+
+
+# -- closed-form terms and the relabel fold, one term at a time -------------
+
+def expand_terms_per_pattern(p, m):
+    """``closedform._expand_terms`` with every pattern a list of its own,
+    checked and counted by one ``add`` call, in the same order.  It reads
+    ``legendre`` and ``predicted_length`` off the closedform module when
+    called, so a test that patches them there patches both."""
+    legendre = closedform.legendre
+    mp = m % p
+    regime = closedform.parameter_regime(p, m)
+    n = closedform.predicted_length(p, m)
+    q3 = p ** (m - 3)
+    terms = {}
+
+    def add(freq, counts):
+        if freq < 0:
+            raise FrequencyMismatchError(f"negative pattern frequency {freq}")
+        if freq == 0:
+            return
+        low = min(counts)
+        if low < 0:
+            raise FrequencyMismatchError(f"negative symbol count {low}")
+        zero = n - sum(counts)
+        if zero < 0:
+            raise FrequencyMismatchError("symbol counts exceed the length")
+        key = (zero, *counts)
+        terms[key] = terms.get(key, 0) + freq
+
+    def spike(rest, at, *rhos):
+        counts = [rest] * (p - 1)
+        for rho in rhos:
+            counts[rho - 1] = at
+        return counts
+
+    def shifted(row, rho0):  # row[(rho - rho0) % p] for rho = 1, ..., p - 1
+        return [row[(rho - rho0) % p] for rho in range(1, p)]
+
+    syms = range(1, p)
+    chi = [legendre(t, p) for t in range(p)]
+    add(1, [0] * (p - 1))
+    for rho0 in syms:
+        add(1, spike(0, n, rho0))
+    if regime == 1:
+        eps = legendre(-1, p) ** (m // 2)
+        t = p ** ((m - 4) // 2)
+        add(p ** (m - 1) - p, [q3] * (p - 1))
+        add((p - 1) * p ** (m - 2), [q3 + eps * t] * (p - 1))
+        for rho0 in syms:
+            add((p - 1) * p ** (m - 2), spike(q3 + eps * t, q3 - (p - 1) * eps * t, rho0))
+    elif regime == 2:
+        eps = legendre(-1, p) ** (m // 2)
+        u = eps * p ** ((m - 4) // 2)
+        big = eps * p ** ((m - 2) // 2)
+        add(p ** (m - 2) - 1, [q3] * (p - 1))
+        add((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, [q3 - u] * (p - 1))
+        for rho0 in syms:
+            add(p ** (m - 2) - 1, spike(q3, q3 - big, rho0))
+            add(n, spike(q3 + u, q3 - (p - 1) * u, rho0))
+        for rho0, rho1 in itertools.combinations(syms, 2):
+            add(n, spike(q3 + u, q3 - (p - 1) * u, rho0, rho1))
+    elif regime == 3:
+        eps1 = legendre(-1, p) ** ((m + 1) // 2)
+        s = eps1 * p ** ((m - 3) // 2)
+        half = (p - 1) * p ** (m - 2) // 2
+        add(p ** (m - 1) - p, [q3] * (p - 1))
+        for rho0 in range(p):
+            add(half, shifted([q3 + chi[t] * s for t in range(p)], rho0))
+            add(half, shifted([q3 - chi[t] * s for t in range(p)], rho0))
+    else:
+        eps1 = legendre(-1, p) ** ((m + 1) // 2)
+        theta = legendre(-mp, p) * eps1
+        ts = theta * p ** ((m - 3) // 2)
+        freq2 = n + theta * p ** ((m - 1) // 2) - 1
+        nonsquares = [d for d in syms if chi[d] == -1]
+        add(freq2, [q3] * (p - 1))
+        for rho0 in syms:
+            add(n, [q3 + chi[rho * (rho - rho0) % p] * ts for rho in syms])
+            add(freq2, spike(q3, q3 - ts, rho0))
+        for rho0, rho1 in itertools.combinations(syms, 2):
+            add(n, [q3 + chi[(rho - rho0) * (rho - rho1) % p] * ts for rho in syms])
+        for delta in nonsquares:
+            add(n, [q3 + chi[(mp * mp * rho * rho - delta) % p] * ts for rho in syms])
+        for rho0 in syms:
+            for delta in nonsquares:
+                add(n, [q3 + chi[(mp * mp * (rho - rho0) ** 2 - delta) % p] * ts
+                        for rho in syms])
+    return n, terms
+
+
+def fold_per_image(p, n, compositions):
+    """The terms of ``codes.cwe_from_compositions``: each (la, s,
+    composition) counts s codewords under every relabelling
+    comp[w] -> comp[w / c], c in F_p^*, one image at a time, plus the zero
+    codeword of a = 0."""
+    terms = {(n, *[0] * (p - 1)): 1}
+    for _, s, comp in compositions:
+        for c in range(1, p):
+            image = tuple(comp[w * pow(c, -1, p) % p] for w in range(p))
+            terms[image] = terms.get(image, 0) + s
+    return terms

@@ -260,11 +260,23 @@ def test_render_helpers():
     assert cwe_monomial_string((33, 24, 24), 162) == "162 z0^33 z1^24 z2^24"
 
 
+# text with what JSON escapes (the quote, the backslash, every C0 control
+# character) and what it writes as is under ensure_ascii=False
+json_text = st.text(st.sampled_from(['"', "\\", *map(chr, range(0x20))]) | st.characters(),
+                    max_size=20)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=10)
+
+
 @st.composite
 def code_documents(draw):
     """Code documents as a sweep line holds them: counts of several
     digits, zero to a few CWE terms, verdicts with and without data, and
-    sometimes a comparison block."""
+    sometimes a comparison block or a key with any other JSON value:
+    empty lists and dicts, nested tuples, escaped text."""
     p = draw(st.sampled_from([3, 5, 7]))
     n = draw(st.integers(1, 2000))
     counts = st.integers(0, 2000)
@@ -273,18 +285,20 @@ def code_documents(draw):
     summaries = st.builds(CodeSummary, n=counts, k=counts, d=counts, griesmer_sum=counts,
                           griesmer_optimal=st.booleans(), mds=st.booleans())
     params = {"p": p, "m": 3, "modulus": draw(st.lists(counts, max_size=4)),
-              "b": draw(st.integers(1, p - 1)), "defining_set": draw(st.text(max_size=20)),
+              "b": draw(st.integers(1, p - 1)), "defining_set": draw(json_text),
               "in_closed_form_scope": draw(st.booleans())}
     data = st.none() | st.fixed_dictionaries({"composition": st.lists(counts, max_size=p),
                                               "brute": counts, "closed": counts})
-    verdicts = st.lists(st.builds(Verdict, name=st.text(max_size=20), passed=st.booleans(),
-                                  details=st.text(max_size=20), data=data), max_size=3)
+    verdicts = st.lists(st.builds(Verdict, name=json_text, passed=st.booleans(),
+                                  details=json_text, data=data), max_size=3)
     extra = {}
     if draw(st.booleans()):
         extra["verification"] = [v.as_dict() for v in draw(verdicts)]
     if draw(st.booleans()):
-        extra["comparison"] = {"defining_set": draw(st.text(max_size=20)),
+        extra["comparison"] = {"defining_set": draw(json_text),
                                "summary": report.summary_dict(draw(summaries))}
+    if draw(st.booleans()):
+        extra[draw(json_text.filter(lambda key: key != "cwe"))] = draw(json_values)
     return report.code_document(params=params, summary=draw(summaries),
                                 cwe=CompleteWeightEnumerator(p=p, n=n, terms=terms), wd=wd,
                                 extra=extra)
@@ -295,6 +309,29 @@ def code_documents(draw):
 def test_compact_json_is_json_dumps(doc):
     assert report.render_json(doc, compact=True) == \
         json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_documents())
+def test_indented_json_is_json_dumps(doc):
+    assert report.render_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+def test_json_escapes_every_control_character():
+    doc = {"text": '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u00e9\u2028\U0001f600",
+           "empty": [[], {}, ()], "nested": ((1, (2, ())), [{"k": (None, True)}])}
+    assert report.render_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2)
+    assert report.render_json(doc, compact=True) == \
+        json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("value", [0.5, {1, 2}, frozenset(), b"x", {1: 2}])
+@pytest.mark.parametrize("compact", [False, True])
+def test_json_writer_rejects_other_types(value, compact):
+    """No float ever enters a document, so the writer has no float
+    format to get wrong: it refuses one, as it does a set."""
+    with pytest.raises(TypeError):
+        report.render_json({"params": [value]}, compact=compact)
 
 
 def test_sweep_rejects_b_divisible_by_p(capsys, monkeypatch):
@@ -551,7 +588,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     pulls in is paid on every call; -S keeps site's own imports out."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, tracecodes.cli\n"
-            "bad = {'dataclasses', 'inspect', 'typing', 'signal'} & set(sys.modules)\n"
+            "bad = {'dataclasses', 'inspect', 'typing', 'signal', 'json'} & set(sys.modules)\n"
             "assert not bad, sorted(bad)\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
@@ -679,6 +716,30 @@ def test_run_freezes_and_main_does_not(capsys):
             "assert not gc.isenabled()\n")
     proc = _module_run("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,head", [
+    # over 300 kB, more than the pipe holds: the sweep is still writing
+    # when the pipe closes, and a write fails
+    (["sweep", "--p-list", "29,31,37", "--m-list", "3"], 100),
+    # a few kB, all still in stdout's buffer when the pipe closes: run()'s
+    # flush fails, and the exit-time flush must not try again
+    (["predict", "--p", "3", "--m", "4"], 0)])
+def test_a_closed_stdout_exits_quietly(argv, head):
+    """A reader that stops early, as ``head -c`` does, ends the call with
+    EXIT_BROKEN_PIPE and no traceback.  stdout is block-buffered, as it is
+    for a pipe unless PYTHONUNBUFFERED is set."""
+    from tracecodes.cli import EXIT_BROKEN_PIPE
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "tracecodes", *argv],
+                            env={**env, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 120
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_profiling_the_module_still_prints_its_stats(capsys):

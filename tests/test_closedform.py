@@ -10,6 +10,7 @@ from tracecodes import (
     exhaustive_cwe,
     gauss_int,
     gauss_pair_int,
+    is_prime,
     legendre,
     parameter_regime,
     predict_cwe,
@@ -374,6 +375,55 @@ def test_expansion_rejects_a_negative_symbol_count(monkeypatch):
                         lambda a, p: -5 if a == -1 else legendre(a, p))
     with pytest.raises(FrequencyMismatchError, match="negative symbol count"):
         predict_cwe(3, 3)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_row_level_terms_equal_the_per_pattern_expansion(m):
+    """Every odd prime p <= 61: m = 3 and 5 give regimes 3 and 4, m = 4
+    regime 2, m = 6 regimes 1 (p = 3) and 2.  The terms come in the same
+    order, too."""
+    from tracecodes.closedform import _expand_terms
+    for p in filter(is_prime, range(3, 62, 2)):
+        n, terms = _expand_terms(p, m)
+        want_n, want = oracle.expand_terms_per_pattern(p, m)
+        assert (n, list(terms.items())) == (want_n, list(want.items())), (p, m)
+
+
+def _scaled_legendre(at, factor):
+    from tracecodes import closedform
+    legendre = closedform.legendre
+    return lambda a, p: factor * legendre(a, p) if a == at else legendre(a, p)
+
+
+@pytest.mark.parametrize("p,m,patch,message,raised_in", [
+    # a length one short: at (3,3) a row-level pattern is the first to overflow
+    (3, 3, ("predicted_length", -1), "symbol counts exceed the length", "add_shifted"),
+    (5, 4, ("predicted_length", -1), "symbol counts exceed the length", "add"),
+    (7, 3, ("predicted_length", -1), "symbol counts exceed the length", "add"),
+    # n + theta*p - 1 at (5,3): 5 - 5 - 1 with the length one short, and
+    # 10 - 25 - 1 with theta = chi(-3) scaled from -1 to -5, which also
+    # takes the length from 6 to 10
+    (5, 3, ("predicted_length", -1), "negative pattern frequency -1", "add"),
+    (5, 3, ("legendre", -3, 5), "negative pattern frequency -16", "add"),
+    # a base row with a negative minimum: its patterns go through add
+    (3, 3, ("legendre", -1, 5), "negative symbol count -24", "add"),
+])
+def test_expansion_errors_match_the_per_pattern_expansion(monkeypatch, p, m, patch,
+                                                           message, raised_in):
+    from tracecodes import closedform
+    if patch[0] == "predicted_length":
+        length = closedform.predicted_length
+        monkeypatch.setattr(closedform, "predicted_length",
+                            lambda p, m: length(p, m) + patch[1])
+    else:
+        monkeypatch.setattr(closedform, "legendre", _scaled_legendre(*patch[1:]))
+    with pytest.raises(FrequencyMismatchError) as row_level:
+        closedform._expand_terms(p, m)
+    assert str(row_level.value) == message
+    assert row_level.traceback[-1].name == raised_in
+    with pytest.raises(FrequencyMismatchError) as per_pattern:
+        oracle.expand_terms_per_pattern(p, m)
+    assert str(per_pattern.value) == message
 
 
 def test_predicted_weight_tables():

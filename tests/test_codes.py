@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecodes import (
     DefiningSet,
@@ -12,7 +14,7 @@ from tracecodes import (
     summarize,
     trace_pair_table,
 )
-from tracecodes.codes import relabelling
+from tracecodes.codes import cwe_from_compositions, relabelling
 from tracecodes.verification import verify_equivalence
 from tracecodes.errors import (
     BudgetExceededError,
@@ -73,6 +75,61 @@ def test_general_defining_sets(fields):
     assert both.has_zero
     with pytest.raises(EmptyConstraintError):
         build_defining_set_general(ctx)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (37, 3), (257, 2)])
+def test_trace_scan_finds_every_log(fields, p, m):
+    """The bytes.find scan for p < 256, and the comprehension above it,
+    return the logs with Tr = b in order, alone and with Tr(x^2) = 0;
+    b = p reduces to 0."""
+    ctx = fields(p, m)
+    tr = ctx.trace_exp
+    for b in (0, 1, 2, p - 1, p):
+        want = [k for k in range(ctx.r - 1) if tr[k] == b % p]
+        assert list(build_defining_set_general(ctx, trace_value=b).logs) == want
+        both = build_defining_set_general(ctx, trace_value=b, trace_square_value=0)
+        assert list(both.logs) == [k for k in want if tr[2 * k % (ctx.r - 1)] == 0]
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (3, 6), (5, 3), (5, 4), (7, 3), (37, 3)])
+def test_fold_equals_the_per_image_fold(fields, p, m):
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, 1)
+    comps = orbit_compositions(ctx, dset)
+    assert cwe_from_compositions(p, len(dset), comps).terms == \
+        oracle.fold_per_image(p, len(dset), comps)
+
+
+def test_fold_sums_images_under_a_nontrivial_stabiliser():
+    # at p = 5: the zero composition and (2, 1, 1, 1, 1) are fixed by every
+    # c, (0, 1, 2, 2, 1) = comp[-w] by c = -1 only, and (3, 1, 2, 0, 0) by
+    # none; (3, 0, 1, 0, 2) is (3, 1, 2, 0, 0) relabelled by c = 2
+    n = 6
+    comps = [(0, 2, (6, 0, 0, 0, 0)), (1, 3, (2, 1, 1, 1, 1)), (2, 5, (0, 1, 2, 2, 1)),
+             (3, 7, (3, 1, 2, 0, 0)), (4, 11, (3, 0, 1, 0, 2))]
+    terms = cwe_from_compositions(5, n, comps).terms
+    assert terms == oracle.fold_per_image(5, n, comps)
+    assert terms[6, 0, 0, 0, 0] == 1 + 4 * 2
+    assert terms[2, 1, 1, 1, 1] == 4 * 3
+    assert terms[0, 1, 2, 2, 1] == terms[0, 2, 1, 1, 2] == 2 * 5
+    assert terms[3, 1, 2, 0, 0] == 7 + 11
+
+
+@st.composite
+def fold_inputs(draw):
+    """(p, n, compositions) with counts from a small range, so classes
+    repeat and some compositions have a nontrivial stabiliser."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    comp = st.tuples(*[st.integers(0, 2)] * p)
+    comps = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 9), comp), max_size=12))
+    return p, 2 * p, comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_inputs())
+def test_fold_equals_the_per_image_fold_on_any_compositions(case):
+    p, n, comps = case
+    assert cwe_from_compositions(p, n, comps).terms == oracle.fold_per_image(p, n, comps)
 
 
 def test_codeword_basics(fields):

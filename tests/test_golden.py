@@ -1,13 +1,17 @@
 """Golden-output test: the exact stdout bytes of a small fixed CLI grid.
 
-Each case's expected stdout is stored in ``tests/golden/<name>.out``.  A
-refactor that keeps the JSON documents byte-identical passes; any change
-to a value, an ordering or the formatting fails here.  To regenerate the
-files after an intended output change, run from the repository root:
+Each case's expected stdout is stored in ``tests/golden/<name>.out``, or,
+for the digest cases, whose output runs to hundreds of kilobytes, its
+SHA-256 in ``tests/golden/<name>.sha256``, as ``sha256sum`` writes it for
+stdin.  A refactor that keeps the JSON documents byte-identical passes;
+any change to a value, an ordering or the formatting fails here.  To
+regenerate the files after an intended output change, run from the
+repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -50,6 +54,15 @@ CASES = {
                        "--compare-defining-set", "d1"],
 }
 
+# lines with p >= 17, whose CWE terms take the closed forms' row-level path
+DIGEST_CASES = {
+    "sweep-29-31-37-b5": ["sweep", "--p-list", "29,31,37", "--m-list", "3", "--b", "5"],
+}
+
+
+def _digest_line(out: str) -> str:
+    return f"{hashlib.sha256(out.encode()).hexdigest()}  -\n"
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_bytes(capsys, name):
@@ -58,16 +71,28 @@ def test_stdout_matches_golden_bytes(capsys, name):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_stdout_matches_golden_digest(capsys, name):
+    assert main(DIGEST_CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert _digest_line(out) == (GOLDEN / f"{name}.sha256").read_text()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name, argv in [*CASES.items(), *DIGEST_CASES.items()]:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = main(argv)
         if rc != 0:
             sys.exit(f"{name}: exit {rc}")
-        (GOLDEN / f"{name}.out").write_bytes(buf.getvalue().encode())
-        print(f"wrote {name}.out", file=sys.stderr)
+        if name in DIGEST_CASES:
+            path = GOLDEN / f"{name}.sha256"
+            path.write_text(_digest_line(buf.getvalue()))
+        else:
+            path = GOLDEN / f"{name}.out"
+            path.write_bytes(buf.getvalue().encode())
+        print(f"wrote {path.name}", file=sys.stderr)
