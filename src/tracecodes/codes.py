@@ -351,28 +351,26 @@ def cwe_from_compositions(p: int, n: int, compositions) -> CompleteWeightEnumera
     of n elements, weighted by orbit size under each of the p - 1
     relabellings, plus the zero codeword of a = 0."""
     # The relabellings form a group, so the compositions of one class share
-    # their p - 1 images: each class is relabelled once, its weights summed.
+    # their p - 1 images, each distinct one (p - 1) / len(members) times
+    # (orbit-stabiliser): each class is relabelled once, its weights summed.
     relabels = [itemgetter(*relabelling(p, c)) for c in range(1, p)]
     class_of: dict[tuple[int, ...], list[int]] = {}
-    classes = []  # ({image: weight}, images, weight), the weight a 1-cell list
+    classes = []  # ({image: weight}, weight), the weight a 1-cell list
     for _, s, comp in compositions:
         weight = class_of.get(comp)
         if weight is None:
             weight = [0]
-            images = [perm(comp) for perm in relabels]
-            members = dict.fromkeys(images, weight)
+            members = dict.fromkeys([perm(comp) for perm in relabels], weight)
             class_of.update(members)
-            classes.append((members, images, weight))
+            classes.append((members, weight))
         weight[0] += s
-    terms = {(n, *[0] * (p - 1)): 1}  # the zero codeword of a = 0
-    for members, images, (freq,) in classes:
-        if len(members) == p - 1:
-            # p - 1 distinct images, none in another class: dict.fromkeys and
-            # update reuse the hashes stored in ``members``
-            terms.update(dict.fromkeys(members, freq))
-        else:  # a nontrivial stabiliser, the zero composition's among them
-            for key in images:
-                terms[key] = terms.get(key, 0) + freq
+    zero = (n, *[0] * (p - 1))
+    terms = {zero: 0}
+    for members, (freq,) in classes:
+        # classes share no image: dict.fromkeys and update reuse the hashes
+        # stored in ``members``
+        terms.update(dict.fromkeys(members, freq * ((p - 1) // len(members))))
+    terms[zero] += 1  # the zero codeword of a = 0
     return CompleteWeightEnumerator(p=p, n=n, terms=terms)
 
 

@@ -103,12 +103,23 @@ def _json_string(text: str) -> str:
     return '"' + text.translate(_ESCAPES) + '"'
 
 
+def _json_key(key) -> str:
+    """A dict key as JSON writes it: a string, an int or a bool or None
+    made one (a weight distribution's counts are keyed by int weight)."""
+    if isinstance(key, str):
+        return _json_string(key)
+    if key is None or isinstance(key, int):
+        return '"' + _json(key, None) + '"'
+    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+
+
 def _json(value, nl: str | None) -> str:
     """``value`` as JSON, the bytes of ``json.dumps`` with
     ensure_ascii=False and either compact separators, when ``nl`` is
     None, or indent=2, when ``nl`` is the newline and indent of the line
-    that ``value`` starts on.  Takes dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else raises TypeError."""
+    that ``value`` starts on.  Takes dicts with str, int, bool or None
+    keys, lists, tuples, str, int, bool and None; anything else raises
+    TypeError."""
     if isinstance(value, str):
         return _json_string(value)
     if value is None:
@@ -124,10 +135,7 @@ def _json(value, nl: str | None) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        body = comma.join([f"{_json_string(key)}{colon}{_json(item, inner)}"
+        body = comma.join([f"{_json_key(key)}{colon}{_json(item, inner)}"
                            for key, item in value.items()])
         return "{" + body + "}" if nl is None else "{" + inner + body + nl + "}"
     if isinstance(value, (list, tuple)):

@@ -267,7 +267,7 @@ json_text = st.text(st.sampled_from(['"', "\\", *map(chr, range(0x20))]) | st.ch
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | json_text,
     lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(json_text, inner, max_size=3),
+    | st.dictionaries(json_text | st.integers(), inner, max_size=3),
     max_leaves=10)
 
 
@@ -287,8 +287,10 @@ def code_documents(draw):
     params = {"p": p, "m": 3, "modulus": draw(st.lists(counts, max_size=4)),
               "b": draw(st.integers(1, p - 1)), "defining_set": draw(json_text),
               "in_closed_form_scope": draw(st.booleans())}
+    tables = st.dictionaries(counts, counts, max_size=4)  # keyed by int weight
     data = st.none() | st.fixed_dictionaries({"composition": st.lists(counts, max_size=p),
-                                              "brute": counts, "closed": counts})
+                                              "brute": counts, "closed": counts}) \
+        | st.fixed_dictionaries({"brute": tables, "closed": tables})
     verdicts = st.lists(st.builds(Verdict, name=json_text, passed=st.booleans(),
                                   details=json_text, data=data), max_size=3)
     extra = {}
@@ -325,13 +327,61 @@ def test_json_escapes_every_control_character():
         json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("value", [0.5, {1, 2}, frozenset(), b"x", {1: 2}])
+@pytest.mark.parametrize("value", [0.5, {1, 2}, frozenset(), b"x", {0.5: 1}, {(1,): 2}])
 @pytest.mark.parametrize("compact", [False, True])
 def test_json_writer_rejects_other_types(value, compact):
     """No float ever enters a document, so the writer has no float
-    format to get wrong: it refuses one, as it does a set."""
+    format to get wrong: it refuses one, as it does a set, and a float or
+    tuple key."""
     with pytest.raises(TypeError):
         report.render_json({"params": [value]}, compact=compact)
+
+
+def test_json_writer_writes_non_str_keys_as_json_does():
+    doc = {"brute": {0: 1, 48: 162, -3: 2}, "flags": {True: 1, False: 0, None: []}}
+    assert report.render_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2)
+    assert report.render_json(doc, compact=True) == \
+        json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "3", "--m", "4", "--scope", "cwe"],
+    ["verify", "--p", "3", "--m", "4", "--scope", "all"],
+    ["sweep", "--p-list", "3,5", "--m-list", "3"]])
+def test_a_weight_table_mismatch_is_written_and_exits_1(capsys, monkeypatch, argv):
+    """The failing weight-distribution verdict carries both tables keyed
+    by int weight; the document holding them is written whole."""
+    from tracecodes import closedform
+    original = closedform.prediction
+
+    def bumped(p, m):
+        pred = original(p, m)
+        counts = dict(pred.wd.counts)
+        counts[max(counts)] += 1
+        pred.wd = WeightDistribution(n=pred.wd.n, k=pred.wd.k, counts=counts)
+        return pred
+
+    docs = []
+    render = report.render_json
+
+    def recording(doc, compact=False):
+        docs.append((doc, compact))
+        return render(doc, compact)
+
+    monkeypatch.setattr(closedform, "prediction", bumped)
+    monkeypatch.setattr(report, "render_json", recording)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 1
+    assert docs and out == "".join(
+        json.dumps(doc, ensure_ascii=False,
+                   **({"separators": (",", ":")} if compact else {"indent": 2})) + "\n"
+        for doc, compact in docs)
+    for doc, _ in docs:
+        verdicts = {v["name"]: v for v in doc["verification"]}
+        table = verdicts["weight-distribution"]
+        assert table["passed"] is False
+        assert all(type(w) is int for w in table["data"]["brute"])
+        assert sum(table["data"]["closed"].values()) == sum(table["data"]["brute"].values()) + 1
 
 
 def test_sweep_rejects_b_divisible_by_p(capsys, monkeypatch):
