@@ -20,8 +20,7 @@ from .charsums import (
 from .closedform import (
     CwePrediction,
     classify_optimality,
-    correction_sums,
-    correction_sums_at_zero,
+    correction_rows,
     discriminant_pair_counts,
     gauss_int,
     gauss_pair_int,
@@ -30,7 +29,6 @@ from .closedform import (
     predict_weight_distribution,
     predicted_length,
     prediction,
-    symbol_count_closed,
     symbol_counts_closed,
     trace_pair_count_closed,
 )

@@ -18,7 +18,7 @@ import itertools
 from functools import cache
 
 from .codes import CodeSummary, CompleteWeightEnumerator, WeightDistribution
-from .errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
+from .errors import DegreeTooSmallError, FrequencyMismatchError
 from .fields import legendre
 
 
@@ -116,172 +116,25 @@ def predicted_length(p: int, m: int) -> int:
 # a itself when a lies in F_p and None otherwise: codewords with equal
 # profiles have equal symbol counts.  Below, A = Tr(a^2), B = Tr(a) and
 # the discriminant is B^2 - m_p*A.
+#
+# The number of coordinates equal to rho is
+#
+#     N_rho = n/p + (S_lin + S_sq + S_mix) / p^3,
+#
+# where S_lin couples only the defining trace constraint, S_sq only the
+# trace-square constraint, and S_mix all three (character orthogonality
+# kills the fourth term).  Each S sums zeta^(d*(Tr(ax) - rho)) over d in
+# F_p^*, and summed over rho that is (p - 1) - (p - 1) = 0 for every x:
+# each correction sums to 0 over F_p, so its value at rho = 0 is minus
+# the sum of the others, and N_0 = n - sum of N_rho over rho != 0.
 
-def correction_sums(p: int, m: int, prof: tuple, rho: int) -> tuple[int, int, int]:
-    """The three exact integer corrections in the decomposition
-
-        N_rho = n/p + (S_lin + S_sq + S_mix) / p^3        (rho != 0)
-
-    of the number of codeword coordinates equal to rho, where S_lin
-    couples only the defining trace constraint, S_sq only the
-    trace-square constraint, and S_mix all three (character
-    orthogonality kills the fourth term).
-    """
-    rho %= p
-    if rho == 0:
-        raise RhoZeroError("use correction_sums_at_zero for the zero symbol")
-    r = p**m
-    mp = m % p
-    even = (m % 2 == 0)
-    A, B, prime_value = prof
-
-    if prime_value is not None:
-        s_lin = (p - 1) * r if rho == prime_value else -r
-    else:
-        s_lin = 0
-
-    if even:
-        gm = gauss_int(p, m)
-        s_sq = -(p - 1) * gm if A == 0 else gm
-    else:
-        gg = gauss_pair_int(p, m)
-        s_sq = 0 if A == 0 else -legendre(-A, p) * gg
-
-    if even and mp == 0:
-        if A == 0 and B == 0:
-            s_mix = (p - 1) * gm
-        elif A == 0 or B == 0:
-            s_mix = -gm
-        elif A == (2 * rho * B) % p:
-            s_mix = (p * p - p - 1) * gm
-        else:
-            s_mix = -(p + 1) * gm
-    elif even:
-        if A == 0:
-            if B == 0:
-                s_mix = -gm
-            elif (rho * mp) % p == (2 * B) % p:
-                s_mix = (p * p - p - 1) * gm
-            else:
-                s_mix = -(p + 1) * gm
-        else:
-            delta = (B * B - mp * A) % p
-            if delta == 0:
-                if (rho * B) % p == A:
-                    s_mix = (p * p - p - 1) * gm
-                else:
-                    s_mix = -(p + 1) * gm
-            elif legendre(delta, p) == 1:
-                if (-mp * rho * rho + 2 * B * rho - A) % p == 0:
-                    s_mix = (p * p - 2 * p - 1) * gm
-                else:
-                    s_mix = -(2 * p + 1) * gm
-            else:
-                s_mix = -gm
-    elif mp == 0:
-        if A == 0 and B == 0:
-            s_mix = 0
-        elif A == 0:
-            half = (rho * B * pow(2, -1, p)) % p
-            s_mix = legendre(half, p) * p * gg
-        elif B == 0:
-            s_mix = legendre(-A, p) * gg
-        elif A == (2 * rho * B) % p:
-            s_mix = legendre(-A, p) * gg
-        else:
-            s_mix = (legendre(2 * rho * B - A, p) * p + legendre(-A, p)) * gg
-    else:
-        eta_mp = legendre(-mp, p)
-        if A == 0:
-            if B == 0:
-                s_mix = eta_mp * gg
-            elif (rho * mp) % p == (2 * B) % p:
-                s_mix = eta_mp * gg
-            else:
-                s_mix = (legendre(2 * B * rho - mp * rho * rho, p) * p + eta_mp) * gg
-        else:
-            delta = (B * B - mp * A) % p
-            if delta == 0:
-                if (rho * B) % p == A:
-                    s_mix = -(p - 2) * eta_mp * gg
-                else:
-                    s_mix = 2 * eta_mp * gg
-            else:
-                f_rho = (-mp * rho * rho + 2 * B * rho - A) % p
-                if f_rho == 0:
-                    s_mix = (legendre(-A, p) + eta_mp) * gg
-                else:
-                    s_mix = (p * legendre(f_rho, p) + legendre(-A, p) + eta_mp) * gg
-
-    return s_lin, s_sq, s_mix
-
-
-def correction_sums_at_zero(p: int, m: int, prof: tuple) -> tuple[int, int, int]:
-    """Same decomposition for the zero symbol (the rho = 0 analogue of
-    :func:`correction_sums`; only the regime with odd m and p not
-    dividing m is needed for the weight tables, but all four are
-    evaluated so the identity can be checked everywhere)."""
-    r = p**m
-    mp = m % p
-    even = (m % 2 == 0)
-    A, B, prime_value = prof
-
-    s_lin = -r if prime_value is not None else 0
-
-    if even:
-        gm = gauss_int(p, m)
-        s_sq = (p - 1) * (p - 1) * gm if A == 0 else -(p - 1) * gm
-    else:
-        gg = gauss_pair_int(p, m)
-        s_sq = 0 if A == 0 else (p - 1) * legendre(-A, p) * gg
-
-    if even and mp == 0:
-        if A == 0 and B == 0:
-            s_mix = -(p - 1) * (p - 1) * gm
-        elif A == 0 or B == 0:
-            s_mix = (p - 1) * gm
-        else:
-            s_mix = -gm
-    elif even:
-        if A == 0:
-            s_mix = (p - 1) * gm if B == 0 else -gm
-        else:
-            delta = (B * B - mp * A) % p
-            if delta == 0:
-                s_mix = -gm
-            else:
-                s_mix = -(p * legendre(delta, p) + 1) * gm
-    elif mp == 0:
-        if A == 0:
-            s_mix = 0
-        elif B == 0:
-            s_mix = -(p - 1) * legendre(-A, p) * gg
-        else:
-            s_mix = legendre(-A, p) * gg
-    else:
-        eta_mp = legendre(-mp, p)
-        if A == 0:
-            s_mix = -(p - 1) * eta_mp * gg if B == 0 else eta_mp * gg
-        else:
-            delta = (B * B - mp * A) % p
-            if delta == 0:
-                s_mix = -(p - 2) * eta_mp * gg
-            else:
-                s_mix = (legendre(-A, p) + eta_mp) * gg
-
-    return s_lin, s_sq, s_mix
-
-
-def symbol_count_closed(p: int, m: int, prof: tuple, rho: int) -> int:
-    """Exact closed-form count of coordinates equal to rho in the
-    codeword of any nonzero a with the given trace profile."""
-    n = predicted_length(p, m)
-    rho %= p
-    if rho == 0:
-        terms = correction_sums_at_zero(p, m, prof)
-    else:
-        terms = correction_sums(p, m, prof, rho)
-    return _exact_div(n * p * p + sum(terms), p**3)
+def _spike(p: int, rest: int, at: int, *rhos: int) -> list[int]:
+    """The p - 1 values over rho = 1, ..., p - 1 that are ``at`` on each
+    of ``rhos`` and ``rest`` on every other nonzero symbol."""
+    counts = [rest] * (p - 1)
+    for rho in rhos:
+        counts[rho - 1] = at
+    return counts
 
 
 @cache
@@ -292,23 +145,14 @@ def _count_constants(p: int, m: int) -> tuple[int, int, tuple[int, ...]]:
     return predicted_length(p, m), g, tuple(legendre(t, p) for t in range(p))
 
 
-def symbol_counts_closed(p: int, m: int, prof: tuple) -> list[int]:
-    """``[symbol_count_closed(p, m, prof, rho) for rho in range(p)]``,
-    with n, the Gauss integer and the character table computed once per
-    (p, m).  For rho != 0 each case of :func:`correction_sums` becomes
-    one row over rho = 1, ..., p - 1: S_sq is constant, S_lin is -r but
-    at the prime value, and S_mix is constant, a spike at the one rho
+def _corrections(p: int, m: int, prof: tuple) -> tuple[int, list[int]]:
+    """S_sq, constant over rho != 0, and the row of S_mix over rho = 1,
+    ..., p - 1.  Each case of S_mix is constant, a spike at the one rho
     where its condition holds, or chi of a polynomial in rho, where
     chi(0) = 0 gives the value at the polynomial's roots."""
-    n, g, chi = _count_constants(p, m)
-    A, B, pv = prof
-    r, mp, syms = p**m, m % p, range(1, p)
-
-    def spike(rho0: int, at: int, rest: int) -> list[int]:
-        row = [rest] * (p - 1)
-        row[rho0 % p - 1] = at
-        return row
-
+    _, g, chi = _count_constants(p, m)
+    A, B, _ = prof
+    mp, syms = m % p, range(1, p)
     if m % 2 == 0:
         s_sq = -(p - 1) * g if A == 0 else g
         hit, miss = (p * p - p - 1) * g, -(p + 1) * g
@@ -319,11 +163,11 @@ def symbol_counts_closed(p: int, m: int, prof: tuple) -> list[int]:
             elif A == 0 or B == 0:
                 mix = [-g] * (p - 1)
             else:  # A == 2*rho*B
-                mix = spike(A * pow(2 * B, -1, p), hit, miss)
+                mix = _spike(p, miss, hit, A * pow(2 * B, -1, p) % p)
         elif A == 0:
-            mix = [-g] * (p - 1) if B == 0 else spike(2 * B * pow(mp, -1, p), hit, miss)
+            mix = [-g] * (p - 1) if B == 0 else _spike(p, miss, hit, 2 * B * pow(mp, -1, p) % p)
         elif delta == 0:  # rho*B == A
-            mix = spike(A * pow(B, -1, p), hit, miss)
+            mix = _spike(p, miss, hit, A * pow(B, -1, p) % p)
         elif chi[delta] == 1:  # -m_p*rho^2 + 2*B*rho - A vanishes at two rho
             mix = [(p * p - 2 * p - 1) * g if (2 * B * rho - mp * rho * rho - A) % p == 0
                    else -(2 * p + 1) * g for rho in syms]
@@ -345,18 +189,39 @@ def symbol_counts_closed(p: int, m: int, prof: tuple) -> list[int]:
             mix = [eta * g] * (p - 1) if B == 0 else \
                 [(chi[(2 * B * rho - mp * rho * rho) % p] * p + eta) * g for rho in syms]
         elif (B * B - mp * A) % p == 0:  # rho*B == A
-            mix = spike(A * pow(B, -1, p), -(p - 2) * eta * g, 2 * eta * g)
+            mix = _spike(p, 2 * eta * g, -(p - 2) * eta * g, A * pow(B, -1, p) % p)
         else:
             mix = [(p * chi[(2 * B * rho - mp * rho * rho - A) % p] + chi[-A % p] + eta) * g
                    for rho in syms]
+    return s_sq, mix
+
+
+def correction_rows(p: int, m: int, prof: tuple) -> tuple[list[int], list[int], list[int]]:
+    """The three exact integer corrections S_lin, S_sq and S_mix of the
+    decomposition above, each as a row over rho = 0, ..., p - 1, for any
+    nonzero a with the given trace profile."""
+    s_sq, mix = _corrections(p, m, prof)
+    r, pv = p**m, prof[2]
+    lin = [0] * (p - 1) if pv is None else _spike(p, -r, (p - 1) * r, pv)
+    return tuple([-sum(row), *row] for row in (lin, [s_sq] * (p - 1), mix))
+
+
+def symbol_counts_closed(p: int, m: int, prof: tuple) -> list[int]:
+    """Exact closed-form counts of coordinates equal to rho, for rho =
+    0, ..., p - 1, in the codeword of any nonzero a with the given trace
+    profile, with n, the Gauss integer and the character table computed
+    once per (p, m)."""
+    n = _count_constants(p, m)[0]
+    s_sq, mix = _corrections(p, m, prof)
+    r, pv = p**m, prof[2]
     base = n * p * p + s_sq - (r if pv is not None else 0)
     totals = [base + s for s in mix]
-    if pv is not None and 0 < pv < p:
+    if pv is not None:
         totals[pv - 1] += p * r  # S_lin = (p - 1)*r at rho = pv, -r elsewhere
-    totals.insert(0, n * p * p + sum(correction_sums_at_zero(p, m, prof)))
     # the rows take a handful of values: divide each one once
     quotient = {t: _exact_div(t, p**3) for t in set(totals)}
-    return list(map(quotient.__getitem__, totals))
+    counts = list(map(quotient.__getitem__, totals))
+    return [n - sum(counts), *counts]
 
 
 # ----------------------------------------------------------------------
@@ -382,15 +247,6 @@ def discriminant_pair_counts(p: int, m_p: int) -> dict[str, int]:
 # ----------------------------------------------------------------------
 # Full complete-weight-enumerator prediction
 # ----------------------------------------------------------------------
-
-def _spike(p: int, rest: int, at: int, *rhos: int) -> list[int]:
-    """The p - 1 symbol counts that are ``at`` on each of ``rhos`` and
-    ``rest`` on every other nonzero symbol."""
-    counts = [rest] * (p - 1)
-    for rho in rhos:
-        counts[rho - 1] = at
-    return counts
-
 
 def _shifted(doubled: tuple[int, ...], p: int, rho0: int) -> tuple[int, ...]:
     """row[(rho - rho0) % p] for rho = 1, ..., p - 1, sliced out of

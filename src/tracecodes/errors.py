@@ -54,10 +54,6 @@ class FrequencyMismatchError(TraceCodesError):
     is not p^m)."""
 
 
-class RhoZeroError(TraceCodesError):
-    """The nonzero-symbol decomposition was asked for the zero symbol."""
-
-
 class NotFrobeniusStableError(TraceCodesError):
     """A defining set is not closed under x |-> x^p, so orbit-reduced
     enumeration would be wrong for it."""

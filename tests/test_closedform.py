@@ -4,8 +4,7 @@ from tracecodes import (
     CyclotomicInteger,
     build_defining_set,
     classify_optimality,
-    correction_sums,
-    correction_sums_at_zero,
+    correction_rows,
     discriminant_pair_counts,
     exhaustive_cwe,
     gauss_int,
@@ -17,12 +16,11 @@ from tracecodes import (
     predict_weight_distribution,
     predicted_length,
     prediction,
-    symbol_count_closed,
     symbol_counts_closed,
     trace_pair_count_closed,
     trace_pair_table,
 )
-from tracecodes.errors import DegreeTooSmallError, FrequencyMismatchError, RhoZeroError
+from tracecodes.errors import DegreeTooSmallError, FrequencyMismatchError
 
 from expected_enumerators import CWE_3_6, CWE_5_3, CWE_5_4
 import oracle
@@ -84,27 +82,25 @@ def test_gauss_integers_used_by_formulas():
         gauss_int(5, 3)  # odd degree alone is irrational
 
 
+def _rows_vs_direct(ctx):
+    """Every entry of the three correction rows, rho = 0 included, for
+    every nonzero a of ``ctx`` against the direct sums."""
+    p, m = ctx.p, ctx.m
+    for a in range(1, ctx.r):
+        rows = correction_rows(p, m, oracle.profile(ctx, a))
+        for rho in range(p):
+            assert tuple(row[rho] for row in rows) == \
+                correction_sums_direct(ctx, a, rho), (p, m, a, rho)
+
+
 def test_correction_sums_vs_direct(fields):
     # every branch of the decomposition, on one field per regime
     for p, m in [(3, 4), (3, 3), (5, 3)]:
-        ctx = fields(p, m)
-        for a in range(1, ctx.r):
-            prof = oracle.profile(ctx, a)
-            for rho in range(1, p):
-                assert correction_sums(p, m, prof, rho) == \
-                    correction_sums_direct(ctx, a, rho), (p, m, a, rho)
-            assert correction_sums_at_zero(p, m, prof) == \
-                correction_sums_direct(ctx, a, 0), (p, m, a)
+        _rows_vs_direct(fields(p, m))
 
 
 def test_correction_sums_regime1(fields):
-    ctx = fields(3, 6)
-    for a in range(1, ctx.r):
-        prof = oracle.profile(ctx, a)
-        for rho in range(3):
-            got = correction_sums(3, 6, prof, rho) if rho else \
-                correction_sums_at_zero(3, 6, prof)
-            assert got == correction_sums_direct(ctx, a, rho), (a, rho)
+    _rows_vs_direct(fields(3, 6))
 
 
 def test_correction_sums_spot_values(fields):
@@ -113,18 +109,15 @@ def test_correction_sums_spot_values(fields):
     gm = gauss_int(p, m)
     r = p**m
     a = 2  # prime-subfield element
-    prof = oracle.profile(ctx, a)
-    s_lin, s_sq, s_mix = correction_sums(p, m, prof, 2)
-    assert s_lin == (p - 1) * r
-    s_lin, _, _ = correction_sums(p, m, prof, 3)
-    assert s_lin == -r
+    s_lin, _, _ = correction_rows(p, m, oracle.profile(ctx, a))
+    assert s_lin == [-r, -r, (p - 1) * r, -r, -r]
     # a outside the prime subfield with Tr(a^2) = 0 contributes
-    # -(p-1)*G_m through the square-constraint term
+    # -(p-1)*G_m through the square-constraint term at every rho != 0
     for a in range(p, r):
         prof = oracle.profile(ctx, a)
         if prof[0] == 0:  # Tr(a^2)
-            _, s_sq, _ = correction_sums(p, m, prof, 1)
-            assert s_sq == -(p - 1) * gm
+            _, s_sq, _ = correction_rows(p, m, prof)
+            assert s_sq == [(p - 1) ** 2 * gm] + [-(p - 1) * gm] * (p - 1)
             break
 
 
@@ -161,22 +154,9 @@ def test_symbol_count_closed_vs_brute(fields):
         ctx = fields(p, m)
         dset = build_defining_set(ctx, 1)
         for a in range(1, ctx.r):
-            prof = oracle.profile(ctx, a)
-            for rho in range(p):
-                assert symbol_count_closed(p, m, prof, rho) == \
-                    codeword(ctx, dset, a).count(rho), (p, m, a, rho)
-
-
-def test_symbol_counts_closed_is_the_per_symbol_form():
-    """One field per regime; every profile (A, B, prime value), the
-    trace profiles of real codewords among them."""
-    for p, m in [(3, 6), (5, 4), (3, 3), (5, 3)]:
-        for a_val in range(p):
-            for b_val in range(p):
-                for value in [None, *range(1, p)]:
-                    prof = (a_val, b_val, value)
-                    assert symbol_counts_closed(p, m, prof) == \
-                        [symbol_count_closed(p, m, prof, rho) for rho in range(p)], (p, m, prof)
+            word = codeword(ctx, dset, a)
+            assert symbol_counts_closed(p, m, oracle.profile(ctx, a)) == \
+                [word.count(rho) for rho in range(p)], (p, m, a)
 
 
 def test_verify_counts_sees_one_wrong_profile(fields, monkeypatch):
@@ -251,6 +231,24 @@ def test_verify_counts_sees_a_missing_orbit(fields):
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
 
 
+@pytest.mark.parametrize("p,m", [(3, 4), (7, 3)])
+def test_verify_counts_compares_the_zero_symbol(fields, p, m):
+    """The closed zero count is n less the others, so a walk whose zero
+    count alone is one too high fails on it."""
+    from tracecodes import codes
+    from tracecodes.verification import verify_counts
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, 1)
+    walked = codes.orbit_compositions(ctx, dset)
+    la, size, comp = walked[-1]
+    walked[-1] = (la, size, (comp[0] + 1, *comp[1:]))
+    failed = [v for v in verify_counts(ctx, dset, walked) if not v.passed]
+    assert [v.name for v in failed] == [f"symbol-count-decomposition p={p} m={m}"]
+    data = failed[0].data
+    zeros = codeword(ctx, dset, data["a"]).count(0)
+    assert data == {"a": data["a"], "rho": 0, "brute": zeros + 1, "closed": zeros}
+
+
 @pytest.mark.parametrize("p,m", [(3, 5), (5, 4), (7, 3), (3, 6)])
 def test_verify_counts_reads_the_set_of_b(fields, p, m):
     """On D_b the codeword of a is the D_1 codeword of a*b, permuted: the
@@ -307,13 +305,6 @@ def test_predict_cwe_checks_the_frequency_total(monkeypatch):
     monkeypatch.setattr(closedform, "_expand_terms", drop_one)
     with pytest.raises(FrequencyMismatchError, match="total"):
         predict_cwe(5, 4)
-
-
-def test_rho_zero_guard(fields):
-    ctx = fields(5, 3)
-    prof = oracle.profile(ctx, 7)
-    with pytest.raises(RhoZeroError):
-        correction_sums(5, 3, prof, 0)
 
 
 def test_discriminant_pair_counts_closed():

@@ -35,6 +35,9 @@ CASES = {
     "build-3-4-d2": ["build", "--p", "3", "--m", "4", "--defining-set", "d2"],
     "predict-3-4": ["predict", "--p", "3", "--m", "4"],
     "verify-3-4-all": ["verify", "--p", "3", "--m", "4", "--scope", "all"],
+    # the counts check in regimes 1 and 4, which no other golden reaches
+    "verify-3-6-counts": ["verify", "--p", "3", "--m", "6", "--scope", "counts"],
+    "verify-7-3-counts": ["verify", "--p", "7", "--m", "3", "--scope", "counts"],
     "verify-5-4-equivalence": ["verify", "--p", "5", "--m", "4", "--scope", "equivalence"],
     "verify-5-3-b2-cwe": ["verify", "--p", "5", "--m", "3", "--b", "2", "--scope", "cwe"],
     "verify-5-4-sums-modulus": ["verify", "--p", "5", "--m", "4", "--scope", "sums",
