@@ -38,11 +38,13 @@ DEFAULT_SAMPLES = 100
 EXIT_BROKEN_PIPE = 120
 
 
-def _parse_modulus(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c) for c in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad modulus {text!r}: {exc}")
+def _int_list(what: str):
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(c) for c in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}")
+    return parse
 
 
 def _at_least(low: int):
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--b", type=int, default=1,
                         help="defining trace value (default 1)")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--modulus", type=_parse_modulus, default=None,
+        sp.add_argument("--modulus", type=_int_list("modulus"), default=None,
                         help="comma-separated modulus coefficients, low degree first")
 
     def add_limits(sp):
@@ -105,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(sp)
     add_limits(sp)
     sp.add_argument("--scope", choices=SCOPES, default="all")
-    sp.add_argument("--samples", type=int, default=None,
+    # below 1 no sample is drawn, and the identity would pass vacuously
+    sp.add_argument("--samples", type=_at_least(1), default=None,
                     help=f"random quadratics for the exponential-sum identity "
                          f"(default {DEFAULT_SAMPLES}; sums and all scopes only)")
     # None tells an explicit flag from the default: a scope that never
@@ -116,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, default=1,
                     help="defining trace value (default 1)")
     add_limits(sp)
-    sp.add_argument("--p-list", type=str, required=True,
+    sp.add_argument("--p-list", type=_int_list("p list"), required=True,
                     help="comma-separated characteristics")
-    sp.add_argument("--m-list", type=str, required=True,
+    sp.add_argument("--m-list", type=_int_list("m list"), required=True,
                     help="comma-separated extension degrees")
     sp.add_argument("--compare-defining-set", choices=("d1", "d2"), default=None,
                     help="also build a single-constraint comparison code")
@@ -244,9 +247,6 @@ def cmd_verify(args) -> int:
         if value is not None and not read:
             print(f"verify --scope {scope} at m={args.m} does not read {flag}", file=sys.stderr)
             return 2
-    if args.samples is not None and args.samples < 1:  # no sample would pass vacuously
-        print(f"verify --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return 2
     b = 1 if args.b is None else args.b
     budget = codes.DEFAULT_BUDGET if args.budget is None else args.budget
     if enumerates and _b_vanishes(args.command, b, args.p):
@@ -330,16 +330,10 @@ def _sweep_pair_safe(args, p: int, m: int):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        p_list = [int(x) for x in args.p_list.split(",")]
-        m_list = [int(x) for x in args.m_list.split(",")]
-    except ValueError as exc:
-        print(f"bad sweep lists: {exc}", file=sys.stderr)
-        return 2
-    for p in p_list:
+    for p in args.p_list:
         if p > 1 and _b_vanishes(args.command, args.b, p):
             return 2
-    pairs = [(p, m) for p in p_list for m in m_list]
+    pairs = [(p, m) for p in args.p_list for m in args.m_list]
     results = {}
     cost = 0
     for pair in pairs:

@@ -248,12 +248,6 @@ def discriminant_pair_counts(p: int, m_p: int) -> dict[str, int]:
 # Full complete-weight-enumerator prediction
 # ----------------------------------------------------------------------
 
-def _shifted(doubled: tuple[int, ...], p: int, rho0: int) -> tuple[int, ...]:
-    """row[(rho - rho0) % p] for rho = 1, ..., p - 1, sliced out of
-    ``doubled``, a row over t in F_p written out twice."""
-    return doubled[p + 1 - rho0:2 * p - rho0]
-
-
 def _base_row(row: list[int]) -> tuple[tuple[int, ...], int, int]:
     """A base row over t in F_p as its patterns read it: written out
     twice, with its sum and its minimum."""
@@ -261,112 +255,101 @@ def _base_row(row: list[int]) -> tuple[tuple[int, ...], int, int]:
 
 
 def _expand_terms(p: int, m: int) -> tuple[int, dict]:
-    mp = m % p
     regime = parameter_regime(p, m)
     n = predicted_length(p, m)
     q3 = p ** (m - 3)
     pairs: list[tuple[tuple[int, ...], int]] = []  # (composition, frequency) in turn
 
-    def add(freq: int, counts) -> None:
-        """Count ``freq`` codewords with counts[rho - 1] coordinates equal
-        to rho, for rho = 1, ..., p - 1; symbol 0 fills the rest of n."""
+    def add(freq: int, base: tuple, rho0: int) -> None:
+        """Count ``freq`` codewords with row[(rho - rho0) % p] coordinates
+        equal to rho, for rho = 1, ..., p - 1, and symbol 0 on the rest of
+        n, for the base row (doubled, total, low) of :func:`_base_row`.  The
+        slice omits only t = -rho0: its sum is total - doubled[p - rho0]."""
         if freq < 0:
             raise FrequencyMismatchError(f"negative pattern frequency {freq}")
         if freq == 0:
             return
-        low = min(counts)
-        if low < 0:
-            raise FrequencyMismatchError(f"negative symbol count {low}")
-        zero = n - sum(counts)
-        if zero < 0:
-            raise FrequencyMismatchError("symbol counts exceed the length")
-        pairs.append(((zero, *counts), freq))
-
-    def add_shifted(freq: int, base: tuple, rho0: int) -> None:
-        """``add(freq, _shifted(doubled, p, rho0))`` for the base row
-        (doubled, total, low) of :func:`_base_row`.  The pattern is a
-        slice of the row, so when the row's minimum is not negative
-        neither is any count, and the slice omits only t = -rho0, so
-        its sum is the row's sum less doubled[p - rho0].  Other rows,
-        and a frequency that is not positive, go through ``add``."""
         doubled, total, low = base
-        counts = _shifted(doubled, p, rho0)
-        if low < 0 or freq <= 0:
-            add(freq, counts)
-            return
+        counts = doubled[p + 1 - rho0:2 * p - rho0]
+        if low < 0 and min(counts) < 0:
+            raise FrequencyMismatchError(f"negative symbol count {min(counts)}")
         zero = n - total + doubled[p - rho0]
         if zero < 0:
             raise FrequencyMismatchError("symbol counts exceed the length")
         pairs.append(((zero,) + counts, freq))
 
+    # every pattern is a base row over t in F_p read at t = rho - rho0: a
+    # constant, a spike at t = 0 (and at t = rho1 - rho0), or q3 plus a
+    # character of t, where chi[0] = 0 gives q3 at the argument's roots
     syms = range(1, p)
-    # chi[0] = 0, so a pattern whose character argument vanishes at
-    # rho = rho0 (or at rho0 and rho1) takes the value q3 there by itself
     chi = [legendre(t, p) for t in range(p)]
-    add(1, [0] * (p - 1))  # a = 0
+    eps = legendre(-1, p) ** ((m + 1) // 2)  # eps for even m, eps1 for odd m
+    add(1, _base_row([0] * p), 0)  # a = 0
+    whole = _base_row([n, *_spike(p, 0, n)])
     for rho0 in syms:  # a in F_p^*: every coordinate of the codeword is rho0
-        add(1, _spike(p, 0, n, rho0))
+        add(1, whole, rho0)
 
     if regime == 1:
-        eps = legendre(-1, p) ** (m // 2)
         t = p ** ((m - 4) // 2)
-        add(p ** (m - 1) - p, [q3] * (p - 1))
-        add((p - 1) * p ** (m - 2), [q3 + eps * t] * (p - 1))
+        hit = q3 - (p - 1) * eps * t
+        spike = _base_row([hit, *_spike(p, q3 + eps * t, hit)])
+        add(p ** (m - 1) - p, _base_row([q3] * p), 0)
+        add((p - 1) * p ** (m - 2), _base_row([q3 + eps * t] * p), 0)
         for rho0 in syms:
-            add((p - 1) * p ** (m - 2),
-                _spike(p, q3 + eps * t, q3 - (p - 1) * eps * t, rho0))
+            add((p - 1) * p ** (m - 2), spike, rho0)
 
     elif regime == 2:
-        eps = legendre(-1, p) ** (m // 2)
         u = eps * p ** ((m - 4) // 2)
         big = eps * p ** ((m - 2) // 2)
-        add(p ** (m - 2) - 1, [q3] * (p - 1))
-        add((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, [q3 - u] * (p - 1))
+        hit = q3 - (p - 1) * u
+        drop = _base_row([q3 - big, *_spike(p, q3, q3 - big)])
+        spike = _base_row([hit, *_spike(p, q3 + u, hit)])
+        # the second hit at t = k: read at rho0 for the pair (rho0, rho0 + k)
+        two = {k: _base_row([hit, *_spike(p, q3 + u, hit, k)]) for k in syms}
+        add(p ** (m - 2) - 1, _base_row([q3] * p), 0)
+        add((p - 1) * (p ** (m - 1) + eps * p ** (m // 2)) // 2, _base_row([q3 - u] * p), 0)
         for rho0 in syms:
-            add(p ** (m - 2) - 1, _spike(p, q3, q3 - big, rho0))
-            add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0))
+            add(p ** (m - 2) - 1, drop, rho0)
+            add(n, spike, rho0)
         for rho0, rho1 in itertools.combinations(syms, 2):
-            add(n, _spike(p, q3 + u, q3 - (p - 1) * u, rho0, rho1))
+            add(n, two[rho1 - rho0], rho0)
 
     elif regime == 3:
-        eps1 = legendre(-1, p) ** ((m + 1) // 2)
-        s = eps1 * p ** ((m - 3) // 2)
+        s = eps * p ** ((m - 3) // 2)
         half = (p - 1) * p ** (m - 2) // 2
         plus = _base_row([q3 + chi[t] * s for t in range(p)])
         minus = _base_row([q3 - chi[t] * s for t in range(p)])
-        add(p ** (m - 1) - p, [q3] * (p - 1))
+        add(p ** (m - 1) - p, _base_row([q3] * p), 0)
         for rho0 in range(p):  # q3 +- chi(rho - rho0) * s
-            add_shifted(half, plus, rho0)
-            add_shifted(half, minus, rho0)
+            add(half, plus, rho0)
+            add(half, minus, rho0)
 
     else:
-        eps1 = legendre(-1, p) ** ((m + 1) // 2)
-        theta = legendre(-mp, p) * eps1
+        theta = legendre(-(m % p), p) * eps
         ts = theta * p ** ((m - 3) // 2)
         freq2 = n + theta * p ** ((m - 1) // 2) - 1
-        nonsquares = [d for d in syms if chi[d] == -1]
-        mp2 = mp * mp
-        # base rows over t in F_p: q3 + chi(t(t - k)) * ts for each k, and
-        # q3 + chi(m_p^2 t^2 - delta) * ts for each non-square delta; every
-        # pattern below is one of them read at t = rho - rho0
+        mp2 = (m % p) ** 2
+        # q3 + chi(t(t - k)) * ts for each k, and q3 + chi(m_p^2 t^2 -
+        # delta) * ts for each non-square delta
         pair = [_base_row([q3 + chi[t * (t - k) % p] * ts for t in range(p)])
                 for k in range(p)]
         disc = [_base_row([q3 + chi[(mp2 * t * t - delta) % p] * ts for t in range(p)])
-                for delta in nonsquares]
-        add(freq2, [q3] * (p - 1))
+                for delta in syms if chi[delta] == -1]
+        drop = _base_row([q3 - ts, *_spike(p, q3, q3 - ts)])
+        add(freq2, _base_row([q3] * p), 0)
         for rho0 in syms:  # chi(rho(rho - rho0))
-            add_shifted(n, pair[rho0], 0)
-            add(freq2, _spike(p, q3, q3 - ts, rho0))
+            add(n, pair[rho0], 0)
+            add(freq2, drop, rho0)
         for rho0, rho1 in itertools.combinations(syms, 2):  # chi((rho - rho0)(rho - rho1))
-            add_shifted(n, pair[rho1 - rho0], rho0)
+            add(n, pair[rho1 - rho0], rho0)
         for row in disc:  # chi(m_p^2 rho^2 - delta)
-            add_shifted(n, row, 0)
+            add(n, row, 0)
         # chi(m_p^2 (rho - rho0)^2 - delta): at rho = rho0 the argument is
         # -delta, and chi(-delta) = -chi(-1) makes the value
         # q3 - chi(m_p) * eps1 * p^((m - 3)/2)
         for rho0 in syms:
             for row in disc:
-                add_shifted(n, row, rho0)
+                add(n, row, rho0)
 
     terms = dict(pairs)  # one hash per composition
     if len(terms) < len(pairs):  # a composition repeats: sum its frequencies

@@ -666,11 +666,13 @@ def test_out_of_range_samples_and_budget_are_rejected(capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_field", lambda *a, **k: built.append(a))
     for samples in ("0", "-3"):
         for scope in ("sums", "all"):
-            rc, out, err = run(capsys, "verify", "--p", "3", "--m", "4", "--scope", scope,
-                               "--samples", samples)
-            assert rc == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--p", "3", "--m", "4", "--scope", scope,
+                      "--samples", samples])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
             assert out == ""
-            assert f"--samples must be at least 1, got {samples}" in err
+            assert f"argument --samples: must be at least 1, got {samples}" in err
     for argv in (["build", "--p", "3", "--m", "4"],
                  ["verify", "--p", "3", "--m", "4", "--scope", "cwe"],
                  ["sweep", "--p-list", "3", "--m-list", "4"]):
@@ -679,6 +681,17 @@ def test_out_of_range_samples_and_budget_are_rejected(capsys, monkeypatch):
         assert exc.value.code == 2
         assert "must be at least 0, got -1" in capsys.readouterr().err
     assert built == []
+
+
+@pytest.mark.parametrize("p_list,m_list,flag", [("3,x", "3", "--p-list"),
+                                                ("3", ",", "--m-list")])
+def test_malformed_sweep_lists_are_rejected_at_parse_time(capsys, p_list, m_list, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--p-list", p_list, "--m-list", m_list])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: bad" in err
 
 
 def test_sweep_fails_on_a_wrong_prediction(capsys, monkeypatch):

@@ -386,21 +386,29 @@ def _scaled_legendre(at, factor):
     return lambda a, p: factor * legendre(a, p) if a == at else legendre(a, p)
 
 
-@pytest.mark.parametrize("p,m,patch,message,raised_in", [
-    # a length one short: at (3,3) a row-level pattern is the first to overflow
-    (3, 3, ("predicted_length", -1), "symbol counts exceed the length", "add_shifted"),
-    (5, 4, ("predicted_length", -1), "symbol counts exceed the length", "add"),
-    (7, 3, ("predicted_length", -1), "symbol counts exceed the length", "add"),
+@pytest.mark.parametrize("p,m,patch,message", [
+    # a length one short: at (3,3) a character row is the first to overflow
+    (3, 3, ("predicted_length", -1), "symbol counts exceed the length"),
+    (5, 4, ("predicted_length", -1), "symbol counts exceed the length"),
+    (7, 3, ("predicted_length", -1), "symbol counts exceed the length"),
     # n + theta*p - 1 at (5,3): 5 - 5 - 1 with the length one short, and
     # 10 - 25 - 1 with theta = chi(-3) scaled from -1 to -5, which also
     # takes the length from 6 to 10
-    (5, 3, ("predicted_length", -1), "negative pattern frequency -1", "add"),
-    (5, 3, ("legendre", -3, 5), "negative pattern frequency -16", "add"),
-    # a base row with a negative minimum: its patterns go through add
-    (3, 3, ("legendre", -1, 5), "negative symbol count -24", "add"),
+    (5, 3, ("predicted_length", -1), "negative pattern frequency -1"),
+    (5, 3, ("legendre", -3, 5), "negative pattern frequency -16"),
+    # a base row with a negative minimum
+    (3, 3, ("legendre", -1, 5), "negative symbol count -24"),
+    # regime 1: 56 coordinates fit the constant rows (54, 48) but not the
+    # spike row 33 + 24
+    (3, 6, ("predicted_length", -25), "symbol counts exceed the length"),
+    # regime 2 at eps = -1: 2110 coordinates fit every row (at most 2107)
+    # but the two-spike row 2*385 + 4*336 = 2114
+    (7, 6, ("predicted_length", -340), "symbol counts exceed the length"),
 ])
 def test_expansion_errors_match_the_per_pattern_expansion(monkeypatch, p, m, patch,
-                                                           message, raised_in):
+                                                           message):
+    """Every pattern is checked by the one ``add`` of ``_expand_terms``,
+    which raises the per-pattern expansion's error."""
     from tracecodes import closedform
     if patch[0] == "predicted_length":
         length = closedform.predicted_length
@@ -411,7 +419,7 @@ def test_expansion_errors_match_the_per_pattern_expansion(monkeypatch, p, m, pat
     with pytest.raises(FrequencyMismatchError) as row_level:
         closedform._expand_terms(p, m)
     assert str(row_level.value) == message
-    assert row_level.traceback[-1].name == raised_in
+    assert row_level.traceback[-1].name == "add"
     with pytest.raises(FrequencyMismatchError) as per_pattern:
         oracle.expand_terms_per_pattern(p, m)
     assert str(per_pattern.value) == message

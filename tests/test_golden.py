@@ -33,7 +33,11 @@ CASES = {
     "build-3-4-text": ["build", "--p", "3", "--m", "4", "--format", "text"],
     # d2 reads no b, so its params carry none
     "build-3-4-d2": ["build", "--p", "3", "--m", "4", "--defining-set", "d2"],
+    # the expanded closed-form CWE in each regime: 1, 2, 3 and 4
+    "predict-3-6": ["predict", "--p", "3", "--m", "6"],
     "predict-3-4": ["predict", "--p", "3", "--m", "4"],
+    "predict-3-3": ["predict", "--p", "3", "--m", "3"],
+    "predict-7-3": ["predict", "--p", "7", "--m", "3"],
     "verify-3-4-all": ["verify", "--p", "3", "--m", "4", "--scope", "all"],
     # the counts check in regimes 1 and 4, which no other golden reaches
     "verify-3-6-counts": ["verify", "--p", "3", "--m", "6", "--scope", "counts"],
