@@ -83,14 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="maximum field size p^m")
         sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET,
-                        help="maximum enumeration cost in symbol evaluations: per "
-                             "orbit representative n, or the bitset walk's (p - 1) * "
-                             "2(r - 1)/64 mask words / 20 when fewer; exceeding it exits 3")
+                        help="maximum enumeration cost in symbol evaluations: the "
+                             "orbit representatives walked (for a set in Tr(x) = b "
+                             "with p not dividing m, those in ker Tr alone, one "
+                             "codeword per coset of F_p) times, per representative, "
+                             "n, or the bitset walk's (p - 1) * 2(r - 1)/64 mask "
+                             "words / 20 when fewer; exceeding it exits 3")
         sp.add_argument("--workers", type=_worker_count, default=None,
                         help="processes, this one included, that split one "
-                             "enumeration or the pairs of a sweep; more than 1 "
-                             "forks, so it needs os.fork (default: all cores for "
-                             "large jobs, 1 for small ones)")
+                             "enumeration or the pairs of a sweep; an enumeration "
+                             "uses at most one per two orbit representatives, and a "
+                             "sweep at most one per pair; more than 1 forks, so it "
+                             "needs os.fork (default: all cores for large jobs, 1 "
+                             "for small ones)")
 
     sp = sub.add_parser("build", help="enumerate one code exhaustively")
     add_field(sp)
@@ -164,7 +169,7 @@ def _check_budget_before_field(p: int, m: int, size_cap: int, kind: str, b: int,
     if m <= 1 or kind == "main" and m <= 2:
         return 0
     check_size(p, m, size_cap)
-    cost = codes.enumeration_cost(p, m, _set_size(p, m, kind, b))
+    cost = codes.enumeration_cost(p, m, _set_size(p, m, kind, b), kind != "d2")
     codes.check_budget(cost, budget)
     return cost
 
@@ -260,7 +265,8 @@ def cmd_verify(args) -> int:
         # one walk of D_b serves the counts, cwe and griesmer checks
         dset = codes.build_defining_set(ctx, b)
         comps = codes.orbit_compositions(ctx, dset, _resolve_workers(args, cost))
-        cwe = codes.cwe_from_compositions(ctx.p, len(dset), comps)
+        cwe = codes.cwe_from_compositions(ctx.p, len(dset), comps,
+                                          shift=codes.translation_shift(dset))
     if sums:
         verdicts += verification.verify_gauss_sums(ctx)
         verdicts += verification.verify_quadratic_sums(

@@ -2,15 +2,18 @@
 
 The code attached to a defining set D is the image of a |-> (Tr(a*x)
 for x in D) over all a in F_r.  :func:`orbit_compositions` counts the
-symbols of one codeword per orbit of a |-> c*a^(p^i) (c in F_p^*),
-never materializing the full codeword matrix; :func:`cwe_from_compositions`
-folds those compositions with the orbit weights, and the dimension
-falls out of the zero-composition frequency (the kernel of the linear
-map a |-> codeword), so no codeword hashing is needed.
+symbols of one codeword per orbit of a |-> c*a^(p^i) (c in F_p^*), and,
+for D in Tr(x) = b with p not dividing m, per orbit in W = ker Tr only,
+as a + t (t in F_p) moves every symbol by t*b; it never materializes the
+full codeword matrix.  :func:`cwe_from_compositions` folds those
+compositions with the orbit weights, and the dimension falls out of the
+zero-composition frequency (the kernel of the linear map a |-> codeword),
+so no codeword hashing is needed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from math import gcd
 from operator import itemgetter
@@ -72,11 +75,17 @@ class DefiningSet:
         return ", ".join(parts)
 
 
-def _square_traces(ctx: FieldContext) -> list[int]:
-    """Tr(x^2) for x = alpha^k, at index k: x^2 = alpha^(2k), and as r - 1
-    is even, trace_exp[2k mod (r - 1)] reads trace_exp[0::2] twice over.
-    x = 0, where Tr(0^2) = 0, is left to the caller."""
-    return ctx.trace_exp[0::2] * 2
+def _indices_of(values: list[int], value: int, p: int) -> list[int]:
+    """The ascending k with values[k] == value, for values in F_p: for
+    p < 256 each value fits a byte, and bytes.find scans in C."""
+    if p >= 256:
+        return [k for k, v in enumerate(values) if v == value]
+    found, find = [], bytes(values).find
+    k = find(value)
+    while k >= 0:
+        found.append(k)
+        k = find(value, k + 1)
+    return found
 
 
 def build_defining_set_general(ctx: FieldContext, trace_value: int | None = None,
@@ -89,19 +98,19 @@ def build_defining_set_general(ctx: FieldContext, trace_value: int | None = None
     logs = range(ctx.r - 1)
     if trace_value is not None:
         trace_value %= ctx.p
-        tr = ctx.trace_exp
-        if ctx.p < 256:  # one byte per trace value: bytes.find scans in C
-            logs, find = [], bytes(tr).find
-            k = find(trace_value)
-            while k >= 0:
-                logs.append(k)
-                k = find(trace_value, k + 1)
-        else:
-            logs = [k for k in logs if tr[k] == trace_value]
+        logs = _indices_of(ctx.trace_exp, trace_value, ctx.p)
     if trace_square_value is not None:
-        trace_square_value %= ctx.p
-        sq = _square_traces(ctx)
-        logs = [k for k in logs if sq[k] == trace_square_value]
+        value = trace_square_value = trace_square_value % ctx.p
+        # Tr(x^2) for x = alpha^k is trace_exp[2k mod (r - 1)], and as r - 1 is
+        # even, that is sq[k mod h] for sq = trace_exp[0::2], h = (r - 1)/2
+        sq, h = ctx.trace_exp[0::2], (ctx.r - 1) // 2
+        if trace_value is None:  # every log: each hit k of sq, and k + h
+            half = _indices_of(sq, value, ctx.p)
+            logs = half + [k + h for k in half]
+        else:  # the ascending Tr = b logs, read below h and from h on
+            i = bisect_left(logs, h)
+            logs = [k for k in logs[:i] if sq[k] == value] + \
+                [k for k in logs[i:] if sq[k - h] == value]
     has_zero = not exclude_zero and trace_value in (None, 0) and trace_square_value in (None, 0)
     return DefiningSet(ctx=ctx, logs=tuple(logs), has_zero=has_zero, trace_value=trace_value,
                        trace_square_value=trace_square_value, exclude_zero=exclude_zero)
@@ -191,12 +200,13 @@ class WeightDistribution:
 # Exhaustive enumeration
 # ----------------------------------------------------------------------
 
-def _frobenius_orbits(p: int, size: int) -> list[tuple[int, int]]:
+def _frobenius_orbits(p: int, size: int, las=None) -> list[tuple[int, int]]:
     """(representative, orbit size) for every orbit of t |-> p*t on
-    Z/size, representatives ascending."""
+    Z/size, or on ``las``, an ascending union of such orbits;
+    representatives ascending."""
     seen = bytearray(size)
     reps = []
-    for la in range(size):
+    for la in range(size) if las is None else las:
         if seen[la]:
             continue
         s = 0
@@ -209,19 +219,44 @@ def _frobenius_orbits(p: int, size: int) -> list[tuple[int, int]]:
     return reps
 
 
-def _orbit_count(p: int, m: int) -> int:
-    """Number of orbits of t |-> p*t on Z/((p^m - 1)/(p - 1)), by
-    Burnside: the map has order m and p^i fixes gcd(p^i - 1, size)
-    residues."""
+def _translates(p: int, m: int, in_trace_hyperplane: bool) -> bool:
+    """Whether the walk takes one codeword per coset of F_p.  On a set in
+    Tr(x) = b, Tr((a + t)*x) = Tr(a*x) + t*b for t in F_p.  For p not
+    dividing m, Tr(t) = m*t, so W = ker Tr is a complement of F_p, stable
+    under F_p^* and Frobenius, and a = w + t splits F_r.  For p | m, x - 1
+    is a repeated factor of x^m - 1, and no Frobenius-stable complement
+    of F_p exists."""
+    return in_trace_hyperplane and m % p != 0
+
+
+def translation_shift(dset: DefiningSet) -> int | None:
+    """b when :func:`orbit_compositions` walks the nonzero elements of
+    W = ker Tr for ``dset`` in Tr(x) = b, else None: the codeword of
+    w + t, t in F_p, is that of w with every symbol moved by t*b."""
+    ctx = dset.ctx
+    return dset.trace_value if _translates(ctx.p, ctx.m, dset.trace_value is not None) else None
+
+
+def _orbit_count(p: int, m: int, in_trace_hyperplane: bool = False) -> int:
+    """Number of orbits of t |-> p*t on Z/N, N = (r - 1)/(p - 1), or, where
+    :func:`_translates`, on the logs of W = ker Tr in it, by Burnside: the
+    map has order m and p^i fixes gcd(p^i - 1, N) residues.  Of those,
+    only the p^(g - 1) lines of F_(p^g), g = gcd(i, m), that leave W lie
+    outside it: a fixed line of w with w^(p^i) = c*w, c != 1, has
+    Tr(w) = c*Tr(w), so Tr(w) = 0."""
     size = (p**m - 1) // (p - 1)
-    return sum(gcd(p**i - 1, size) for i in range(m)) // m
+    fixed = [gcd(p**i - 1, size) for i in range(m)]
+    if _translates(p, m, in_trace_hyperplane):
+        fixed = [f - p ** (gcd(i, m) - 1) for i, f in enumerate(fixed)]
+    return sum(fixed) // m
 
 
-def enumeration_cost(p: int, m: int, n: int) -> int:
+def enumeration_cost(p: int, m: int, n: int, in_trace_hyperplane: bool) -> int:
     """Cost of :func:`orbit_compositions` on n elements of F_{p^m}, in
-    symbol evaluations: the orbit count times :func:`_rep_cost`, the
-    cost of one representative in the kernel that runs."""
-    return _orbit_count(p, m) * _rep_cost(p, p**m, n)
+    symbol evaluations: the orbit count of :func:`_orbit_count` times
+    :func:`_rep_cost`, the cost of one representative in the kernel that
+    runs.  ``in_trace_hyperplane`` tells a set in Tr(x) = b (main, d1)."""
+    return _orbit_count(p, m, in_trace_hyperplane) * _rep_cost(p, p**m, n)
 
 
 def check_budget(cost: int, budget: int) -> None:
@@ -236,6 +271,13 @@ def relabelling(p: int, c: int) -> list[int]:
     composition is ``[comp[w] for w in relabelling(p, c)]``, comp read at w/c."""
     inverse = pow(c, -1, p)
     return [w * inverse % p for w in range(p)]
+
+
+def moving(p: int, u: int) -> list[int]:
+    """Adding u to every symbol of a codeword sends symbol v to v + u: the
+    moved composition is ``[comp[w] for w in moving(p, u)]``, comp read at
+    w - u."""
+    return [(w - u) % p for w in range(p)]
 
 
 # Per representative, the bitset kernel does one shift and p - 1 AND and
@@ -305,19 +347,35 @@ def _bit_walk(ctx: FieldContext, dset: DefiningSet):
     return walk
 
 
+def _representatives(ctx: FieldContext, dset: DefiningSet) -> list[tuple[int, int]]:
+    """The (la, s) orbits that :func:`orbit_compositions` walks: every
+    orbit of Z/N, or, where :func:`translation_shift` is not None, those
+    of the la with Tr(alpha^la) = 0, the logs of W = ker Tr; Tr(c*x) =
+    c*Tr(x) makes that a property of la mod N."""
+    size = (ctx.r - 1) // (ctx.p - 1)
+    las = None
+    if translation_shift(dset) is not None:
+        las = _indices_of(ctx.trace_exp[:size], 0, ctx.p)
+    return _frobenius_orbits(ctx.p, size, las)
+
+
 def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
                        workers: int = 1) -> list[tuple[int, int, tuple[int, ...]]]:
     """(la, s, composition of the codeword of alpha^la) for each orbit of
-    la |-> p*la on Z/N, N = (r - 1)/(p - 1), la ascending.
+    la |-> p*la of :func:`_representatives`, la ascending.
 
     The orbit, of size s, stands for the s*(p - 1) elements
     a = c*(alpha^la)^(p^i), c = alpha^(j*N) in F_p^*: for a Frobenius-stable
     D (checked first) a's codeword permutes that of c*alpha^la, whose
     composition is the representative's under :func:`relabelling`.
+    Where :func:`translation_shift` gives b, each of those a also stands
+    for a + t, t in F_p^*, its symbols moved by t*b, and a = t itself is
+    left to the reader (:func:`cwe_from_compositions`).
     The kernel, bitset or per-symbol, is picked from (p, r, n) by
     :func:`_bits_win`.  ``workers`` > 1 splits the representatives across
-    that many processes, this one included (:func:`parallel.fork_map`);
-    the result is identical for every worker count.
+    up to that many processes, this one included, with at least two
+    representatives each (:func:`parallel.fork_map`); the result is
+    identical for every worker count.
     """
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
@@ -326,10 +384,11 @@ def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
     log_set = set(d_logs)
     if any(dl * p % rm1 not in log_set for dl in d_logs):
         raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
-    reps = _frobenius_orbits(p, rm1 // (p - 1))
+    reps = _representatives(ctx, dset)
     kernel = _bit_walk if _bits_win(p, ctx.r, len(dset)) else _symbol_walk
     walk = kernel(ctx, dset)
-    if workers <= 1 or len(reps) < 2 * workers:
+    workers = min(workers, len(reps) // 2)
+    if workers <= 1:
         return walk(reps)
     size = -(-len(reps) // workers)
     chunks = fork_map(walk, [reps[i:i + size] for i in range(0, len(reps), size)])
@@ -342,35 +401,48 @@ def exhaustive_cwe(ctx: FieldContext, dset: DefiningSet, budget: int = DEFAULT_B
     :func:`cwe_from_compositions` of the :func:`orbit_compositions`.
     ``budget`` bounds :func:`enumeration_cost`, checked before any walk."""
     n = len(dset)
-    check_budget(enumeration_cost(ctx.p, ctx.m, n), budget)
-    return cwe_from_compositions(ctx.p, n, orbit_compositions(ctx, dset, workers))
+    check_budget(enumeration_cost(ctx.p, ctx.m, n, dset.trace_value is not None), budget)
+    return cwe_from_compositions(ctx.p, n, orbit_compositions(ctx, dset, workers),
+                                 shift=translation_shift(dset))
 
 
-def cwe_from_compositions(p: int, n: int, compositions) -> CompleteWeightEnumerator:
+def cwe_from_compositions(p: int, n: int, compositions,
+                          shift: int | None = None) -> CompleteWeightEnumerator:
     """The (la, s, composition) list of :func:`orbit_compositions` on a set
     of n elements, weighted by orbit size under each of the p - 1
-    relabellings, plus the zero codeword of a = 0."""
-    # The relabellings form a group, so the compositions of one class share
-    # their p - 1 images, each distinct one (p - 1) / len(members) times
-    # (orbit-stabiliser): each class is relabelled once, its weights summed.
+    relabellings, each followed, for ``shift`` not None
+    (:func:`translation_shift`), by the p moves by t*shift.  Then the
+    codewords of a in F_p that the walk leaves out: with a shift, a = t has
+    every symbol t*shift; without, a = 0 alone, the zero codeword."""
+    # The maps a |-> c*a + t form a group, so the compositions of one class
+    # share their images, each distinct one copies / len(members) times
+    # (orbit-stabiliser): each class is mapped once, its weights summed.
+    # Each distinct relabelling is moved, so a stabiliser in F_p^* saves
+    # its moves, and each image is one C-level itemgetter call.
     relabels = [itemgetter(*relabelling(p, c)) for c in range(1, p)]
+    moves = [itemgetter(*moving(p, u)) for u in range(1, p)] if shift else []
+    copies = (p - 1) * (1 if shift is None else p)
     class_of: dict[tuple[int, ...], list[int]] = {}
     classes = []  # ({image: weight}, weight), the weight a 1-cell list
     for _, s, comp in compositions:
         weight = class_of.get(comp)
         if weight is None:
             weight = [0]
-            members = dict.fromkeys([perm(comp) for perm in relabels], weight)
+            scaled = dict.fromkeys([perm(comp) for perm in relabels])
+            members = dict.fromkeys([*scaled, *[move(x) for x in scaled for move in moves]],
+                                    weight)
             class_of.update(members)
             classes.append((members, weight))
         weight[0] += s
-    zero = (n, *[0] * (p - 1))
-    terms = {zero: 0}
+    terms = {}
     for members, (freq,) in classes:
         # classes share no image: dict.fromkeys and update reuse the hashes
         # stored in ``members``
-        terms.update(dict.fromkeys(members, freq * ((p - 1) // len(members))))
-    terms[zero] += 1  # the zero codeword of a = 0
+        terms.update(dict.fromkeys(members, freq * (copies // len(members))))
+    for t in range(1 if shift is None else p):
+        u = t * shift % p if t else 0
+        constant = tuple(n if v == u else 0 for v in range(p))
+        terms[constant] = terms.get(constant, 0) + 1
     return CompleteWeightEnumerator(p=p, n=n, terms=terms)
 
 
@@ -380,7 +452,9 @@ def cwe_from_compositions(p: int, n: int, compositions) -> CompleteWeightEnumera
 
 def trace_pair_table(ctx: FieldContext) -> dict[tuple[int, int], int]:
     """Counts of x with (Tr(x^2), Tr(x)) = (A, B), for every pair."""
-    counts = Counter(zip(_square_traces(ctx), ctx.trace_exp))
+    # Tr(x^2) for x = alpha^k is trace_exp[2k mod (r - 1)]: trace_exp[0::2]
+    # twice over, as r - 1 is even
+    counts = Counter(zip(ctx.trace_exp[0::2] * 2, ctx.trace_exp))
     counts[0, 0] += 1  # x = 0
     p = ctx.p
     return {(a_val, b_val): counts[a_val, b_val] for a_val in range(p) for b_val in range(p)}

@@ -341,14 +341,22 @@ def expand_terms_per_pattern(p, m):
     return n, terms
 
 
-def fold_per_image(p, n, compositions):
+def fold_per_image(p, n, compositions, shift=None):
     """The terms of ``codes.cwe_from_compositions``: each (la, s,
     composition) counts s codewords under every relabelling
-    comp[w] -> comp[w / c], c in F_p^*, one image at a time, plus the zero
-    codeword of a = 0."""
-    terms = {(n, *[0] * (p - 1)): 1}
+    comp[w] -> comp[w / c], c in F_p^*, one image at a time, and, for
+    ``shift`` not None, under each move of that image's symbols by
+    t*shift, t in F_p; plus the codewords of a = t in F_p, every symbol
+    t*shift, or with no shift the zero codeword of a = 0 alone."""
+    ts = range(p) if shift is not None else [0]
+    terms = {}
     for _, s, comp in compositions:
         for c in range(1, p):
-            image = tuple(comp[w * pow(c, -1, p) % p] for w in range(p))
-            terms[image] = terms.get(image, 0) + s
+            for t in ts:
+                u = t * (shift or 0)
+                image = tuple(comp[(w - u) * pow(c, -1, p) % p] for w in range(p))
+                terms[image] = terms.get(image, 0) + s
+    for t in ts:
+        image = tuple(n if w == t * (shift or 0) % p else 0 for w in range(p))
+        terms[image] = terms.get(image, 0) + 1
     return terms

@@ -563,8 +563,8 @@ def test_sweep_budget_fires_before_any_field_is_built(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "make_field", no_field)
     # at (11,3) the main set walks symbol by symbol and d2 by bits, dearer
-    main_cost = codes.enumeration_cost(11, 3, cli._set_size(11, 3, "main", 1))
-    d2_cost = codes.enumeration_cost(11, 3, cli._set_size(11, 3, "d2", 1))
+    main_cost = codes.enumeration_cost(11, 3, cli._set_size(11, 3, "main", 1), True)
+    d2_cost = codes.enumeration_cost(11, 3, cli._set_size(11, 3, "d2", 1), False)
     for argv, pair, cost, budget in [
             (["--p-list", "3", "--m-list", "12", "--budget", "1000"], "(3,12)", 36902437, 1000),
             # the main set fits, the comparison set does not
@@ -583,7 +583,8 @@ def test_sweep_sizes_its_pool_from_enumeration_cost(capsys, monkeypatch, fields)
     rc, _, _ = run(capsys, "sweep", "--p-list", "3,5", "--m-list", "3,4",
                    "--compare-defining-set", "d1")
     assert rc == 0
-    assert costs == [sum(codes.enumeration_cost(p, m, len(cli._build_dset(fields(p, m), kind, 1)))
+    assert costs == [sum(codes.enumeration_cost(p, m, len(cli._build_dset(fields(p, m), kind, 1)),
+                                                True)
                          for p in (3, 5) for m in (3, 4) for kind in ("main", "d1"))]
 
 

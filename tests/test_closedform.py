@@ -198,10 +198,12 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
 
     # a = bad * y, y Frobenius-conjugate to a representative, is read as
     # y's composition under the wrong relabelling; the report names
-    # a = alpha^k for the smallest failing log k
+    # a = alpha^k for the smallest failing log k.  (5,4) walks W = ker Tr
+    # only, and each failing a + t, t in F_5, fails with it
     exp, log = oracle.power_tables(ctx)
     cases = []
-    for la, _, _ in codes.orbit_compositions(ctx, dset):
+    failing = 0  # the s codewords a = bad * alpha^(la * p^i), i < s, per failing orbit
+    for la, s, _ in codes.orbit_compositions(ctx, dset):
         for i in range(m):
             y = exp[la * p**i % (ctx.r - 1)]
             brute = [comp(y)[w] for w in wrong(p, bad)]
@@ -209,6 +211,7 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
             closed = comp(a)
             if brute != closed:
                 cases.append((log[a], brute, closed))
+                failing += s if i == 0 else 0
     k, brute, closed = min(cases)
     # the smallest failing log is not in the first failing class
     assert k not in {case[0] for case in cases[:m]}
@@ -218,7 +221,8 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
     failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
               if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=5 m=4"]
-    assert failed[0].data == {"a": a, "rho": rho, "brute": brute[rho], "closed": closed[rho]}
+    assert failed[0].data == {"a": a, "rho": rho, "brute": brute[rho], "closed": closed[rho],
+                              "failing": p * failing}
 
 
 def test_verify_counts_sees_a_missing_orbit(fields):
@@ -226,15 +230,20 @@ def test_verify_counts_sees_a_missing_orbit(fields):
     from tracecodes.verification import verify_counts
     ctx = fields(3, 4)
     dset = build_defining_set(ctx, 1)
-    failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset)[:-1])
-              if not v.passed]
+    walked = codes.orbit_compositions(ctx, dset)
+    failed = [v for v in verify_counts(ctx, dset, walked[:-1]) if not v.passed]
     assert [v.name for v in failed] == ["symbol-count-decomposition p=3 m=4"]
+    # the orbit's s codewords under each c in F_3^* and t in F_3 go uncompared
+    missing = ctx.r - 1 - walked[-1][1] * 2 * 3
+    assert failed[0].details == f"exact for all {missing} nonzero codeword indices and all symbols"
 
 
 @pytest.mark.parametrize("p,m", [(3, 4), (7, 3)])
 def test_verify_counts_compares_the_zero_symbol(fields, p, m):
     """The closed zero count is n less the others, so a walk whose zero
-    count alone is one too high fails on it."""
+    count alone is one too high fails on it, at the representative's own
+    element: its translates by t in F_p, which move the excess to symbol
+    t, fail too."""
     from tracecodes import codes
     from tracecodes.verification import verify_counts
     ctx = fields(p, m)
@@ -246,13 +255,67 @@ def test_verify_counts_compares_the_zero_symbol(fields, p, m):
     assert [v.name for v in failed] == [f"symbol-count-decomposition p={p} m={m}"]
     data = failed[0].data
     zeros = codeword(ctx, dset, data["a"]).count(0)
-    assert data == {"a": data["a"], "rho": 0, "brute": zeros + 1, "closed": zeros}
+    assert data == {"a": data["a"], "rho": 0, "brute": zeros + 1, "closed": zeros,
+                    "failing": size * (p - 1) * p}
+
+
+@pytest.mark.parametrize("p,m,b", [(3, 4, 2), (5, 4, 2), (7, 3, 3), (3, 6, 1)])
+def test_verify_counts_compares_every_nonzero_codeword(fields, p, m, b):
+    """r - 1 codewords are compared whether or not the walk takes one per
+    coset of F_p (it does at (3,4), (5,4) and (7,3), not at (3,6)); with
+    the closed counts wrong at the profile of b*t alone, the codeword of
+    a = t in F_p^* fails by itself."""
+    from tracecodes import closedform, codes
+    from tracecodes.verification import verify_counts
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, b)
+    walked = codes.orbit_compositions(ctx, dset)
+    verdict = verify_counts(ctx, dset, walked)[-1]
+    assert verdict.passed
+    assert verdict.details == \
+        f"exact for all {ctx.r - 1} nonzero codeword indices and all symbols"
+    t = p - 1
+    original = closedform.symbol_counts_closed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closedform, "symbol_counts_closed", lambda p, m, prof: [
+            c + (prof[2] == b * t % p) for c in original(p, m, prof)])
+        verdict = verify_counts(ctx, dset, walked)[-1]
+    assert not verdict.passed
+    assert verdict.data == {"a": t, "rho": 0, "brute": 0, "closed": 1, "failing": 1}
+
+
+@pytest.mark.parametrize("p,m,b,t", [(3, 4, 1, 2), (5, 4, 2, 1), (7, 3, 3, 5)])
+def test_verify_counts_names_a_translate(fields, monkeypatch, p, m, b, t):
+    """With the closed counts wrong at the profiles of b*(w + t), w in
+    W = ker Tr, only, every codeword of a = w + t fails, and the report
+    names a = alpha^k + t for the smallest log k in W."""
+    from tracecodes import closedform, codes
+    from tracecodes.verification import verify_counts
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, b)
+    exp = oracle.power_tables(ctx)[0]
+    tr = oracle.trace_table(ctx)
+    w = next(x for x in exp if tr[x] == 0)
+    a = oracle.add(p, w, t)
+    target = m * t * b % p  # Tr(b*(w + t)) = m*t*b
+    original = closedform.symbol_counts_closed
+    monkeypatch.setattr(closedform, "symbol_counts_closed", lambda p, m, prof: [
+        c + (prof[1] == target and prof[2] is None) for c in original(p, m, prof)])
+    failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
+              if not v.passed]
+    assert [v.name for v in failed] == [f"symbol-count-decomposition p={p} m={m}"]
+    zeros = codeword(ctx, dset, a).count(0)
+    assert failed[0].data == {"a": a, "rho": 0, "brute": zeros, "closed": zeros + 1,
+                              "failing": p ** (m - 1) - 1}
 
 
 @pytest.mark.parametrize("p,m", [(3, 5), (5, 4), (7, 3), (3, 6)])
 def test_verify_counts_reads_the_set_of_b(fields, p, m):
     """On D_b the codeword of a is the D_1 codeword of a*b, permuted: the
-    walk of D_b passes at the profiles of b*a and fails at those of a."""
+    walk of D_b passes at the profiles of b*a and fails at those of a.
+    Where p does not divide m, the walk reads W = ker Tr only, and
+    D_(-1) = -D_1 gives a the D_1 codeword of -a, whose profile is a's:
+    there b = -1 passes at either set's profiles."""
     from tracecodes import codes
     from tracecodes.verification import verify_counts
     ctx = fields(p, m)
@@ -263,7 +326,8 @@ def test_verify_counts_reads_the_set_of_b(fields, p, m):
         assert all(v.passed for v in verify_counts(ctx, dset, walked)), b
         if b > 1:  # the D_b walk read at the D_1 profiles: b dropped
             failed = [v.name for v in verify_counts(ctx, one, walked) if not v.passed]
-            assert failed == [f"symbol-count-decomposition p={p} m={m}"], b
+            hidden = b == p - 1 and m % p != 0
+            assert failed == ([] if hidden else [f"symbol-count-decomposition p={p} m={m}"]), b
     for dset in (codes.build_defining_set_general(ctx, trace_value=1),
                  build_defining_set(ctx, 0)):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from tracecodes import (
     summarize,
     trace_pair_table,
 )
-from tracecodes.codes import cwe_from_compositions, relabelling
+from tracecodes.codes import cwe_from_compositions, relabelling, translation_shift
 from tracecodes.verification import verify_equivalence
 from tracecodes.errors import (
     BudgetExceededError,
@@ -80,24 +80,30 @@ def test_general_defining_sets(fields):
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (37, 3), (257, 2)])
 def test_trace_scan_finds_every_log(fields, p, m):
     """The bytes.find scan for p < 256, and the comprehension above it,
-    return the logs with Tr = b in order, alone and with Tr(x^2) = 0;
-    b = p reduces to 0."""
+    return the logs with Tr = b in order, alone and with Tr(x^2) = 0, and
+    those with Tr(x^2) = b alone; b = p reduces to 0."""
     ctx = fields(p, m)
     tr = ctx.trace_exp
+    square = [tr[2 * k % (ctx.r - 1)] for k in range(ctx.r - 1)]
     for b in (0, 1, 2, p - 1, p):
         want = [k for k in range(ctx.r - 1) if tr[k] == b % p]
         assert list(build_defining_set_general(ctx, trace_value=b).logs) == want
         both = build_defining_set_general(ctx, trace_value=b, trace_square_value=0)
-        assert list(both.logs) == [k for k in want if tr[2 * k % (ctx.r - 1)] == 0]
+        assert list(both.logs) == [k for k in want if square[k] == 0]
+        alone = build_defining_set_general(ctx, trace_square_value=b)
+        assert list(alone.logs) == [k for k, v in enumerate(square) if v == b % p]
 
 
 @pytest.mark.parametrize("p,m", [(3, 4), (3, 6), (5, 3), (5, 4), (7, 3), (37, 3)])
 def test_fold_equals_the_per_image_fold(fields, p, m):
     ctx = fields(p, m)
-    dset = build_defining_set(ctx, 1)
-    comps = orbit_compositions(ctx, dset)
-    assert cwe_from_compositions(p, len(dset), comps).terms == \
-        oracle.fold_per_image(p, len(dset), comps)
+    for b in (0, 1, p - 1):
+        dset = build_defining_set(ctx, b)
+        comps = orbit_compositions(ctx, dset)
+        shift = translation_shift(dset)
+        assert (shift is None) is (m % p == 0), b
+        assert cwe_from_compositions(p, len(dset), comps, shift=shift).terms == \
+            oracle.fold_per_image(p, len(dset), comps, shift=shift), b
 
 
 def test_fold_sums_images_under_a_nontrivial_stabiliser():
@@ -126,17 +132,23 @@ def fold_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fold_inputs())
-def test_fold_equals_the_per_image_fold_on_any_compositions(case):
+@given(fold_inputs(), st.data())
+def test_fold_equals_the_per_image_fold_on_any_compositions(case, data):
     p, n, comps = case
-    assert cwe_from_compositions(p, n, comps).terms == oracle.fold_per_image(p, n, comps)
+    shift = data.draw(st.sampled_from([None, *range(p)]), label="shift")
+    assert cwe_from_compositions(p, n, comps, shift=shift).terms == \
+        oracle.fold_per_image(p, n, comps, shift=shift)
 
 
 def test_codeword_basics(fields):
-    ctx = fields(5, 3)
+    ctx = fields(3, 3)  # p | m: every orbit is walked, a = 1 first
     dset = build_defining_set(ctx, 1)
     reps = orbit_compositions(ctx, dset)
-    assert reps[0] == (0, 1, (0, len(dset), 0, 0, 0))  # a = 1: every symbol is 1
+    assert reps[0] == (0, 1, (0, len(dset), 0))  # a = 1: every symbol is 1
+    ctx = fields(5, 3)  # p does not divide m: the orbits in W = ker Tr alone
+    dset = build_defining_set(ctx, 1)
+    reps = orbit_compositions(ctx, dset)
+    assert reps and all(ctx.trace_exp[la] == 0 for la, _, _ in reps)
     assert [la for la, _, _ in reps] == sorted(la for la, _, _ in reps)
     other = make_field(5, 3)
     with pytest.raises(MixedContextError):
@@ -196,6 +208,27 @@ def test_count_symbol(fields):
     assert sum(s for _, s, _ in reps) * 2 == ctx.r - 1
 
 
+@pytest.mark.parametrize("workers,chunks", [(1, 1), (2, 2), (7, 7), (8, 7), (50, 7)])
+def test_workers_split_at_two_representatives_each(fields, monkeypatch, workers, chunks):
+    """(37,3) walks 14 representatives of W = ker Tr: --workers w splits
+    them into min(w, 14 // 2) chunks, so asking for more than 7 processes
+    gets 7, not a serial walk; one chunk forks nothing."""
+    from tracecodes import codes
+    ctx = fields(37, 3)
+    dset = build_defining_set(ctx, 1)
+    serial = orbit_compositions(ctx, dset)
+    assert len(serial) == 14
+    split = []
+
+    def in_process(fn, jobs):  # fork_map's contract, without the processes
+        split.append(len(jobs))
+        return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(codes, "fork_map", in_process)
+    assert orbit_compositions(ctx, dset, workers=workers) == serial
+    assert split == ([] if chunks == 1 else [chunks])
+
+
 def test_trace_pair_counts(fields):
     ctx = fields(5, 4)
     assert trace_pair_table(ctx)[(0, 1)] == 20
@@ -216,7 +249,7 @@ def test_budget_guard(fields):
 def test_budget_counts_enumeration_cost(fields):
     ctx = fields(3, 6)
     dset = build_defining_set(ctx, 1)
-    cost = enumeration_cost(ctx.p, ctx.m, len(dset))
+    cost = enumeration_cost(ctx.p, ctx.m, len(dset), True)
     assert cost < ctx.r * len(dset)
     assert exhaustive_cwe(ctx, dset, budget=cost).terms == CWE_3_6
     with pytest.raises(BudgetExceededError):
@@ -225,16 +258,22 @@ def test_budget_counts_enumeration_cost(fields):
 
 def test_enumeration_cost_prices_the_kernel_that_runs():
     """Orbits times the per-representative cost of the kernel _bits_win
-    picks: the bitset walk at p = 3, n symbol reads at (11,4) and (37,3)."""
+    picks: the bitset walk at p = 3, n symbol reads at (11,4) and (37,3).
+    The main set lies in Tr(x) = 1, so where p does not divide m only the
+    orbits in W = ker Tr are priced, about a p-th of them."""
     from tracecodes.closedform import trace_pair_count_closed
     from tracecodes.codes import DEFAULT_BUDGET, _orbit_count
-    costs = {(3, 9): 68014, (3, 11): 4461362, (3, 12): 36902437, (3, 13): 305562543,
-             (11, 4): 41030, (37, 3): 16956}
+    costs = {(3, 9): 68014, (3, 11): 1486936, (3, 12): 36902437, (3, 13): 101852520,
+             (11, 4): 4070, (37, 3): 504, (5, 8): 6034182, (7, 7): 151401089}
     for (p, m), cost in costs.items():
         n = trace_pair_count_closed(p, m, 0, 1)
-        assert enumeration_cost(p, m, n) == cost, (p, m)
-        assert (cost < _orbit_count(p, m) * n) is (p == 3), (p, m)
+        assert enumeration_cost(p, m, n, True) == cost, (p, m)
+        assert (cost < _orbit_count(p, m, True) * n) is (p < 11), (p, m)
+        # off the hyperplane, or with p | m, every orbit of Z/N is priced
+        full = enumeration_cost(p, m, n, False)
+        assert (full == cost) is (m % p == 0), (p, m)
     assert costs[3, 12] <= DEFAULT_BUDGET < costs[3, 13]
+    assert costs[5, 8] <= DEFAULT_BUDGET < costs[7, 7]
 
 
 def test_non_frobenius_stable_set_rejected(fields):

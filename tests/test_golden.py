@@ -30,6 +30,8 @@ CASES = {
     "build-5-3-workers2": ["build", "--p", "5", "--m", "3", "--workers", "2"],
     "build-3-5-d1": ["build", "--p", "3", "--m", "5", "--defining-set", "d1"],
     "build-7-4-b3-modulus": ["build", "--p", "7", "--m", "4", "--b", "3", "--modulus", "3,5,0,0,1"],
+    # p does not divide m: the walk takes one codeword per coset of F_p
+    "build-7-5-b3": ["build", "--p", "7", "--m", "5", "--b", "3"],
     "build-3-4-text": ["build", "--p", "3", "--m", "4", "--format", "text"],
     # d2 reads no b, so its params carry none
     "build-3-4-d2": ["build", "--p", "3", "--m", "4", "--defining-set", "d2"],

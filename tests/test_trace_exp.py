@@ -23,10 +23,11 @@ from tracecodes.cli import main
 from tracecodes.codes import (
     _bit_walk,
     _bits_win,
-    _frobenius_orbits,
     _orbit_count,
+    _representatives,
     _symbol_walk,
     cwe_from_compositions,
+    translation_shift,
 )
 from tracecodes.fields import FieldContext
 from tracecodes.verification import (
@@ -115,24 +116,32 @@ def test_defining_set_logs_match_elementwise_filter(pair, kind, data):
         assert build_defining_set(ctx, b).logs == dset.logs
 
 
-def _compositions(ctx, walked):
+def _compositions(ctx, dset, walked):
     """The composition of every nonzero a's codeword, rebuilt from the
     orbit_compositions list ``walked``: a = c * (alpha^la)^(p^i) with
     c = alpha^(j*N) carries the representative's composition with symbol
-    v moved to c*v."""
+    v moved to c*v.  Where translation_shift gives b, a + t, t in F_p,
+    carries that composition with symbol v moved to v + t*b, and a = t in
+    F_p^* has every symbol t*b."""
     p, rm1 = ctx.p, ctx.r - 1
     step = rm1 // (p - 1)
     exp = oracle.power_tables(ctx)[0]
+    shift = translation_shift(dset)
+    ts = range(p) if shift is not None else [0]
     comps = {}
+    for t in ts[1:]:
+        comps[t] = [len(dset) if v == t * shift % p else 0 for v in range(p)]
     for la, _, comp in walked:
         for j in range(p - 1):
             c = exp[j * step]
-            scaled = [0] * p
-            for v in range(p):
-                scaled[c * v % p] = comp[v]
-            members = {exp[(la * p**i + j * step) % rm1] for i in range(ctx.m)}
-            for a in members:
-                assert comps.setdefault(a, scaled) == scaled, a
+            for t in ts:
+                moved = [0] * p
+                for v in range(p):
+                    moved[(c * v + t * (shift or 0)) % p] = comp[v]
+                members = {oracle.add(p, exp[(la * p**i + j * step) % rm1], t)
+                           for i in range(ctx.m)}
+                for a in members:
+                    assert comps.setdefault(a, moved) == moved, a
     assert len(comps) == rm1
     return comps
 
@@ -144,11 +153,11 @@ def test_orbit_compositions_match_walk(case, data):
     ctx = _field(data, p, m)
     dset = _dset(ctx, kind, data.draw(st.integers(0, p - 1), label="b"))
     # both kernels, whichever side of _bits_win the case is on
-    reps = _frobenius_orbits(p, (ctx.r - 1) // (p - 1))
+    reps = _representatives(ctx, dset)
     walked = orbit_compositions(ctx, dset)
     assert _bit_walk(ctx, dset)(reps) == walked
     assert _symbol_walk(ctx, dset)(reps) == walked
-    comps = _compositions(ctx, walked)
+    comps = _compositions(ctx, dset, walked)
     if ctx.r * len(dset) <= ORACLE_LIMIT:
         targets = range(1, ctx.r)
     else:
@@ -202,7 +211,7 @@ def test_pipeline_after_make_field_does_no_field_arithmetic(p, m):
     build_defining_set_general(ctx, trace_square_value=0, exclude_zero=True)
     dset = build_defining_set(ctx, 2)
     comps = orbit_compositions(ctx, dset)
-    cwe = cwe_from_compositions(p, len(dset), comps)
+    cwe = cwe_from_compositions(p, len(dset), comps, shift=translation_shift(dset))
     assert exhaustive_cwe(ctx, dset).terms == cwe.terms
     verdicts = (verify_counts(ctx, dset, comps) + verify_cwe(ctx, cwe)
                 + verify_griesmer(ctx, cwe) + verify_equivalence(ctx))
