@@ -36,6 +36,11 @@ CODE_SCOPES = {"cwe", "counts", "griesmer", "equivalence"}
 DEFAULT_SAMPLES = 100
 # the status CPython itself exits with when flushing stdout fails at exit
 EXIT_BROKEN_PIPE = 120
+# enumeration cost below which forking only adds overhead: cold CLI builds
+# with two workers (2-core box, Python 3.11) always cost more CPU, and
+# break even in wall time between (11,5) at 3.9*10^5, still a loss, and
+# (37,4) at 4.8*10^5, a clear gain
+_PARALLEL_THRESHOLD = 4 * 10**5
 
 
 def _int_list(what: str):
@@ -94,8 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "enumeration or the pairs of a sweep; an enumeration "
                              "uses at most one per two orbit representatives, and a "
                              "sweep at most one per pair; more than 1 forks, so it "
-                             "needs os.fork (default: all cores for large jobs, 1 "
-                             "for small ones)")
+                             "needs os.fork; below an enumeration cost of "
+                             f"{_PARALLEL_THRESHOLD} symbol evaluations (a sweep's "
+                             "summed over its pairs) any count runs as 1, as forking "
+                             "costs more than it saves there (default: all cores at "
+                             "or above that cost)")
 
     sp = sub.add_parser("build", help="enumerate one code exhaustively")
     add_field(sp)
@@ -133,15 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARALLEL_THRESHOLD = 10**6  # enumeration cost; below this forking only adds overhead
-
-
 def _resolve_workers(args, cost: int) -> int:
-    if args.workers is not None:
-        return args.workers
+    """The processes that split a job of enumeration cost ``cost``: 1
+    below _PARALLEL_THRESHOLD or without os.fork, else --workers, or all
+    cores when the flag is not given."""
     if cost < _PARALLEL_THRESHOLD or not hasattr(os, "fork"):
         return 1
-    return os.cpu_count() or 1
+    return args.workers or os.cpu_count() or 1
 
 
 def _make_ctx(args):
@@ -213,15 +219,16 @@ def cmd_build(args) -> int:
         what = "holds only 0" if dset.has_zero else "is empty"
         raise EmptyDefiningSetError(
             f"defining set {{{dset.label}}} {what} over F_{args.p}^{args.m}: no code to build")
-    cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget,
-                               workers=_resolve_workers(args, cost))
+    workers = _resolve_workers(args, cost)
+    cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget, workers=workers)
     wd = cwe.weight_distribution()
     doc = report.code_document(
         params=report.params_dict(args.p, args.m, ctx.modulus,
                                   b=None if args.defining_set == "d2" else b, defining_set=dset),
         summary=wd.summary(ctx.p), cwe=cwe, wd=wd)
     _emit(doc, args.format)
-    print(f"build p={args.p} m={args.m}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    print(f"build p={args.p} m={args.m} cost={cost} workers={workers}: "
+          f"{time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -260,11 +267,12 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if enumerates:
         cost = _check_budget_before_field(args.p, args.m, args.size_cap, "main", b, budget)
+        workers = _resolve_workers(args, cost)
     ctx = _make_ctx(args)
     if enumerates:
         # one walk of D_b serves the counts, cwe and griesmer checks
         dset = codes.build_defining_set(ctx, b)
-        comps = codes.orbit_compositions(ctx, dset, _resolve_workers(args, cost))
+        comps = codes.orbit_compositions(ctx, dset, workers)
         cwe = codes.cwe_from_compositions(ctx.p, len(dset), comps,
                                           shift=codes.translation_shift(dset))
     if sums:
@@ -288,7 +296,8 @@ def cmd_verify(args) -> int:
         "all_passed": all(v.passed for v in verdicts),
     }
     _emit(doc, args.format)
-    print(f"verify p={args.p} m={args.m} scope={scope}: "
+    walked = f" cost={cost} workers={workers}" if enumerates else ""
+    print(f"verify p={args.p} m={args.m} scope={scope}{walked}: "
           f"{time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return verification.exit_code_for(verdicts)
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -619,11 +620,13 @@ def test_budget_keeps_the_small_degree_and_size_cap_exits(capsys):
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    """Neither importing the CLI nor a build that forks loads a pool module."""
+    """Neither importing the CLI nor a build that forks loads a pool module;
+    the floor is lifted so that (3,5) forks."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import os, sys, tracecodes.cli\n"
             "pools = ('concurrent.futures', 'multiprocessing')\n"
             "assert not any(name in sys.modules for name in pools)\n"
+            "tracecodes.cli._PARALLEL_THRESHOLD = 0\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
             "assert tracecodes.cli.main(['build', '--p', '3', '--m', '5', '--workers', '2']) == 0\n"
@@ -731,13 +734,52 @@ def test_workers_above_one_need_fork(capsys, monkeypatch):
     assert cli._resolve_workers(args, 10 * cli._PARALLEL_THRESHOLD) == 1
 
 
-def test_sweep_is_the_same_for_every_worker_count(capsys):
+def _count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_sweep_is_the_same_for_every_worker_count(capsys, monkeypatch):
+    from tracecodes import cli
+    monkeypatch.setattr(cli, "_PARALLEL_THRESHOLD", 0)
     argv = ["sweep", "--p-list", "3,5,7,2", "--m-list", "3", "--compare-defining-set", "d1"]
     serial = run(capsys, *argv, "--workers", "1")
     assert serial[0] == 1  # p = 2 fails; the other pairs still print
     assert len(serial[1].splitlines()) == 3
     assert "sweep summary:" in serial[2]
+    forks = _count_forks(monkeypatch)
     assert run(capsys, *argv, "--workers", "2") == serial
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("command", [["build", "--p", "3", "--m", "8"],
+                                     ["verify", "--p", "3", "--m", "8", "--scope", "all"],
+                                     ["sweep", "--p-list", "3,5", "--m-list", "3,4"]])
+def test_workers_below_the_floor_fork_nothing(capsys, monkeypatch, command):
+    """Below _PARALLEL_THRESHOLD an explicit --workers 2 runs serially,
+    with the serial bytes, and the timing line names the count."""
+    serial = run(capsys, *command, "--workers", "1")
+    forks = _count_forks(monkeypatch)
+    rc, out, err = run(capsys, *command, "--workers", "2")
+    assert forks == []
+    assert (rc, out) == serial[:2]
+    if command[0] != "sweep":
+        assert "workers=1:" in err
+
+
+@pytest.mark.parametrize("flag", [None, 1, 3])
+@pytest.mark.parametrize("has_fork", [True, False])
+def test_resolve_workers_applies_one_floor_to_every_count(monkeypatch, flag, has_fork):
+    from tracecodes import cli
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    args = SimpleNamespace(workers=flag)
+    floor = cli._PARALLEL_THRESHOLD
+    above = (flag or 5) if has_fork else 1
+    for cost, expected in [(0, 1), (floor - 1, 1), (floor, above), (10 * floor, above)]:
+        assert cli._resolve_workers(args, cost) == expected, cost
 
 
 def _module_run(*args):
