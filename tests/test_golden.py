@@ -4,7 +4,10 @@ Each case's expected stdout is stored in ``tests/golden/<name>.out``, or,
 for the digest cases, whose output runs to hundreds of kilobytes, its
 SHA-256 in ``tests/golden/<name>.sha256``, as ``sha256sum`` writes it for
 stdin.  A refactor that keeps the JSON documents byte-identical passes;
-any change to a value, an ordering or the formatting fails here.  To
+any change to a value, an ordering or the formatting fails here.  The
+help texts (stdout) and the parse errors (stderr) are pinned the same
+way, at COLUMNS=80, so that a change to how the command line is parsed
+keeps every byte a user sees.  To
 regenerate the files after an intended output change, run from the
 repository root:
 
@@ -69,6 +72,25 @@ DIGEST_CASES = {
 }
 
 
+# argparse writes these, with COLUMNS=80, and exits 0
+HELP_CASES = {
+    "help": ["--help"],
+    "help-build": ["build", "--help"],
+    "help-predict": ["predict", "--help"],
+    "help-verify": ["verify", "--help"],
+    "help-sweep": ["sweep", "--help"],
+}
+
+# rejected at parse time: stderr bytes in tests/golden/<name>.err, exit 2
+ERROR_CASES = {
+    "error-build-p-x": ["build", "--p", "x", "--m", "3"],
+    "error-verify-scope-bogus": ["verify", "--p", "3", "--m", "4", "--scope", "bogus"],
+    "error-sweep-no-m-list": ["sweep", "--p-list", "3"],
+    "error-build-bogus-flag": ["build", "--p", "3", "--m", "4", "--bogus", "1"],
+    "error-verify-samples-0": ["verify", "--p", "3", "--m", "4", "--samples", "0"],
+}
+
+
 def _digest_line(out: str) -> str:
     return f"{hashlib.sha256(out.encode()).hexdigest()}  -\n"
 
@@ -87,11 +109,53 @@ def test_stdout_matches_golden_digest(capsys, name):
     assert _digest_line(out) == (GOLDEN / f"{name}.sha256").read_text()
 
 
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden_bytes(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(HELP_CASES[name]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_parse_error_matches_golden_bytes(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(ERROR_CASES[name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode() == (GOLDEN / f"{name}.err").read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
+    import os
 
     GOLDEN.mkdir(exist_ok=True)
+    os.environ["COLUMNS"] = "80"
+    for name, argv, code, suffix in [
+            *((n, a, 0, "out") for n, a in HELP_CASES.items()),
+            *((n, a, 2, "err") for n, a in ERROR_CASES.items())]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            else:
+                rc = None
+        if rc != code:
+            sys.exit(f"{name}: exit {rc}, expected {code}")
+        path = GOLDEN / f"{name}.{suffix}"
+        path.write_bytes((out if suffix == "out" else err).getvalue().encode())
+        print(f"wrote {path.name}", file=sys.stderr)
     for name, argv in [*CASES.items(), *DIGEST_CASES.items()]:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
