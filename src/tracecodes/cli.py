@@ -13,12 +13,12 @@ diagnostics and timings to stderr.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import closedform, codes, report, verification
 from .errors import BudgetExceededError, EmptyDefiningSetError, TraceCodesError
@@ -48,7 +48,8 @@ def _int_list(what: str):
         try:
             return tuple(int(c) for c in text.split(","))
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}")
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError(f"bad {what} {text!r}: {exc}")
     return parse
 
 
@@ -56,7 +57,8 @@ def _at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
 
@@ -64,81 +66,120 @@ def _at_least(low: int):
 def _worker_count(text: str) -> int:
     count = _at_least(1)(text)
     if count > 1 and not hasattr(os, "fork"):
-        raise argparse.ArgumentTypeError("more than 1 needs os.fork, which this platform lacks")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError("more than 1 needs os.fork, which this platform lacks")
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line, described once and read by build_parser and
+# _fast_parse.  Each flag is a row (flag, type, default, choices,
+# required, help), its dest the flag with dashes as underscores; each
+# command has its help line, its flags in help order, and the defaults
+# that override its flags' own, as argparse's set_defaults does.
+_B = ("--b", int, 1, None, False, "defining trace value (default 1)")
+_FIELD = (
+    ("--p", int, None, None, True, "odd prime characteristic"),
+    ("--m", int, None, None, True, "extension degree"),
+    _B,
+    ("--format", None, "json", ("json", "text"), False, None),
+    ("--modulus", _int_list("modulus"), None, None, False,
+     "comma-separated modulus coefficients, low degree first"),
+)
+_LIMITS = (
+    ("--size-cap", int, DEFAULT_SIZE_CAP, None, False, "maximum field size p^m"),
+    ("--budget", _at_least(0), codes.DEFAULT_BUDGET, None, False,
+     "maximum enumeration cost in symbol evaluations: the orbit representatives walked "
+     "(for a set in Tr(x) = b with p not dividing m, those in ker Tr alone, one codeword "
+     "per coset of F_p) times, per representative, n, or the bitset walk's "
+     "(p - 1) * 2(r - 1)/64 mask words / 20 when fewer; exceeding it exits 3"),
+    ("--workers", _worker_count, None, None, False,
+     "processes, this one included, that split one enumeration or the pairs of a sweep; "
+     "an enumeration uses at most one per two orbit representatives, and a sweep at most "
+     "one per pair; more than 1 forks, so it needs os.fork; below an enumeration cost of "
+     f"{_PARALLEL_THRESHOLD} symbol evaluations (a sweep's summed over its pairs) any "
+     "count runs as 1, as forking costs more than it saves there (default: all cores at "
+     "or above that cost)"),
+)
+_COMMANDS = {
+    "build": ("enumerate one code exhaustively", (
+        *_FIELD, *_LIMITS,
+        ("--defining-set", None, "main", ("main", "d1", "d2"), False,
+         "main: Tr(x)=b and Tr(x^2)=0; d1: Tr(x)=b; "
+         "d2: x nonzero with Tr(x^2)=0, which reads no --b"),
+    ), {"b": None}),  # None tells an explicit --b, which d2 rejects
+    "predict": ("closed-form prediction, no enumeration", _FIELD, {}),
+    # None tells an explicit flag from the default: a scope that never
+    # reads --b, --budget, --workers or --samples rejects it
+    "verify": ("brute force versus closed forms", (
+        *_FIELD, *_LIMITS,
+        ("--scope", None, "all", SCOPES, False, None),
+        # below 1 no sample is drawn, and the identity would pass vacuously
+        ("--samples", _at_least(1), None, None, False,
+         f"random quadratics for the exponential-sum identity "
+         f"(default {DEFAULT_SAMPLES}; sums and all scopes only)"),
+    ), {"b": None, "budget": None}),
+    "sweep": ("grid of builds with verification (JSON lines)", (
+        _B, *_LIMITS,
+        ("--p-list", _int_list("p list"), None, None, True,
+         "comma-separated characteristics"),
+        ("--m-list", _int_list("m list"), None, None, True,
+         "comma-separated extension degrees"),
+        ("--compare-defining-set", None, None, ("d1", "d2"), False,
+         "also build a single-constraint comparison code"),
+    ), {}),
+}
+
+
+def build_parser():
+    """The argparse parser of the command line in _COMMANDS.  main()
+    needs it only where _fast_parse declines: for help and for errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tracecodes",
         description="Trace-defined linear codes: exhaustive complete weight "
                     "enumerators, closed-form predictions and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_field(sp):
-        sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-        sp.add_argument("--m", type=int, required=True, help="extension degree")
-        sp.add_argument("--b", type=int, default=1,
-                        help="defining trace value (default 1)")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--modulus", type=_int_list("modulus"), default=None,
-                        help="comma-separated modulus coefficients, low degree first")
-
-    def add_limits(sp):
-        sp.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
-                        help="maximum field size p^m")
-        sp.add_argument("--budget", type=_at_least(0), default=codes.DEFAULT_BUDGET,
-                        help="maximum enumeration cost in symbol evaluations: the "
-                             "orbit representatives walked (for a set in Tr(x) = b "
-                             "with p not dividing m, those in ker Tr alone, one "
-                             "codeword per coset of F_p) times, per representative, "
-                             "n, or the bitset walk's (p - 1) * 2(r - 1)/64 mask "
-                             "words / 20 when fewer; exceeding it exits 3")
-        sp.add_argument("--workers", type=_worker_count, default=None,
-                        help="processes, this one included, that split one "
-                             "enumeration or the pairs of a sweep; an enumeration "
-                             "uses at most one per two orbit representatives, and a "
-                             "sweep at most one per pair; more than 1 forks, so it "
-                             "needs os.fork; below an enumeration cost of "
-                             f"{_PARALLEL_THRESHOLD} symbol evaluations (a sweep's "
-                             "summed over its pairs) any count runs as 1, as forking "
-                             "costs more than it saves there (default: all cores at "
-                             "or above that cost)")
-
-    sp = sub.add_parser("build", help="enumerate one code exhaustively")
-    add_field(sp)
-    add_limits(sp)
-    sp.add_argument("--defining-set", choices=("main", "d1", "d2"), default="main",
-                    help="main: Tr(x)=b and Tr(x^2)=0; d1: Tr(x)=b; "
-                         "d2: x nonzero with Tr(x^2)=0, which reads no --b")
-    sp.set_defaults(b=None)  # None tells an explicit --b, which d2 rejects
-
-    sp = sub.add_parser("predict", help="closed-form prediction, no enumeration")
-    add_field(sp)
-
-    sp = sub.add_parser("verify", help="brute force versus closed forms")
-    add_field(sp)
-    add_limits(sp)
-    sp.add_argument("--scope", choices=SCOPES, default="all")
-    # below 1 no sample is drawn, and the identity would pass vacuously
-    sp.add_argument("--samples", type=_at_least(1), default=None,
-                    help=f"random quadratics for the exponential-sum identity "
-                         f"(default {DEFAULT_SAMPLES}; sums and all scopes only)")
-    # None tells an explicit flag from the default: a scope that never
-    # reads --b, --budget, --workers or --samples rejects it
-    sp.set_defaults(b=None, budget=None)
-
-    sp = sub.add_parser("sweep", help="grid of builds with verification (JSON lines)")
-    sp.add_argument("--b", type=int, default=1,
-                    help="defining trace value (default 1)")
-    add_limits(sp)
-    sp.add_argument("--p-list", type=_int_list("p list"), required=True,
-                    help="comma-separated characteristics")
-    sp.add_argument("--m-list", type=_int_list("m list"), required=True,
-                    help="comma-separated extension degrees")
-    sp.add_argument("--compare-defining-set", choices=("d1", "d2"), default=None,
-                    help="also build a single-constraint comparison code")
+    for command, (summary, flags, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for flag, convert, default, choices, required, text in flags:
+            sp.add_argument(flag, type=convert, default=default, choices=choices,
+                            required=required, help=text)
+        sp.set_defaults(**defaults)
     return parser
+
+
+def _fast_parse(argv: Sequence[str]):
+    """What build_parser().parse_args(argv) returns, without argparse,
+    where argv reads ``<command> (--flag value)*``: each flag of that
+    command under its exact name and at most once, each value not
+    starting with "-", taken by the flag's type and inside its choices,
+    and every required flag given.  None for anything else, which
+    argparse parses, so that it alone writes the help and the errors."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    _, flags, defaults = _COMMANDS[command]
+    rows = {row[0]: row for row in flags}
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        row = rows.get(flag)
+        if row is None or flag in given or text.startswith("-"):
+            return None
+        _, convert, _, choices, _, _ = row
+        try:
+            value = text if convert is None else convert(text)
+        except Exception:  # argparse calls it again and reports the failure
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=command)
+    for flag, _, default, _, required, _ in flags:
+        if required and flag not in given:
+            return None
+        dest = flag[2:].replace("-", "_")
+        setattr(args, dest, given[flag] if flag in given else defaults.get(dest, default))
+    return args
 
 
 def _resolve_workers(args, cost: int) -> int:
@@ -383,8 +424,11 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.command == "build":
             return cmd_build(args)
