@@ -97,8 +97,8 @@ _LIMITS = (
      "an enumeration uses at most one per two orbit representatives, and a sweep at most "
      "one per pair; more than 1 forks, so it needs os.fork; below an enumeration cost of "
      f"{_PARALLEL_THRESHOLD} symbol evaluations (a sweep's summed over its pairs) any "
-     "count runs as 1, as forking costs more than it saves there (default: all cores at "
-     "or above that cost)"),
+     "count runs as 1, as forking costs more than it saves there (default: all usable "
+     "cores at or above that cost)"),
 )
 _COMMANDS = {
     "build": ("enumerate one code exhaustively", (
@@ -184,11 +184,16 @@ def _fast_parse(argv: Sequence[str]):
 
 def _resolve_workers(args, cost: int) -> int:
     """The processes that split a job of enumeration cost ``cost``: 1
-    below _PARALLEL_THRESHOLD or without os.fork, else --workers, or all
-    cores when the flag is not given."""
+    below _PARALLEL_THRESHOLD or without os.fork, else --workers, or,
+    when the flag is not given, the cores this process may run on: its
+    CPU affinity where the platform has one, else all cores."""
     if cost < _PARALLEL_THRESHOLD or not hasattr(os, "fork"):
         return 1
-    return args.workers or os.cpu_count() or 1
+    if args.workers:
+        return args.workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _make_ctx(args):
