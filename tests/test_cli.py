@@ -770,24 +770,23 @@ def test_workers_below_the_floor_fork_nothing(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("flag", [None, 1, 3])
 @pytest.mark.parametrize("has_fork", [True, False])
-@pytest.mark.parametrize("has_affinity", [True, False])
-def test_resolve_workers_applies_one_floor_to_every_count(monkeypatch, flag, has_fork,
-                                                          has_affinity):
+def test_resolve_workers_applies_one_floor_to_every_count(monkeypatch, flag, has_fork):
     """The default counts the cores this process may run on (2 of 5
-    here), and all cores where the platform keeps no affinity."""
+    here), and all 5 where the platform keeps no CPU affinity."""
     from tracecodes import cli
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    if has_affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     if not has_fork:
         monkeypatch.delattr(os, "fork")
     args = SimpleNamespace(workers=flag)
     floor = cli._PARALLEL_THRESHOLD
-    above = (flag or (2 if has_affinity else 5)) if has_fork else 1
-    for cost, expected in [(0, 1), (floor - 1, 1), (floor, above), (10 * floor, above)]:
-        assert cli._resolve_workers(args, cost) == expected, cost
+    for cores in (2, 5):
+        if cores == 2:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        above = (flag or cores) if has_fork else 1
+        for cost, expected in [(0, 1), (floor - 1, 1), (floor, above), (10 * floor, above)]:
+            assert cli._resolve_workers(args, cost) == expected, (cores, cost)
 
 
 def _module_run(*args):
