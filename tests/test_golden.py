@@ -7,9 +7,8 @@ stdin.  A refactor that keeps the JSON documents byte-identical passes;
 any change to a value, an ordering or the formatting fails here.  The
 help texts (stdout) and the parse errors (stderr) are pinned the same
 way, at COLUMNS=80, so that a change to how the command line is parsed
-keeps every byte a user sees.  To
-regenerate the files after an intended output change, run from the
-repository root:
+keeps every byte a user sees.  To regenerate the files after an
+intended output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
