@@ -72,7 +72,7 @@ def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,
     l2 + 2k plus trace_exp at l1 + k (both mod N = r - 1) plus Tr(a0);
     x = 0 contributes Tr(a0), which is trace_exp at l0, or 0 when a0 = 0.
     The counts over k come from the field's trace bitmasks when
-    :func:`_masks_win`, else from a ``Counter`` over the trace list."""
+    :func:`_masks_win`, else from a ``Counter`` over the trace table."""
     if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
     p = ctx.p
@@ -120,7 +120,7 @@ def _mask_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
 
 
 def _counter_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
-    """The counts of :func:`_mask_counts`, from the trace list: Tr(a2*x^2)
+    """The counts of :func:`_mask_counts`, from trace_exp: Tr(a2*x^2)
     over k in [0, N) is the rotation of trace_exp by l2 read with stride 2,
     twice over (N is even), and Tr(a1*x) the rotation by l1."""
     te = ctx.trace_exp
@@ -179,12 +179,16 @@ def cyclotomic_numbers_direct(ctx: FieldContext) -> dict[tuple[int, int], int]:
     in neither.  Each pair is read from the class bytes: the big-int sum
     of 3 times one slice and the other holds byte 3i + j < 9 at each
     pair (i, j), carrying into no other byte."""
-    p, r, order = ctx.p, ctx.r, sys.byteorder
+    p, r, te = ctx.p, ctx.r, ctx.trace_exp
     assert r - 1 < 2**32  # a coordinate fits its 4-byte slot
-    words = array("I", ctx.trace_exp).tobytes()
+    if p < 256:  # one slice assignment widens each byte to a little-endian slot
+        words, order = bytearray(4 * (r - 1)), "little"
+        words[0::4] = te
+    else:
+        words, order = array("I", te).tobytes(), sys.byteorder
     acc = sum(p**i * int.from_bytes(words[4 * i:] + words[:4 * i], order)
               for i in range(ctx.m))
-    coords = array("I", acc.to_bytes(4 * (r - 1), order))
+    coords = array("I", acc.to_bytes(4 * (r - 1), sys.byteorder))
     cls = bytearray(r)
     cls[0] = 2
     k1 = coords.index(1)  # c = alpha^k1

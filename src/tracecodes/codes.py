@@ -75,12 +75,12 @@ class DefiningSet:
         return ", ".join(parts)
 
 
-def _indices_of(values: list[int], value: int, p: int) -> list[int]:
-    """The ascending k with values[k] == value, for values in F_p: for
-    p < 256 each value fits a byte, and bytes.find scans in C."""
+def _indices_of(values: bytes | list[int], value: int, p: int) -> list[int]:
+    """The ascending k with values[k] == value, for a slice of trace_exp:
+    for p < 256 that is bytes, and bytes.find scans in C."""
     if p >= 256:
         return [k for k, v in enumerate(values) if v == value]
-    found, find = [], bytes(values).find
+    found, find = [], values.find
     k = find(value)
     while k >= 0:
         found.append(k)

@@ -12,10 +12,10 @@ first read.  The trace of alpha^k is a linear recurring sequence in k
 (Lidl-Niederreiter, *Finite Fields*, ch. 8): 2m polynomial products
 seed it, Berlekamp-Massey finds the recurrence, and window doubling
 fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
-the one element table.  There is no power or log table: sums over the
-field run over the exponent k, so Tr(x) is ``trace_exp[k]`` and the
-quadratic character of x is the parity of k; ``power`` names one
-alpha^k by square-and-multiply.
+the one element table, ``bytes`` for p < 256 and a ``list`` above.
+There is no power or log table: sums over the field run over the
+exponent k, so Tr(x) is ``trace_exp[k]`` and the quadratic character of
+x is the parity of k; ``power`` names one alpha^k by square-and-multiply.
 ``add`` and ``mul`` are table-free, for walking the field one element
 at a time.  Construction is deterministic: the default modulus is the
 lexicographically first monic irreducible polynomial (tail
@@ -109,9 +109,7 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) 
             off = d - m
             for j in range(m):
                 prod[off + j] = (prod[off + j] - c * f[j]) % p
-    if len(prod) < m:
-        prod = list(prod) + [0] * (m - len(prod))
-    return list(prod[:m])
+    return (prod + [0] * (m - len(prod)))[:m]
 
 
 def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
@@ -201,12 +199,7 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
     For m >= 2 a root in F_p splits off a linear factor, so a candidate
     with one is skipped before its Frobenius test: the filter is exact."""
     for tail in range(p**m):
-        coeffs = []
-        t = tail
-        for _ in range(m):
-            t, c = divmod(t, p)
-            coeffs.append(c)
-        coeffs.append(1)
+        coeffs = [*(tail // p**i % p for i in range(m)), 1]
         if m >= 2 and any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
             continue
         if is_irreducible(coeffs, p):
@@ -362,8 +355,8 @@ class FieldContext:
         Monic irreducible modulus, coefficients low degree first.
     alpha : int
         Index of the primitive element.
-    trace_exp : list[int]
-        Absolute trace of alpha^k for k in [0, r - 1).
+    trace_exp : bytes | list[int]
+        Absolute trace of alpha^k for k in [0, r - 1); bytes for p < 256.
     trace_masks : list[int]
         Per trace value v, bit k set iff Tr(alpha^(k mod (r - 1))) = v,
         for k < 2(r - 1); p < 256.
@@ -440,10 +433,10 @@ class FieldContext:
         return sum(map(operator.mul, c, self._basis_traces)) % self.p
 
     @cached_property
-    def trace_exp(self) -> list[int]:
-        """Tr(alpha^k) for k in [0, r - 1).  With N = r - 1, the trace of
-        a*x for nonzero a, x is trace_exp[(log a + log x) % N], so sums
-        and codewords over F_r^* read rotated slices of this one list.
+    def trace_exp(self) -> bytes | list[int]:
+        """Tr(alpha^k) for k in [0, r - 1): ``bytes`` for p < 256, a list
+        above.  Tr(a*x) for nonzero a, x is trace_exp at log a + log x,
+        mod r - 1, so sums and codewords read rotated slices of it.
 
         The traces of alpha^k for k < 2m seed the fill, and Berlekamp-Massey
         on them finds its characteristic polynomial h, alpha's minimal
@@ -468,7 +461,8 @@ class FieldContext:
         for k in (1, rm1 // 2, rm1 - 1):
             if s[k] != self._trace_of(_poly_powmod(a, k, f, p)):
                 raise AssertionError(f"recurrence fill differs from alpha^{k}")
-        return list(s[:rm1])
+        del s[rm1:]
+        return bytes(s) if p < 256 else s
 
     @cached_property
     def trace_masks(self) -> list[int]:
@@ -476,7 +470,7 @@ class FieldContext:
         Tr(alpha^(k mod (r - 1))) = v, for k < 2(r - 1), so
         ``trace_masks[v] >> l`` reads Tr(alpha^(l + k)) = v at bit k.
         Needs p < 256, one byte per trace value."""
-        return _level_masks(bytes(self.trace_exp) * 2, self.p)
+        return _level_masks(self.trace_exp * 2, self.p)
 
     @cached_property
     def half_masks(self) -> tuple[list[int], list[int]]:
@@ -487,7 +481,7 @@ class FieldContext:
         :attr:`trace_masks` because only the quadratic sums read them.
         Needs p < 256."""
         te = self.trace_exp
-        return tuple(_level_masks(bytes(te[e::2]) * 3, self.p) for e in (0, 1))
+        return tuple(_level_masks(te[e::2] * 3, self.p) for e in (0, 1))
 
     @cached_property
     def prime_powers(self) -> list[int]:

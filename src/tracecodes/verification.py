@@ -41,11 +41,11 @@ def verify_gauss_sums(ctx: FieldContext) -> list[Verdict]:
     """Direct quadratic Gauss sums against the closed form for every
     degree up to m, plus the sign-convention comparison.  Degree m is
     summed over ``ctx`` itself, so no second copy of its tables is
-    built; the smaller degrees get default-modulus fields."""
+    built; the smaller degrees get default-modulus fields, capped at r."""
     p, m = ctx.p, ctx.m
     verdicts = []
     for mm in range(1, m + 1):
-        sub = ctx if mm == m else make_field(p, mm)
+        sub = ctx if mm == m else make_field(p, mm, size_cap=ctx.r)
         direct = charsums.gauss_sum_direct(sub)
         closed = charsums.gauss_sum_closed_cyclotomic(p, mm)
         ok = direct == closed

@@ -33,6 +33,24 @@ LIFT_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 
               for m in range(1, 10) if p**m <= 2 * 10**4]
 
 
+def test_gauss_verdicts_build_subfields_under_the_field_cap(monkeypatch):
+    """Each subfield of degree mm < m is built under the cap that admitted
+    F_(p^m), not the default 10^7, which degree 15 of (3,16) exceeds.
+    The closed form stands in for the direct sum: fields are built, and
+    nothing is summed."""
+    from tracecodes.verification import verify_gauss_sums
+    degrees = []
+
+    def closed(ctx):
+        degrees.append(ctx.m)
+        return gauss_sum_closed_cyclotomic(ctx.p, ctx.m)
+
+    monkeypatch.setattr(charsums, "gauss_sum_direct", closed)
+    verdicts = verify_gauss_sums(make_field(3, 16, size_cap=10**8))
+    assert degrees == list(range(1, 17))
+    assert len(verdicts) == 48 and all(v.passed for v in verdicts)
+
+
 def test_gauss_direct_examples(fields):
     z = lambda k: CyclotomicInteger.zeta_power(5, k)
     assert gauss_sum_direct(fields(5, 1)) == z(1) + z(4) - z(2) - z(3)
@@ -286,10 +304,12 @@ def test_cyclotomic_numbers_direct_vs_closed(fields):
 # element whose trace coordinates are (1, 0, ..., 0), and flips both
 # classes when k1 is odd.  p divides m at (3,3) and (3,6), so c != 1;
 # c = 1 at m = 1; (127,2) and (131,2) sit either side of the byte-slot
-# edge 2(p - 1) <= 255, and (131,3) reads a list fill at r = 2.2*10^6.
+# edge 2(p - 1) <= 255, and (131,3) reads a list fill at r = 2.2*10^6;
+# (251,2) and (257,2) take the scan's bytes and list widening.
 FLIP_CASES = [(3, 3, None, True), (3, 6, None, True), (7, 3, None, True),
               (127, 2, None, True), (131, 2, None, True), (131, 3, None, True),
-              (3, 5, None, False), (5, 4, (3, 0, 0, 0, 1), False), (5, 1, None, False)]
+              (3, 5, None, False), (5, 4, (3, 0, 0, 0, 1), False), (5, 1, None, False),
+              (251, 2, None, True), (257, 2, None, False)]
 
 
 @pytest.mark.parametrize("p,m,modulus,odd", FLIP_CASES)

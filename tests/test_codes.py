@@ -77,7 +77,7 @@ def test_general_defining_sets(fields):
         build_defining_set_general(ctx)
 
 
-@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (37, 3), (257, 2)])
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (37, 3), (251, 2), (257, 2)])
 def test_trace_scan_finds_every_log(fields, p, m):
     """The bytes.find scan for p < 256, and the comprehension above it,
     return the logs with Tr = b in order, alone and with Tr(x^2) = 0, and
@@ -316,7 +316,7 @@ def test_scaled_set_equivalence_reads_each_set_off_trace_exp():
     tr = list(ctx.trace_exp)
     k = next(k for k in range(1, ctx.r - 1, 2) if tr[k] == 2 and tr[2 * k % (ctx.r - 1)] == 0)
     tr[k] = 3
-    ctx.__dict__["trace_exp"] = tr
+    ctx.__dict__["trace_exp"] = bytes(tr)  # planted in the type the readers take at p = 5
     [verdict] = verify_equivalence(ctx)
     assert not verdict.passed
     assert verdict.details == "mismatch at b=[2, 3]"

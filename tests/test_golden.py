@@ -59,15 +59,19 @@ CASES = {
     "verify-17-3-sums": ["verify", "--p", "17", "--m", "3", "--scope", "sums"],
     # 2(p - 1) > 255: the recurrence fills go through list windows
     "verify-131-2-sums": ["verify", "--p", "131", "--m", "2", "--scope", "sums"],
+    # p >= 256: trace_exp is a list, and the cyclotomic scan widens it by array
+    "verify-257-2-sums": ["verify", "--p", "257", "--m", "2", "--scope", "sums"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
     # compact lines whose counts reach two digits, with a comparison block
     "sweep-11-13-d1": ["sweep", "--p-list", "11,13", "--m-list", "3",
                        "--compare-defining-set", "d1"],
 }
 
-# lines with p >= 17, whose CWE terms take the closed forms' row-level path
 DIGEST_CASES = {
+    # lines with p >= 17, whose CWE terms take the closed forms' row-level path
     "sweep-29-31-37-b5": ["sweep", "--p-list", "29,31,37", "--m-list", "3", "--b", "5"],
+    # p >= 256: the d1 set is read off a list trace_exp; compositions of 257 symbols
+    "build-257-2-d1": ["build", "--p", "257", "--m", "2", "--defining-set", "d1"],
 }
 
 

@@ -223,7 +223,7 @@ def test_one_trace_exp_per_context():
     assert "trace_exp" not in vars(ctx)  # built on first use only
     exhaustive_cwe(ctx, build_defining_set(ctx, 1))
     table = vars(ctx)["trace_exp"]
-    assert table == [oracle.trace_table(ctx)[x] for x in oracle.power_tables(ctx)[0]]
+    assert list(table) == [oracle.trace_table(ctx)[x] for x in oracle.power_tables(ctx)[0]]
     gauss_sum_direct(ctx)
     orbit_compositions(ctx, build_defining_set(ctx, 1))
     assert ctx.trace_exp is table
