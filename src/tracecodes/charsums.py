@@ -133,11 +133,11 @@ def _counter_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
 
 
 def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int | None,
-                                     l0: int | None,
-                                     gauss: CyclotomicInteger | None = None) -> CyclotomicInteger:
+                                     l0: int | None, *,
+                                     gauss: CyclotomicInteger) -> CyclotomicInteger:
     """Completed-square form: zeta^Tr(a0 - a1^2/(4*a2)) * eta(a2) * G,
-    with G the quadratic Gauss sum of the same field (direct value by
-    default, so the identity test stays a genuine cross-check), and the
+    with G = ``gauss`` the quadratic Gauss sum of the same field (its
+    direct value keeps the identity test a genuine cross-check), and the
     coefficients given by their logs as in :func:`quadratic_exponential_sum`.
 
     Read in logs: eta(a2) is -1 exactly when l2 is odd, and
@@ -145,8 +145,6 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int 
     log 4 the log of 4 mod p in F_p^*."""
     if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
-    if gauss is None:
-        gauss = gauss_sum_direct(ctx)
     te = ctx.trace_exp
     shift = 0 if l0 is None else te[l0]
     if l1 is not None:

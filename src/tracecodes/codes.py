@@ -75,17 +75,16 @@ class DefiningSet:
         return ", ".join(parts)
 
 
-def _indices_of(values: bytes | list[int], value: int, p: int) -> list[int]:
-    """The ascending k with values[k] == value, for a slice of trace_exp:
-    for p < 256 that is bytes, and bytes.find scans in C."""
-    if p >= 256:
-        return [k for k, v in enumerate(values) if v == value]
-    found, find = [], values.find
-    k = find(value)
-    while k >= 0:
-        found.append(k)
-        k = find(value, k + 1)
-    return found
+def _indices_of(values: bytes | list[int], value: int) -> list[int]:
+    """The ascending k with values[k] == value, for a slice of trace_exp,
+    bytes or a list: each ``index`` call scans in C."""
+    found, index, k = [], values.index, -1
+    try:
+        while True:
+            k = index(value, k + 1)
+            found.append(k)
+    except ValueError:
+        return found
 
 
 def build_defining_set_general(ctx: FieldContext, trace_value: int | None = None,
@@ -98,14 +97,14 @@ def build_defining_set_general(ctx: FieldContext, trace_value: int | None = None
     logs = range(ctx.r - 1)
     if trace_value is not None:
         trace_value %= ctx.p
-        logs = _indices_of(ctx.trace_exp, trace_value, ctx.p)
+        logs = _indices_of(ctx.trace_exp, trace_value)
     if trace_square_value is not None:
         value = trace_square_value = trace_square_value % ctx.p
         # Tr(x^2) for x = alpha^k is trace_exp[2k mod (r - 1)], and as r - 1 is
         # even, that is sq[k mod h] for sq = trace_exp[0::2], h = (r - 1)/2
         sq, h = ctx.trace_exp[0::2], (ctx.r - 1) // 2
         if trace_value is None:  # every log: each hit k of sq, and k + h
-            half = _indices_of(sq, value, ctx.p)
+            half = _indices_of(sq, value)
             logs = half + [k + h for k in half]
         else:  # the ascending Tr = b logs, read below h and from h on
             i = bisect_left(logs, h)
@@ -253,9 +252,9 @@ def _orbit_count(p: int, m: int, in_trace_hyperplane: bool = False) -> int:
 
 def enumeration_cost(p: int, m: int, n: int, in_trace_hyperplane: bool) -> int:
     """Cost of :func:`orbit_compositions` on n elements of F_{p^m}, in
-    symbol evaluations: the orbit count of :func:`_orbit_count` times
-    :func:`_rep_cost`, the cost of one representative in the kernel that
-    runs.  ``in_trace_hyperplane`` tells a set in Tr(x) = b (main, d1)."""
+    symbol evaluations: :func:`_orbit_count` orbits times :func:`_rep_cost`,
+    the price of one composition in the kernel that this price picks.
+    ``in_trace_hyperplane`` tells a set in Tr(x) = b (main, d1)."""
     return _orbit_count(p, m, in_trace_hyperplane) * _rep_cost(p, p**m, n)
 
 
@@ -296,31 +295,21 @@ def _rep_cost(p: int, r: int, n: int) -> int:
     return min(n, bits) if p < 256 else n
 
 
-def _bits_win(p: int, r: int, n: int) -> bool:
-    """Whether :func:`_bit_walk` beats :func:`_symbol_walk` on a set of n
-    elements of F_r.  For the sets of this package, n about r/p or
-    less, it does only for p <= 25."""
-    return _rep_cost(p, r, n) < n
-
-
 def _symbol_walk(ctx: FieldContext, dset: DefiningSet):
-    """The per-symbol kernel: a function from (la, s) representatives to
-    (la, s, composition of the codeword of alpha^la), which reads
-    Tr(alpha^(la + dl)) for each log dl of D, one at a time."""
+    """The per-symbol kernel: a function from la to the composition of
+    the codeword of alpha^la, which reads Tr(alpha^(la + dl)) for each
+    log dl of D, one at a time."""
     p, rm1, tr_exp, d_logs = ctx.p, ctx.r - 1, ctx.trace_exp, dset.logs
     zero_in = int(dset.has_zero)
 
-    def walk(reps):
-        out = []
-        for la, s in reps:
-            counts = [0] * p
-            counts[0] = zero_in
-            shift = la - rm1  # index shift + dl names entry (la + dl) % rm1, negative or not
-            for dl in d_logs:
-                counts[tr_exp[shift + dl]] += 1
-            out.append((la, s, tuple(counts)))
-        return out
-    return walk
+    def composition(la):
+        counts = [0] * p
+        counts[0] = zero_in
+        shift = la - rm1  # index shift + dl names entry (la + dl) % rm1, negative or not
+        for dl in d_logs:
+            counts[tr_exp[shift + dl]] += 1
+        return tuple(counts)
+    return composition
 
 
 def _bit_walk(ctx: FieldContext, dset: DefiningSet):
@@ -337,14 +326,11 @@ def _bit_walk(ctx: FieldContext, dset: DefiningSet):
         digits[dl] = 49
     dmask = int(digits[::-1], 2)
 
-    def walk(reps):
-        out = []
-        for la, s in reps:
-            dsh = dmask << la
-            counts = [(mask & dsh).bit_count() for mask in masks]
-            out.append((la, s, (n - sum(counts), *counts)))
-        return out
-    return walk
+    def composition(la):
+        dsh = dmask << la
+        counts = [(mask & dsh).bit_count() for mask in masks]
+        return (n - sum(counts), *counts)
+    return composition
 
 
 def _representatives(ctx: FieldContext, dset: DefiningSet) -> list[tuple[int, int]]:
@@ -355,7 +341,7 @@ def _representatives(ctx: FieldContext, dset: DefiningSet) -> list[tuple[int, in
     size = (ctx.r - 1) // (ctx.p - 1)
     las = None
     if translation_shift(dset) is not None:
-        las = _indices_of(ctx.trace_exp[:size], 0, ctx.p)
+        las = _indices_of(ctx.trace_exp[:size], 0)
     return _frobenius_orbits(ctx.p, size, las)
 
 
@@ -371,22 +357,24 @@ def orbit_compositions(ctx: FieldContext, dset: DefiningSet,
     Where :func:`translation_shift` gives b, each of those a also stands
     for a + t, t in F_p^*, its symbols moved by t*b, and a = t itself is
     left to the reader (:func:`cwe_from_compositions`).
-    The kernel, bitset or per-symbol, is picked from (p, r, n) by
-    :func:`_bits_win`.  ``workers`` > 1 splits the representatives across
-    up to that many processes, this one included, with at least two
+    The kernel, bitset where :func:`_rep_cost` is below n, else per-symbol,
+    gives each composition.  ``workers`` > 1 splits the representatives
+    across up to that many processes, this one included, with at least two
     representatives each (:func:`parallel.fork_map`); the result is
     identical for every worker count.
     """
     if dset.ctx is not ctx:
         raise MixedContextError("defining set belongs to a different field context")
-    p, rm1 = ctx.p, ctx.r - 1
+    p, rm1, n = ctx.p, ctx.r - 1, len(dset)
     d_logs = dset.logs
     log_set = set(d_logs)
     if any(dl * p % rm1 not in log_set for dl in d_logs):
         raise NotFrobeniusStableError("defining set is not closed under x |-> x^p")
     reps = _representatives(ctx, dset)
-    kernel = _bit_walk if _bits_win(p, ctx.r, len(dset)) else _symbol_walk
-    walk = kernel(ctx, dset)
+    composition = (_bit_walk if _rep_cost(p, ctx.r, n) < n else _symbol_walk)(ctx, dset)
+
+    def walk(chunk):
+        return [(la, s, composition(la)) for la, s in chunk]
     workers = min(workers, len(reps) // 2)
     if workers <= 1:
         return walk(reps)

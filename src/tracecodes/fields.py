@@ -285,7 +285,7 @@ def _byte_window_sum(p: int) -> Callable[[list, int], bytes]:
     return window_sum
 
 
-def _list_window_sum(p: int, m: int) -> Callable[[list, int], list[int]]:
+def _list_window_sum(p: int, m: int) -> Callable[[list, int], Iterator[int]]:
     """sum_i c_i * w_i mod p, entry by entry, over at most m list windows
     of values in [0, p), for primes too wide for byte slots
     (2(p - 1) > 255).  Each window is one big int of 4-byte slots, the
@@ -297,9 +297,9 @@ def _list_window_sum(p: int, m: int) -> Callable[[list, int], list[int]]:
     width, order = array(code).itemsize, sys.byteorder
     assert m * (p - 1) ** 2 < 2 ** (8 * width)
 
-    def window_sum(terms: list[tuple[int, list[int]]], k: int) -> list[int]:
+    def window_sum(terms: list[tuple[int, list[int]]], k: int) -> Iterator[int]:
         acc = sum(c * int.from_bytes(array(code, w).tobytes(), order) for c, w in terms)
-        return list(map(p.__rmod__, array(code, acc.to_bytes(width * k, order))))
+        return map(p.__rmod__, array(code, acc.to_bytes(width * k, order)))
     return window_sum
 
 

@@ -200,9 +200,4 @@ def render_text(doc: dict) -> str:
         for v in doc["verification"]:
             status = "ok" if v["passed"] else "FAIL"
             lines.append(f"  [{status}] {v['name']}: {v['details']}")
-    if "comparison" in doc:
-        comp = doc["comparison"]
-        lines.append(f"comparison code ({comp['defining_set']}): "
-                     f"[{comp['summary']['n']},{comp['summary']['k']},{comp['summary']['d']}]"
-                     f"  rate {comp['summary']['k']}/{comp['summary']['n']}")
     return "\n".join(lines)

@@ -259,7 +259,7 @@ def test_masks_are_built_once_per_context(monkeypatch):
     ctx = make_field(3, 6)
     rm1 = ctx.r - 1
     dset = codes.build_defining_set(ctx, 1)
-    assert codes._bits_win(ctx.p, ctx.r, len(dset))
+    assert codes._rep_cost(ctx.p, ctx.r, len(dset)) < len(dset)
     for _ in range(2):
         codes.exhaustive_cwe(ctx, dset)
     assert built == [2 * rm1]
@@ -275,7 +275,7 @@ def test_quadratic_sum_rejects_zero_leading(fields):
     with pytest.raises(ZeroLeadingCoefficientError):
         quadratic_exponential_sum(ctx, None, 0, None)
     with pytest.raises(ZeroLeadingCoefficientError):
-        quadratic_exponential_sum_closed(ctx, None, 0, None)
+        quadratic_exponential_sum_closed(ctx, None, 0, None, gauss=gauss_sum_direct(ctx))
 
 
 def test_cyclotomic_numbers_closed_values():

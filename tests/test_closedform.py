@@ -225,6 +225,50 @@ def test_verify_counts_sees_one_wrong_relabelling(fields, monkeypatch):
                               "failing": p * failing}
 
 
+def test_verify_counts_sees_one_wrong_trace_pair(fields, monkeypatch, capsys):
+    """One closed trace-pair count off by one, at (A, B) = (1, 0), which
+    neither the length, the set size nor the symbol counts read: only the
+    trace-pair verdict fails, it names the pair and both counts, and
+    ``verify --scope counts`` exits 1."""
+    from tracecodes import closedform, codes
+    from tracecodes.cli import main
+    from tracecodes.verification import verify_counts
+    original = closedform.trace_pair_count_closed
+    monkeypatch.setattr(closedform, "trace_pair_count_closed",
+                        lambda p, m, a, b: original(p, m, a, b) + ((a, b) == (1, 0)))
+    ctx = fields(3, 4)
+    dset = build_defining_set(ctx, 1)
+    failed = [v for v in verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
+              if not v.passed]
+    brute = trace_pair_table(ctx)[1, 0]
+    assert [v.name for v in failed] == ["trace-pair-counts p=3 m=4"]
+    assert failed[0].data == {"A": 1, "B": 0, "brute": brute, "closed": brute + 1}
+    assert failed[0].details == f"(A,B)=(1,0): brute {brute} != closed {brute + 1}"
+    assert main(["verify", "--p", "3", "--m", "4", "--scope", "counts"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
+
+
+def test_prediction_rejects_a_weight_table_off_the_enumerator(monkeypatch, capsys):
+    """One codeword moved between two weights of the table, the total
+    kept: ``prediction`` raises and ``predict`` exits 2."""
+    from tracecodes import closedform
+    from tracecodes.cli import main
+    original = closedform.predict_weight_distribution
+
+    def moved(p, m):
+        wd = original(p, m)
+        low, high = sorted(w for w, c in wd.counts.items() if w and c)[:2]
+        wd.counts[low] -= 1
+        wd.counts[high] += 1
+        return wd
+
+    monkeypatch.setattr(closedform, "predict_weight_distribution", moved)
+    with pytest.raises(FrequencyMismatchError, match="weight table disagrees"):
+        prediction(3, 4)
+    assert main(["predict", "--p", "3", "--m", "4"]) == 2
+    assert "weight table disagrees with the expanded enumerator" in capsys.readouterr().err
+
+
 def test_verify_counts_sees_a_missing_orbit(fields):
     from tracecodes import codes
     from tracecodes.verification import verify_counts

@@ -14,13 +14,20 @@ from tracecodes import (
     summarize,
     trace_pair_table,
 )
-from tracecodes.codes import cwe_from_compositions, relabelling, translation_shift
+from tracecodes.codes import (
+    CompleteWeightEnumerator,
+    _rep_cost,
+    cwe_from_compositions,
+    relabelling,
+    translation_shift,
+)
 from tracecodes.verification import verify_equivalence
 from tracecodes.errors import (
     BudgetExceededError,
     DegreeTooSmallError,
     EmptyConstraintError,
     MixedContextError,
+    NonPowerCodewordCountError,
     NotFrobeniusStableError,
 )
 
@@ -195,6 +202,18 @@ def test_code_summaries(fields):
     assert s.mds and s.griesmer_optimal
 
 
+def test_distinct_codewords_rejects_a_broken_enumerator():
+    """No zero codeword, or a total that the zero composition's
+    frequency does not divide, is no linear code's enumerator."""
+    for terms in [{(0, 2, 0): 3}, {(2, 0, 0): 0, (0, 2, 0): 3}]:
+        with pytest.raises(NonPowerCodewordCountError, match="zero codeword missing"):
+            CompleteWeightEnumerator(p=3, n=2, terms=terms).distinct_codewords()
+    cwe = CompleteWeightEnumerator(p=3, n=2, terms={(2, 0, 0): 2, (0, 2, 0): 3})
+    with pytest.raises(NonPowerCodewordCountError,
+                       match="total 5 not divisible by zero-codeword fiber 2"):
+        cwe.distinct_codewords()
+
+
 def test_count_symbol(fields):
     ctx = fields(3, 6)
     dset = build_defining_set(ctx, 1)
@@ -206,6 +225,19 @@ def test_count_symbol(fields):
     assert [reps[0][2][w] for w in relabelling(3, 2)] == [0, 0, n]
     assert all(sum(comp) == n for _, _, comp in reps)
     assert sum(s for _, s, _ in reps) * 2 == ctx.r - 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (11, 4)])
+def test_walk_is_the_same_for_every_worker_count(fields, p, m):
+    """The bitset walk at (3,6), the per-symbol walk at (11,4): 1, 2 and
+    4 workers return one list."""
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, 1)
+    assert (_rep_cost(p, ctx.r, len(dset)) < len(dset)) is (p == 3)
+    serial = orbit_compositions(ctx, dset)
+    assert len(serial) >= 8
+    for workers in (2, 4):
+        assert orbit_compositions(ctx, dset, workers=workers) == serial, workers
 
 
 @pytest.mark.parametrize("workers,chunks", [(1, 1), (2, 2), (7, 7), (8, 7), (50, 7)])
@@ -257,7 +289,7 @@ def test_budget_counts_enumeration_cost(fields):
 
 
 def test_enumeration_cost_prices_the_kernel_that_runs():
-    """Orbits times the per-representative cost of the kernel _bits_win
+    """Orbits times the per-representative cost of the kernel _rep_cost
     picks: the bitset walk at p = 3, n symbol reads at (11,4) and (37,3).
     The main set lies in Tr(x) = 1, so where p does not divide m only the
     orbits in W = ker Tr are priced, about a p-th of them."""

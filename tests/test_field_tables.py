@@ -1,5 +1,7 @@
 """Field tables and table-free addition against the oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,34 @@ def test_tables_match_oracle(pair, data):
 @pytest.mark.parametrize("p,m", EDGE_PAIRS)
 def test_tables_across_the_byte_slot_edge(p, m):
     _assert_tables_match_oracle(make_field(p, m, modulus=oracle.non_primitive_modulus(p, m, 0)))
+
+
+@pytest.mark.parametrize("p,m", [(89, 3), (101, 3), (127, 3), (37, 8)])
+def test_byte_fill_reduces_mid_window(monkeypatch, p, m):
+    """Where m passes the 255 // (p - 1) terms a byte slot holds, a
+    window sum of more terms reduces its slots mid-sum.  On random monic
+    h with h_0 != 0, from m random terms extended to 2m, the fill is the
+    plain order-m recurrence, and some window sum did reduce."""
+    per_slot, most = 255 // (p - 1), [0]
+    original = fields._byte_window_sum
+
+    def counting(prime):
+        window_sum = original(prime)
+
+        def count(terms, k):
+            most[0] = max(most[0], len(terms))
+            return window_sum(terms, k)
+        return count
+
+    monkeypatch.setattr(fields, "_byte_window_sum", counting)
+    rng = random.Random(p * m)
+    for _ in range(60):
+        h = [rng.randrange(1, p), *[rng.randrange(p) for _ in range(m - 1)], 1]
+        s = [rng.randrange(p) for _ in range(m)]
+        while len(s) < 600:
+            s.append(-sum(hi * v for hi, v in zip(h, s[-m:])) % p)
+        assert list(fields._recurrence_fill(s[:2 * m], h, 600, p)) == s, h
+    assert most[0] > per_slot
 
 
 @pytest.mark.parametrize("p", [65521, 100003])

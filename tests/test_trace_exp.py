@@ -22,8 +22,8 @@ from tracecodes import (
 from tracecodes.cli import main
 from tracecodes.codes import (
     _bit_walk,
-    _bits_win,
     _orbit_count,
+    _rep_cost,
     _representatives,
     _symbol_walk,
     cwe_from_compositions,
@@ -152,11 +152,12 @@ def test_orbit_compositions_match_walk(case, data):
     p, m, kind = case
     ctx = _field(data, p, m)
     dset = _dset(ctx, kind, data.draw(st.integers(0, p - 1), label="b"))
-    # both kernels, whichever side of _bits_win the case is on
+    # both kernels, whichever side of _rep_cost < n the case is on
     reps = _representatives(ctx, dset)
     walked = orbit_compositions(ctx, dset)
-    assert _bit_walk(ctx, dset)(reps) == walked
-    assert _symbol_walk(ctx, dset)(reps) == walked
+    for kernel in (_bit_walk, _symbol_walk):
+        composition = kernel(ctx, dset)
+        assert [(la, s, composition(la)) for la, s in reps] == walked, kernel
     comps = _compositions(ctx, dset, walked)
     if ctx.r * len(dset) <= ORACLE_LIMIT:
         targets = range(1, ctx.r)
@@ -172,7 +173,8 @@ def test_kernel_choice(fields):
     and symbol by symbol for large p."""
     for p, m, bits in [(3, 8, True), (7, 5, True), (11, 4, False), (37, 3, False)]:
         ctx = fields(p, m)
-        assert _bits_win(p, ctx.r, len(build_defining_set(ctx, 1))) is bits, (p, m)
+        n = len(build_defining_set(ctx, 1))
+        assert (_rep_cost(p, ctx.r, n) < n) is bits, (p, m)
 
 
 @pytest.mark.parametrize("p,m", PAIRS)
