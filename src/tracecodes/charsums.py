@@ -11,7 +11,6 @@ g**2 = eta(-1) * p.
 from __future__ import annotations
 
 import sys
-from array import array
 from collections import Counter
 from functools import lru_cache
 from operator import add
@@ -145,14 +144,21 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int 
     log 4 the log of 4 mod p in F_p^*."""
     if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
+    out = gauss * CyclotomicInteger.zeta_power(ctx.p, completed_square_shift(ctx, l2, l1, l0))
+    if l2 % 2:
+        out = -out
+    return out
+
+
+def completed_square_shift(ctx: FieldContext, l2: int, l1: int | None, l0: int | None) -> int:
+    """Tr(a0 - a1^2/(4*a2)) mod p, the power of zeta in
+    :func:`quadratic_exponential_sum_closed`, which depends on the
+    coefficients only through it and the parity of l2."""
     te = ctx.trace_exp
     shift = 0 if l0 is None else te[l0]
     if l1 is not None:
         shift -= te[(2 * l1 - l2 - ctx.prime_log(4)) % (ctx.r - 1)]
-    out = gauss * CyclotomicInteger.zeta_power(ctx.p, shift)
-    if l2 % 2:
-        out = -out
-    return out
+    return shift % ctx.p
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +183,7 @@ def cyclotomic_numbers_direct(ctx: FieldContext) -> dict[tuple[int, int], int]:
     in neither.  Each pair is read from the class bytes: the big-int sum
     of 3 times one slice and the other holds byte 3i + j < 9 at each
     pair (i, j), carrying into no other byte."""
+    from array import array
     p, r, te = ctx.p, ctx.r, ctx.trace_exp
     assert r - 1 < 2**32  # a coordinate fits its 4-byte slot
     if p < 256:  # one slice assignment widens each byte to a little-endian slot

@@ -353,7 +353,7 @@ def _sweep_pair(args, p: int, m: int) -> tuple[dict, bool]:
     dset = codes.build_defining_set(ctx, args.b)
     cwe = codes.exhaustive_cwe(ctx, dset, budget=args.budget)
     wd = cwe.weight_distribution()
-    verdicts = verification.verify_cwe(ctx, cwe)
+    verdicts = verification.verify_cwe(ctx, cwe, wd)
     doc = report.code_document(
         params=report.params_dict(p, m, ctx.modulus, b=args.b, defining_set=dset),
         summary=wd.summary(p), cwe=cwe, wd=wd,

@@ -272,13 +272,6 @@ def relabelling(p: int, c: int) -> list[int]:
     return [w * inverse % p for w in range(p)]
 
 
-def moving(p: int, u: int) -> list[int]:
-    """Adding u to every symbol of a codeword sends symbol v to v + u: the
-    moved composition is ``[comp[w] for w in moving(p, u)]``, comp read at
-    w - u."""
-    return [(w - u) % p for w in range(p)]
-
-
 # Per representative, the bitset kernel does one shift and p - 1 AND and
 # bit_count passes over ints of 2(r - 1) bits, the symbol kernel n list
 # reads.  Measured best-of-3 on a 2-core box, Python 3.11.7, over twelve
@@ -406,9 +399,11 @@ def cwe_from_compositions(p: int, n: int, compositions,
     # share their images, each distinct one copies / len(members) times
     # (orbit-stabiliser): each class is mapped once, its weights summed.
     # Each distinct relabelling is moved, so a stabiliser in F_p^* saves
-    # its moves, and each image is one C-level itemgetter call.
+    # its moves.  A relabelling is one C-level itemgetter call; a move by
+    # u sends symbol v to v + u, so it rotates the composition, and the
+    # moves of x by u = 1, ..., p - 1 are the slices (x + x)[p - u:2p - u].
     relabels = [itemgetter(*relabelling(p, c)) for c in range(1, p)]
-    moves = [itemgetter(*moving(p, u)) for u in range(1, p)] if shift else []
+    starts = range(p - 1, 0, -1) if shift else ()
     copies = (p - 1) * (1 if shift is None else p)
     class_of: dict[tuple[int, ...], list[int]] = {}
     classes = []  # ({image: weight}, weight), the weight a 1-cell list
@@ -417,8 +412,8 @@ def cwe_from_compositions(p: int, n: int, compositions,
         if weight is None:
             weight = [0]
             scaled = dict.fromkeys([perm(comp) for perm in relabels])
-            members = dict.fromkeys([*scaled, *[move(x) for x in scaled for move in moves]],
-                                    weight)
+            members = dict.fromkeys([*scaled, *[x2[i:i + p] for x2 in [x * 2 for x in scaled]
+                                                for i in starts]], weight)
             class_of.update(members)
             classes.append((members, weight))
         weight[0] += s

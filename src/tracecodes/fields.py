@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import operator
 import sys
-from array import array
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 
@@ -197,12 +196,15 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
     order of the tail coefficients (read low-degree-first as a base-p
     integer).  Coefficient tuples are low degree first, length m+1.
     For m >= 2 a root in F_p splits off a linear factor, so a candidate
-    with one is skipped before its Frobenius test: the filter is exact."""
+    with one is skipped before its Frobenius test: the filter is exact.
+    At m <= 3 a reducible polynomial has a factor of degree 1, so a
+    candidate that passes the filter is irreducible, and only m > 3 pays
+    for the Frobenius test."""
     for tail in range(p**m):
         coeffs = [*(tail // p**i % p for i in range(m)), 1]
         if m >= 2 and any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
             continue
-        if is_irreducible(coeffs, p):
+        if m <= 3 or is_irreducible(coeffs, p):
             yield tuple(coeffs)
 
 
@@ -264,6 +266,14 @@ def _berlekamp_massey(s: Sequence[int], p: int) -> list[int]:
     return (c + [0] * size)[:size + 1]
 
 
+def _times_tables(p: int) -> list[bytes]:
+    """The "times c mod p" translate tables, c in [0, p): byte v < p of
+    table c is c*v mod p, the rest 0.  The residues written out p times
+    hold c*v mod p at index c*v, so table c is their slice of stride c."""
+    residues = bytes(range(p)) * p
+    return [bytes(256)] + [residues[:c * p:c].ljust(256, b"\0") for c in range(1, p)]
+
+
 def _byte_window_sum(p: int) -> Callable[[list, int], bytes]:
     """sum_i c_i * w_i mod p, slot by slot, over byte windows w_i of k
     values in [0, p), for 2(p - 1) <= 255.  Each window goes through a
@@ -272,7 +282,7 @@ def _byte_window_sum(p: int) -> Callable[[list, int], bytes]:
     slot ever carries into the next."""
     per_slot = 255 // (p - 1)  # reduced terms a byte holds without carrying
     mod = (bytes(range(p)) * (256 // p + 1))[:256]
-    times = [bytes(c * v % p for v in range(p)).ljust(256, b"\0") for c in range(p)]
+    times = _times_tables(p)
 
     def window_sum(terms: list[tuple[int, bytes]], k: int) -> bytes:
         acc, held = 0, 0
@@ -285,20 +295,31 @@ def _byte_window_sum(p: int) -> Callable[[list, int], bytes]:
     return window_sum
 
 
-def _list_window_sum(p: int, m: int) -> Callable[[list, int], Iterator[int]]:
-    """sum_i c_i * w_i mod p, entry by entry, over at most m list windows
-    of values in [0, p), for primes too wide for byte slots
-    (2(p - 1) > 255).  Each window is one big int of 4-byte slots, the
-    windows are summed with weights c_i, and the sum is read back as an
-    ``array`` and reduced: a slot holds at most m(p - 1)^2, so no slot
-    carries into the next.  Where that passes 2^32 (m = 1 and p > 65536
-    under the size cap) the slots are 8 bytes wide."""
+def _slot_window_sum(p: int, m: int) -> Callable[[list, int], Iterator[int]]:
+    """sum_i c_i * w_i mod p, entry by entry, over at most m windows of
+    values in [0, p), for primes too wide for byte slots (2(p - 1) > 255):
+    byte windows for p < 256, list windows above.  Each window is one big
+    int of 4-byte slots, a byte window widened into them by one slice
+    assignment and a list window by ``array``; the windows are summed
+    with weights c_i, and the sum is read back as an ``array`` and
+    reduced: a slot holds at most m(p - 1)^2, so no slot carries into
+    the next.  Where that passes 2^32 (m = 1 and p > 65536 under the
+    size cap) the slots are 8 bytes wide."""
+    from array import array
     code = "I" if m * (p - 1) ** 2 < 2**32 else "Q"
     width, order = array(code).itemsize, sys.byteorder
     assert m * (p - 1) ** 2 < 2 ** (8 * width)
+    low = 0 if order == "little" else width - 1  # the byte of a slot that a value < 256 fills
 
-    def window_sum(terms: list[tuple[int, list[int]]], k: int) -> Iterator[int]:
-        acc = sum(c * int.from_bytes(array(code, w).tobytes(), order) for c, w in terms)
+    def widen(w: bytes | list[int]) -> bytes:
+        if p >= 256:
+            return array(code, w).tobytes()
+        words = bytearray(width * len(w))
+        words[low::width] = w
+        return words
+
+    def window_sum(terms: list[tuple[int, bytes | list[int]]], k: int) -> Iterator[int]:
+        acc = sum(c * int.from_bytes(widen(w), order) for c, w in terms)
         return map(p.__rmod__, array(code, acc.to_bytes(width * k, order)))
     return window_sum
 
@@ -311,10 +332,8 @@ def _recurrence_fill(seed: Sequence[int], h: Sequence[int], n: int, p: int) -> S
     t - m + 1 from m shifted windows of the sequence.  Then t becomes
     2t - m + 1, so the next c is c^2 * x^(1 - m) mod h."""
     m = len(h) - 1
-    if 2 * (p - 1) <= 255:
-        s, window_sum = bytearray(seed), _byte_window_sum(p)
-    else:
-        s, window_sum = list(seed), _list_window_sum(p, m)
+    s = bytearray(seed) if p < 256 else list(seed)
+    window_sum = _byte_window_sum(p) if 2 * (p - 1) <= 255 else _slot_window_sum(p, m)
     # x * (h_1 + h_2 x + ... + h_m x^(m-1)) = -h_0 mod h gives x^-1
     inv_h0 = pow(-h[0], -1, p)
     back = _poly_powmod([v * inv_h0 % p for v in h[1:]], m - 1, h, p)
@@ -322,19 +341,22 @@ def _recurrence_fill(seed: Sequence[int], h: Sequence[int], n: int, p: int) -> S
     while len(s) < n:
         t = len(s)
         k = min(t - m + 1, n - t)
-        s += window_sum([(ci, s[i:i + k]) for i, ci in enumerate(c) if ci], k)
+        s.extend(window_sum([(ci, s[i:i + k]) for i, ci in enumerate(c) if ci], k))
         c = _poly_mul_mod(_poly_mul_mod(c, c, h, p), back, h, p)
     return s
 
 
+def _level_tables(p: int) -> list[bytes]:
+    """For each v in [0, p), the translate table that sends byte v to
+    b"1" and every other byte to b"0"."""
+    zeros = b"0" * 256
+    return [zeros[:v] + b"1" + zeros[v + 1:] for v in range(p)]
+
+
 def _level_masks(seq: bytes, p: int) -> list[int]:
     """For each v in [0, p), the int with bit k set iff seq[k] = v."""
-    masks = []
-    for v in range(p):
-        # int() reads the most significant digit first, so reverse to put k at bit k
-        table = bytes(49 if t == v else 48 for t in range(256))  # b"1" / b"0"
-        masks.append(int(seq.translate(table)[::-1], 2))
-    return masks
+    # int() reads the most significant digit first, so reverse to put k at bit k
+    return [int(seq.translate(table)[::-1], 2) for table in _level_tables(p)]
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,12 @@ stability.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .codes import CodeSummary, CompleteWeightEnumerator, DefiningSet, WeightDistribution
 
 SCHEMA_VERSION = 3
+_first = itemgetter(0)
 
 
 def weight_poly_string(wd: WeightDistribution) -> str:
@@ -49,9 +52,12 @@ def summary_dict(summary: CodeSummary) -> dict:
 
 def cwe_list(cwe: CompleteWeightEnumerator) -> list[dict]:
     """The terms in ascending composition order; a composition stays a
-    tuple, which :func:`render_json` writes as an array."""
+    tuple, which :func:`render_json` writes as an array.  The items are
+    sorted by their keys alone, tuples of ints, which ``list.sort``
+    compares on its fast path; (composition, frequency) items take the
+    slow one, and a lookup per sorted key would hash each key again."""
     return [{"composition": comp, "frequency": freq}
-            for comp, freq in sorted(cwe.terms.items())]
+            for comp, freq in sorted(cwe.terms.items(), key=_first)]
 
 
 def wd_list(wd: WeightDistribution) -> list[dict]:

@@ -77,10 +77,13 @@ def verify_gauss_sums(ctx: FieldContext) -> list[Verdict]:
 def verify_quadratic_sums(ctx: FieldContext, samples: int = 100, seed: int = 0) -> list[Verdict]:
     """Direct quadratic exponential sums against the completed-square
     form, on random coefficient triples drawn as logs: a2 = alpha^l2,
-    and a1, a0 uniform over the field, with log r - 1 standing for 0."""
+    and a1, a0 uniform over the field, with log r - 1 standing for 0.
+    The closed form is eta(a2)*G*zeta^shift, so it takes one of 2p
+    values, each computed once, at the first sample that needs it."""
     rng = random.Random(seed)
     gauss = charsums.gauss_sum_direct(ctx)
     rm1 = ctx.r - 1
+    closed_forms = {}  # (l2 parity, shift) -> closed value
 
     def uniform() -> int | None:
         k = rng.randrange(ctx.r)
@@ -89,7 +92,11 @@ def verify_quadratic_sums(ctx: FieldContext, samples: int = 100, seed: int = 0) 
     for _ in range(samples):
         l2, l1, l0 = rng.randrange(rm1), uniform(), uniform()
         direct = charsums.quadratic_exponential_sum(ctx, l2, l1, l0)
-        closed = charsums.quadratic_exponential_sum_closed(ctx, l2, l1, l0, gauss=gauss)
+        key = l2 % 2, charsums.completed_square_shift(ctx, l2, l1, l0)
+        closed = closed_forms.get(key)
+        if closed is None:
+            closed = closed_forms[key] = charsums.quadratic_exponential_sum_closed(
+                ctx, l2, l1, l0, gauss=gauss)
         if direct != closed:
             a2, a1, a0 = (0 if k is None else ctx.power(k) for k in (l2, l1, l0))
             return [Verdict(
@@ -188,8 +195,6 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     b, n = dset.trace_value, len(dset)
     moves = [t * b % p for t in range(1 if codes.translation_shift(dset) is None else p)]
     perms = [itemgetter(*codes.relabelling(p, c)) for c in ctx.prime_powers]
-    movers = [itemgetter(*codes.moving(p, u)) for u in moves]
-    unmovers = [itemgetter(*codes.moving(p, -u)) for u in moves]
     lb = ctx.prime_log(b)
     tr, prime_powers = ctx.trace_exp, ctx.prime_powers
     rows: dict[tuple, tuple[list, list]] = {}  # per profile of y
@@ -197,13 +202,15 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
     def row_at(square, trace, y):
         """The closed counts of b*(a + t) for each t, from the profile of
         y = b*a, and each of them moved back by -t*b: a's composition
-        passes at every t iff it equals all of the latter."""
+        passes at every t iff it equals all of the latter.  A move by u
+        rotates a composition: x moved by u is (x + x)[p - u:2p - u]."""
         row = rows.get((square, trace, y))
         if row is None:
             wants = [tuple(closedform.symbol_counts_closed(p, m, (
                 (square + (2 * trace + m * u) * u) % p, (trace + m * u) % p,
                 None if y is None else (y + u) % p))) for u in moves]
-            row = rows[square, trace, y] = (wants, [back(w) for back, w in zip(unmovers, wants)])
+            backs = [(w * 2)[u:u + p] for u, w in zip(moves, wants)]
+            row = rows[square, trace, y] = (wants, backs)
         return row
 
     failures = []  # (t, k, got, want, codewords)
@@ -225,9 +232,10 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
             scaled = perm(comp)
             if backs.count(scaled) != len(backs):
                 kmin = min((la * p**i + j * step) % rm1 for i in range(m))
-                failures += [(t, kmin, move(scaled), want, s)
-                             for t, (move, want) in enumerate(zip(movers, wants))
-                             if move(scaled) != want]
+                doubled = scaled * 2
+                failures += [(t, kmin, doubled[p - u:2 * p - u], want, s)
+                             for t, (u, want) in enumerate(zip(moves, wants))
+                             if doubled[p - u:2 * p - u] != want]
             compared += s * len(moves)
     if failures:
         t, k, got, want, _ = min(failures)
@@ -251,9 +259,11 @@ def verify_counts(ctx: FieldContext, dset: codes.DefiningSet, compositions) -> l
 # Code-level checks
 # ----------------------------------------------------------------------
 
-def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[Verdict]:
+def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator,
+               wd: codes.WeightDistribution | None = None) -> list[Verdict]:
     """Closed-form complete weight enumerator and weight table against
-    ``cwe``, the exhaustive enumeration of the code for a nonzero b.  A
+    ``cwe``, the exhaustive enumeration of the code for a nonzero b, and
+    ``wd``, its weight distribution when the caller already holds it.  A
     differing enumerator reports its smallest differing composition."""
     pred = closedform.prediction(ctx.p, ctx.m)
     brute, closed = cwe.terms, pred.cwe.terms
@@ -273,7 +283,7 @@ def verify_cwe(ctx: FieldContext, cwe: codes.CompleteWeightEnumerator) -> list[V
             data={"composition": list(k0), "brute": brute.get(k0, 0),
                   "closed": closed.get(k0, 0)})]
     try:
-        brute_wd = cwe.weight_distribution()
+        brute_wd = cwe.weight_distribution() if wd is None else wd
     except NonPowerCodewordCountError as exc:  # frequencies no linear code has
         return verdicts + [Verdict(name="weight-distribution", passed=False, details=str(exc))]
     if pred.wd.counts == brute_wd.counts and pred.k == brute_wd.k:

@@ -16,7 +16,7 @@ PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 10) if p**m <= 
 
 
 # both sides of the byte-slot edge 2(p - 1) <= 255 of the recurrence fill,
-# the widest list-window prime, whose table still ends as bytes, and
+# the widest slot-window prime, whose table is bytes throughout, and
 # p > 255, whose traces fill no byte
 EDGE_PAIRS = [(127, 2), (131, 2), (251, 2), (257, 2)]
 

@@ -10,7 +10,7 @@ from tracecodes import (
     make_field,
     prime_factors,
 )
-from tracecodes.fields import _linear_norm, _poly_powmod
+from tracecodes.fields import _level_tables, _linear_norm, _poly_powmod, _times_tables
 from tracecodes.errors import (
     DegreeTooSmallError,
     EvenCharacteristicError,
@@ -173,6 +173,29 @@ def test_irreducible_against_root_search():
                 sum(c * pow(x, j, p) for j, c in enumerate(coeffs)) % p == 0
                 for x in range(p))
             assert is_irreducible(coeffs, p) == (not has_root)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_root_filter_alone_lists_the_irreducibles(m):
+    """At m <= 3 the search yields on the root filter alone, without the
+    Frobenius test: it lists exactly the monic polynomials that pass
+    is_irreducible, in tail order."""
+    for p in filter(is_prime, range(3, 14)):
+        monic = [(*(tail // p**i % p for i in range(m)), 1) for tail in range(p**m)]
+        assert list(irreducible_polynomials(p, m)) == \
+            [f for f in monic if is_irreducible(f, p)], p
+
+
+def test_times_tables_match_their_definition():
+    for p in filter(is_prime, range(3, 128)):
+        assert _times_tables(p) == \
+            [bytes(c * v % p for v in range(p)).ljust(256, b"\0") for c in range(p)], p
+
+
+def test_level_tables_match_their_definition():
+    for p in filter(is_prime, range(3, 256)):
+        assert _level_tables(p) == \
+            [bytes(49 if t == v else 48 for t in range(256)) for v in range(p)], p
 
 
 def test_searches_match_the_unfiltered_oracle():

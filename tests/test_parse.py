@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from tracecodes import cli
 
-from test_golden import CASES, DIGEST_CASES, ERROR_CASES, HELP_CASES
+from golden_cases import CASES, DIGEST_CASES, ERROR_CASES, HELP_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 PARSER = cli.build_parser()
