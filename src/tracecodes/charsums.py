@@ -1,6 +1,7 @@
 """Quadratic Gauss sums, quadratic exponential sums and order-2
-cyclotomic numbers, each with a direct-summation oracle and a closed
-form.
+cyclotomic numbers, each with a direct oracle and a closed form.  The
+direct quadratic exponential sum counts the values of its exponent after
+a linear change of variable; the others sum or count over the field.
 
 All direct evaluations are exact in Z[zeta_p].  Every closed Gauss-sum
 value comes from one fact: over F_{p^m} the quadratic Gauss sum is
@@ -13,7 +14,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import lru_cache
-from operator import add
+from operator import mul
 
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
@@ -63,72 +64,29 @@ def gauss_sum_direct(ctx: FieldContext) -> CyclotomicInteger:
 
 def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,
                               l0: int | None) -> CyclotomicInteger:
-    """sum of zeta^Tr(a2*x^2 + a1*x + a0) over all x, by direct summation,
-    with each coefficient given by its log (a = alpha^l) or None for 0.
+    """sum of zeta^Tr(a2*x^2 + a1*x + a0) over all x, with each coefficient
+    given by its log (a = alpha^l) or None for 0, by counting the values
+    of the exponent.
 
-    Only the additivity of the trace is used: for x = alpha^k the
-    exponent is Tr(a2*x^2) + Tr(a1*x) + Tr(a0), that is trace_exp at
-    l2 + 2k plus trace_exp at l1 + k (both mod N = r - 1) plus Tr(a0);
-    x = 0 contributes Tr(a0), which is trace_exp at l0, or 0 when a0 = 0.
-    The counts over k come from the field's trace bitmasks when
-    :func:`_masks_win`, else from a ``Counter`` over the trace table."""
+    Only linear changes of variable, a translation and integer counts are
+    used.  x = alpha^(-h)*y, h = floor(l2/2), is a bijection that turns
+    a2 into alpha^e, e = l2 mod 2, and a1's log into l1 - h.  On the basis
+    alpha^i, y = sum_t z_t*v_t diagonalises Tr(alpha^e*y^2) to
+    sum_t d_t*z_t^2 (``ctx.square_forms[e]``), and Tr(a1*y) = sum_t
+    (v_t.L)*z_t with L_i = Tr(alpha^(l1 - h + i)).  Completing each square
+    moves the exponent by -(v_t.L)^2/(4*d_t), so the exponent counts are
+    those of sum_t d_t*z_t^2, rotated by that shift plus Tr(a0)."""
     if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
-    p = ctx.p
-    kernel = _mask_counts if _masks_win(p, ctx.r) else _counter_counts
-    counts = kernel(ctx, l2, l1)
-    counts[0] += 1  # x = 0
-    c = 0 if l0 is None else ctx.trace_exp[l0]
-    return CyclotomicInteger.from_exponent_counts(p, counts[p - c:] + counts[:p - c])
-
-
-# Per call, the mask kernel does p^2 AND and bit_count passes over
-# ceil((r - 1)/64) words (the half mask is cut to r - 1 bits), the Counter
-# kernel r list reads.  Measured per call on a 2-core box, Python 3.11.7,
-# from (3,2) to (29,4): a pass costs about 140 ns plus 5-8 ns per word,
-# so _PASS_WORDS words, and a read 72-126 ns, 12-17 words.  _READ_WORDS
-# takes the low end: the kernels come within 10% per call at (29,3), (31,3)
-# and (29,4), where the masks' one-off build (15 ms at (29,3)) is unpriced.
-_PASS_WORDS = 28
-_READ_WORDS = 12
-
-
-def _masks_win(p: int, r: int) -> bool:
-    """Whether :func:`_mask_counts` beats :func:`_counter_counts` in F_r,
-    priced in 64-bit words as above.  It never does at m <= 2, and at
-    m >= 3 it does through p = 23; p < 256 is what the masks need."""
-    return p < 256 and p * p * (_PASS_WORDS + -(-(r - 1) // 64)) < _READ_WORDS * r
-
-
-def _mask_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
-    """counts[w], w in F_p: the k in [0, N) with Tr(a2*x^2) + Tr(a1*x) = w
-    for x = alpha^k, a2 = alpha^l2 and a1 = alpha^l1 or 0.  Bit k of
-    quads[u], half mask l2 % 2 shifted right by l2 // 2 and cut to N bits,
-    is set iff Tr(a2*x^2) = u; bit k of the linear mask v shifted right by
-    l1 iff Tr(a1*x) = v.  The pair (u, v) counts the set bits of their AND."""
-    p, cut = ctx.p, (1 << ctx.r - 1) - 1
-    quads = [mask >> l2 // 2 & cut for mask in ctx.half_masks[l2 % 2]]
-    if l1 is None:
-        return [quad.bit_count() for quad in quads]
-    lins = [mask >> l1 for mask in ctx.trace_masks]
-    counts = [0] * p
-    for u, quad in enumerate(quads):
-        for w, lin in enumerate(lins, u):  # w = u + v
-            counts[w % p] += (quad & lin).bit_count()
-    return counts
-
-
-def _counter_counts(ctx: FieldContext, l2: int, l1: int | None) -> list[int]:
-    """The counts of :func:`_mask_counts`, from trace_exp: Tr(a2*x^2)
-    over k in [0, N) is the rotation of trace_exp by l2 read with stride 2,
-    twice over (N is even), and Tr(a1*x) the rotation by l1."""
-    te = ctx.trace_exp
-    quad = (te[l2:] + te[:l2])[::2] * 2
-    sums = Counter(quad) if l1 is None else Counter(map(add, quad, te[l1:] + te[:l1]))
-    counts = [0] * ctx.p
-    for w, freq in sums.items():
-        counts[w % ctx.p] += freq
-    return counts
+    p, te = ctx.p, ctx.trace_exp
+    pivots, scales, counts = ctx.square_forms[l2 % 2]
+    shift = 0 if l0 is None else te[l0]
+    if l1 is not None:
+        n, start = ctx.r - 1, l1 - l2 // 2
+        lin = [te[(start + i) % n] for i in range(ctx.m)]
+        shift += sum(sum(map(mul, v, lin)) ** 2 * c for v, c in zip(pivots, scales))
+    shift %= p
+    return CyclotomicInteger.from_exponent_counts(p, counts[p - shift:] + counts[:p - shift])
 
 
 def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int | None,

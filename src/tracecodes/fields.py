@@ -13,14 +13,17 @@ first read.  The trace of alpha^k is a linear recurring sequence in k
 seed it, Berlekamp-Massey finds the recurrence, and window doubling
 fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
 the one element table, ``bytes`` for p < 256 and a ``list`` above.
-There is no power or log table: sums over the field run over the
-exponent k, so Tr(x) is ``trace_exp[k]`` and the quadratic character of
-x is the parity of k; ``power`` names one alpha^k by square-and-multiply.
-``add`` and ``mul`` are table-free, for walking the field one element
-at a time.  Construction is deterministic: the default modulus is the
-lexicographically first monic irreducible polynomial (tail
-coefficients read low-degree-first as a base-p integer) and the
-primitive element is the smallest index of full multiplicative order.
+Two tables are read off it: ``trace_masks``, its level bitmasks, for
+the orbit walk, and ``square_forms``, Tr(alpha^e*x^2) diagonalised over
+F_p, for the quadratic sums.  There is no power or log table: sums over
+the field run over the exponent k, so Tr(x) is ``trace_exp[k]`` and the
+quadratic character of x is the parity of k; ``power`` names one
+alpha^k by square-and-multiply.  ``add`` and ``mul`` are table-free,
+for walking the field one element at a time.  Construction is
+deterministic: the default modulus is the lexicographically first monic
+irreducible polynomial (tail coefficients read low-degree-first as a
+base-p integer) and the primitive element is the smallest index of full
+multiplicative order.
 A table, once built, never changes, so a context is safe to share with
 worker processes forked after it.
 """
@@ -266,6 +269,43 @@ def _berlekamp_massey(s: Sequence[int], p: int) -> list[int]:
     return (c + [0] * size)[:size + 1]
 
 
+def _diagonalize(a: Sequence[Sequence[int]], p: int) -> tuple[list, list[int], list[int]]:
+    """The nondegenerate quadratic form c^T a c over F_p, a symmetric,
+    written as sum_t d_t * z_t^2 with c = sum_t z_t * v_t (Lidl-Niederreiter,
+    ch. 6).  Returns the pivot vectors v_t, -1/(4*d_t) for each pivot, and
+    counts[w], the number of z with sum_t d_t * z_t^2 = w.
+
+    The working matrix holds v_i^T a v_j, from v_i = e_i.  A pivot k with
+    d = a_kk != 0 turns each v_j still left into v_j - (a_kj/d)*v_k, which
+    leaves a_jl - a_kj*a_kl/d; where no diagonal entry is left, v_k + v_j
+    for some a_kj != 0 has a_kk = 2*a_kj != 0, as p is odd."""
+    m = len(a)
+    a = [list(row) for row in a]
+    vecs = [[int(i == j) for j in range(m)] for i in range(m)]
+    left, pivots, diagonal = list(range(m)), [], []
+    while left:
+        k = next((i for i in left if a[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i in left for j in left if a[i][j]), (None, None))
+            assert k is not None, "degenerate form"  # the trace form has rank m
+            vecs[k] = [(x + y) % p for x, y in zip(vecs[k], vecs[j])]
+            a[k] = [(x + y) % p for x, y in zip(a[k], a[j])]
+            a[k][k] = (a[k][k] + a[k][j]) % p
+        left.remove(k)
+        row, inv = a[k], pow(a[k][k], -1, p)
+        for i in left:
+            f = row[i] * inv % p
+            vecs[i] = [(x - f * y) % p for x, y in zip(vecs[i], vecs[k])]
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
+        pivots.append(vecs[k])
+        diagonal.append(row[k])
+    counts = [1] + [0] * (p - 1)  # z in F_p^0
+    for d in diagonal:  # counts[w - d*z^2] summed over z in F_p
+        counts = [sum(col) for col in zip(*(counts[p - s:] + counts[:p - s]
+                                            for s in (d * z * z % p for z in range(p))))]
+    return pivots, [-pow(4 * d, -1, p) % p for d in diagonal], counts
+
+
 def _times_tables(p: int) -> list[bytes]:
     """The "times c mod p" translate tables, c in [0, p): byte v < p of
     table c is c*v mod p, the rest 0.  The residues written out p times
@@ -382,9 +422,9 @@ class FieldContext:
     trace_masks : list[int]
         Per trace value v, bit k set iff Tr(alpha^(k mod (r - 1))) = v,
         for k < 2(r - 1); p < 256.
-    half_masks : tuple[list[int], list[int]]
-        Per parity e and trace value u, bit k set iff
-        Tr(alpha^(2k + e)) = u, for k < 3(r - 1)/2; p < 256.
+    square_forms : tuple[tuple, tuple]
+        Per parity e, Tr(alpha^e * x^2) diagonalised over F_p: pivot
+        vectors, -1/(4*d_t) per pivot and value counts.
     prime_powers : list[int]
         alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): F_p^*.
     """
@@ -495,15 +535,15 @@ class FieldContext:
         return _level_masks(self.trace_exp * 2, self.p)
 
     @cached_property
-    def half_masks(self) -> tuple[list[int], list[int]]:
-        """The 2 x p half masks: bit k of half_masks[e][u] is set iff
-        Tr(alpha^(2k + e)) = u, for k < 3(r - 1)/2, so
-        ``half_masks[l % 2][u] >> l // 2`` reads Tr(alpha^l * x^2) = u at
-        bit k, x = alpha^k, for k < r - 1.  Kept apart from
-        :attr:`trace_masks` because only the quadratic sums read them.
-        Needs p < 256."""
-        te = self.trace_exp
-        return tuple(_level_masks(te[e::2] * 3, self.p) for e in (0, 1))
+    def square_forms(self) -> tuple[tuple, tuple]:
+        """For each parity e, :func:`_diagonalize` of Tr(alpha^e * x^2)
+        on the basis alpha^i, x = sum_i c_i * alpha^i: its Gram matrix is
+        the Hankel matrix trace_exp[e + i + j] (e + 2m - 2 < r - 1).
+        ``square_forms[e]`` is (pivot vectors, -1/(4*d_t) per pivot,
+        value counts); only the quadratic sums read it."""
+        te, m = self.trace_exp, self.m
+        return tuple(_diagonalize([te[e + i:e + i + m] for i in range(m)], self.p)
+                     for e in (0, 1))
 
     @cached_property
     def prime_powers(self) -> list[int]:

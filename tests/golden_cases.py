@@ -60,6 +60,9 @@ CASES = {
     "verify-17-3-sums": ["verify", "--p", "17", "--m", "3", "--scope", "sums"],
     # 2(p - 1) > 255: the recurrence fills widen byte windows into 4-byte slots
     "verify-131-2-sums": ["verify", "--p", "131", "--m", "2", "--scope", "sums"],
+    # the quadratic sums at m = 3 and p >= 29, which no smaller case reaches
+    "verify-37-3-sums": ["verify", "--p", "37", "--m", "3", "--scope", "sums"],
+    "verify-101-3-sums": ["verify", "--p", "101", "--m", "3", "--scope", "sums"],
     # p >= 256: trace_exp is a list, and the cyclotomic scan widens it by array
     "verify-257-2-sums": ["verify", "--p", "257", "--m", "2", "--scope", "sums"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],

@@ -206,18 +206,17 @@ def test_quadratic_sum_identity_random(pair, data):
             (a2, a1, a0)
 
 
-# Pairs on both sides of charsums._masks_win: the masks run at m >= 3,
-# the Counter at m <= 2
-MASK_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 23, 29, 31, 37) for m in range(1, 8)
-              if p**m <= 3000]
+# fields whose per-element walk stays small
+SUM_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 23, 29, 31, 37) for m in range(1, 8)
+             if p**m <= 3000]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(pair=st.sampled_from(MASK_PAIRS), data=st.data())
-def test_quadratic_sum_masks_equal_counter_and_oracle(pair, data):
-    """The bitmask counts equal the Counter counts on either side of the
-    rule, and the sum that runs equals the per-element walk, on default
-    and drawn moduli, with l1 and l0 a log or None."""
+@given(pair=st.sampled_from(SUM_PAIRS + [(257, 1), (257, 2)] * 5), data=st.data())
+def test_quadratic_sum_equals_oracle(pair, data):
+    """The counted sum equals the per-element walk on default and drawn
+    moduli, with l1 and l0 a log or None; p = 257, where trace_exp is a
+    list, is drawn about one time in four."""
     p, m = pair
     modulus = None
     if data.draw(st.booleans(), label="drawn modulus"):
@@ -228,29 +227,71 @@ def test_quadratic_sum_masks_equal_counter_and_oracle(pair, data):
     for _ in range(3):
         l2 = data.draw(logs, label="l2")
         l1, l0 = (data.draw(st.none() | logs, label=name) for name in ("l1", "l0"))
-        assert charsums._mask_counts(ctx, l2, l1) == charsums._counter_counts(ctx, l2, l1)
         a2, a1, a0 = (0 if k is None else exp[k] for k in (l2, l1, l0))
         assert quadratic_exponential_sum(ctx, l2, l1, l0) == \
             oracle.quadratic_exponential_sum(ctx, a2, a1, a0), (l2, l1, l0)
 
 
-def test_quadratic_sum_rule_follows_the_measured_edge():
-    """Per call, the masks ran faster at the first list and slower at the
-    second, on a 2-core box; at (29,3), (31,3) and (29,4) they came within
-    10% and go to the Counter, as do (3,2) and (5,2), at 3-6 us a call."""
-    faster = [(3, 3), (5, 3), (3, 6), (5, 4), (13, 3), (17, 3), (19, 3), (23, 3),
-              (19, 4), (23, 4), (5, 8), (3, 12)]
-    slower = [(7, 1), (13, 1), (7, 2), (11, 2), (13, 2), (23, 2), (31, 2), (37, 3),
-              (41, 3)]
-    tied = [(29, 3), (31, 3), (29, 4), (3, 2), (5, 2)]
-    assert all(charsums._masks_win(p, p**m) for p, m in faster)
-    assert not any(charsums._masks_win(p, p**m) for p, m in slower + tied + [(257, 2)])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_diagonalize_the_hyperbolic_plane(p):
+    """2*c0*c1 has no diagonal pivot: v_0 = e_0 + e_1 gives d_0 = 2, and
+    v_1 = e_1 - v_0/2 then d_1 = -1/2.  The plane takes 0 at 2p - 1
+    points and each other value at p - 1."""
+    from tracecodes.fields import _diagonalize
+    half = pow(2, -1, p)
+    pivots, scales, counts = _diagonalize([[0, 1], [1, 0]], p)
+    assert pivots == [[1, 1], [-half % p, half]]
+    assert scales == [-pow(4 * d, -1, p) % p for d in (2, -half)]
+    assert counts == [2 * p - 1] + [p - 1] * (p - 1)
+
+
+def test_square_forms_diagonalise_the_trace_form(fields):
+    """At (3,4) each parity of Tr(alpha^e * x^2) runs out of diagonal
+    pivots: some pivot vector is the first to reach two coordinates,
+    where each diagonal pivot reaches one.  Either way the vectors make
+    the form sum_t d_t * z_t^2 with d_t = -1/(4 * scale_t), and the
+    counts are its values over F_3^4."""
+    from itertools import product
+    ctx = fields(3, 4)
+    p, m, te = ctx.p, ctx.m, ctx.trace_exp
+    for e, (pivots, scales, counts) in enumerate(ctx.square_forms):
+        reached, new = set(), []
+        for v in pivots:
+            support = {i for i, c in enumerate(v) if c}
+            new.append(len(support - reached))
+            reached |= support
+        assert max(new) == 2, e
+        d = [-pow(4 * s, -1, p) % p for s in scales]
+
+        def form(c):
+            return sum(c[i] * c[j] * te[e + i + j] for i in range(m) for j in range(m)) % p
+
+        for z in product(range(p), repeat=m):
+            c = [sum(zt * v[i] for zt, v in zip(z, pivots)) % p for i in range(m)]
+            assert form(c) == sum(dt * zt * zt for dt, zt in zip(d, z)) % p
+        values = [form(c) for c in product(range(p), repeat=m)]
+        assert counts == [values.count(w) for w in range(p)]
+
+
+def test_quadratic_sums_fail_without_the_completed_square(monkeypatch):
+    """With -(v_t.L)^2/(4*d_t) dropped from the shift, the counted sums
+    miss the completed square, and the check fails."""
+    from tracecodes.verification import verify_quadratic_sums
+    ctx = make_field(5, 3)
+    [verdict] = verify_quadratic_sums(ctx)
+    assert verdict.passed
+    dropped = tuple((pivots, [0] * len(scales), counts)
+                    for pivots, scales, counts in ctx.square_forms)
+    monkeypatch.setitem(vars(ctx), "square_forms", dropped)
+    [verdict] = verify_quadratic_sums(ctx)
+    assert not verdict.passed
+    assert verdict.details == "completed-square identity failed"
 
 
 def test_masks_are_built_once_per_context(monkeypatch):
-    """The orbit walk and the quadratic sums read one set of linear masks;
-    the half masks wait for the first quadratic sum, so a build never
-    makes them."""
+    """The orbit walk reads one set of linear masks; the quadratic sums
+    read none, and their square forms wait for the first sum, so a
+    build never makes them."""
     from tracecodes import codes, fields
     built = []
     original = fields._level_masks
@@ -263,11 +304,12 @@ def test_masks_are_built_once_per_context(monkeypatch):
     for _ in range(2):
         codes.exhaustive_cwe(ctx, dset)
     assert built == [2 * rm1]
-    assert "half_masks" not in vars(ctx)
+    assert "square_forms" not in vars(ctx)
     for l2 in range(4):
         quadratic_exponential_sum(ctx, l2, l2 + 1, None)
         quadratic_exponential_sum(ctx, l2, None, l2)
-    assert built == [2 * rm1, 3 * rm1 // 2, 3 * rm1 // 2]
+    assert built == [2 * rm1]
+    assert "square_forms" in vars(ctx)
 
 
 def test_quadratic_sum_rejects_zero_leading(fields):

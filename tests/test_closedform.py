@@ -328,6 +328,37 @@ def test_verify_counts_compares_every_nonzero_codeword(fields, p, m, b):
     assert verdict.data == {"a": t, "rho": 0, "brute": 0, "closed": 1, "failing": 1}
 
 
+@pytest.mark.parametrize("p,m,b", [(3, 4, 1), (5, 4, 2), (7, 3, 3), (3, 6, 1), (5, 5, 2)])
+def test_verify_counts_matches_every_composition_to_its_row(fields, monkeypatch, p, m, b):
+    """On a passing code each relabelled composition equals every row of
+    closed counts moved back by -t*b, so none goes on to the per-t
+    comparison, which doubles it; the walk takes one codeword per coset
+    of F_p at (3,4), (5,4) and (7,3), and every codeword at (3,6) and
+    (5,5), where p divides m.  Rows moved the wrong way still pass the
+    verdict, through that comparison, but not this count."""
+    from tracecodes import codes, verification
+    doubled = []
+
+    class Counted(tuple):
+        def __mul__(self, k):
+            doubled.append(k)
+            return tuple(self) * k
+
+    original = verification.itemgetter
+
+    def counted(*items):
+        get = original(*items)
+        return lambda comp: Counted(get(comp))
+
+    monkeypatch.setattr(verification, "itemgetter", counted)
+    ctx = fields(p, m)
+    dset = build_defining_set(ctx, b)
+    verdicts = verification.verify_counts(ctx, dset, codes.orbit_compositions(ctx, dset))
+    assert all(v.passed for v in verdicts)
+    assert (codes.translation_shift(dset) is None) is (m % p == 0)
+    assert doubled == []
+
+
 @pytest.mark.parametrize("p,m,b,t", [(3, 4, 1, 2), (5, 4, 2, 1), (7, 3, 3, 5)])
 def test_verify_counts_names_a_translate(fields, monkeypatch, p, m, b, t):
     """With the closed counts wrong at the profiles of b*(w + t), w in
