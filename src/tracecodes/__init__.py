@@ -11,6 +11,7 @@ from .charsums import (
     cyclotomic_numbers_direct,
     cyclotomic_numbers_order2,
     gauss_sum_closed_cyclotomic,
+    gauss_sum_counted,
     gauss_sum_direct,
     quadratic_exponential_sum,
     quadratic_exponential_sum_closed,

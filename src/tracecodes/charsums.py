@@ -1,7 +1,7 @@
 """Quadratic Gauss sums, quadratic exponential sums and order-2
 cyclotomic numbers, each with a direct oracle and a closed form.  The
-direct quadratic exponential sum counts the values of its exponent after
-a linear change of variable; the others sum or count over the field.
+counted Gauss sum and the direct exponential sum count the values of a
+quadratic form after a linear change of variable; the others scan a table.
 
 All direct evaluations are exact in Z[zeta_p].  Every closed Gauss-sum
 value comes from one fact: over F_{p^m} the quadratic Gauss sum is
@@ -18,16 +18,13 @@ from operator import mul
 
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
-from .fields import FieldContext, legendre
+from .fields import FieldContext, _diagonalize, legendre, power_sums
 
 
 @lru_cache(maxsize=None)
 def quadratic_gauss_sum_fp(p: int) -> CyclotomicInteger:
     """sum of legendre(t) * zeta^t over t in F_p^*, exactly."""
-    counts = [0] * p
-    for t in range(1, p):
-        counts[t] = legendre(t, p)
-    return CyclotomicInteger.from_exponent_counts(p, counts)
+    return CyclotomicInteger.from_exponent_counts(p, [legendre(t, p) for t in range(p)])
 
 
 def gauss_sum_closed_cyclotomic(p: int, m: int) -> CyclotomicInteger:
@@ -60,6 +57,17 @@ def gauss_sum_direct(ctx: FieldContext) -> CyclotomicInteger:
     squares, non_squares = Counter(te[0::2]), Counter(te[1::2])
     counts = [squares[v] - non_squares[v] for v in range(ctx.p)]
     return CyclotomicInteger.from_exponent_counts(ctx.p, counts)
+
+
+def gauss_sum_counted(p: int, f: tuple[int, ...]) -> CyclotomicInteger:
+    """The quadratic Gauss sum of F_p[x]/(f), f monic irreducible of degree
+    m, from no table: #{y : y^2 = x} = 1 + eta(x), so it sums zeta^Tr(y^2)
+    over all y, and on the basis x^i the Gram matrix of Tr(y^2) is the
+    Hankel matrix Tr(x^(i+j)), whose values :func:`_diagonalize` counts."""
+    m = len(f) - 1
+    s = power_sums(f, p, 2 * m - 1)
+    return CyclotomicInteger.from_exponent_counts(
+        p, _diagonalize([s[i:i + m] for i in range(m)], p)[2])
 
 
 def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,

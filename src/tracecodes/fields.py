@@ -211,6 +211,18 @@ def irreducible_polynomials(p: int, m: int) -> Iterator[tuple[int, ...]]:
             yield tuple(coeffs)
 
 
+def power_sums(f: Sequence[int], p: int, count: int) -> list[int]:
+    """Tr(x^j) in F_p[x]/(f) for j in [0, count), f monic irreducible of
+    degree m: the power sums s_j of its roots, the conjugates of x.  By
+    Newton's identities s_0 = m and s_j = -(j*c_j + sum over 0 < i < j
+    of c_i*s_(j-i)), with c_i = f_(m-i) for i <= m and 0 above."""
+    m = len(f) - 1
+    c, s = [*f[::-1], *[0] * count], [m % p]
+    for j in range(1, count):
+        s.append(-(j * c[j] + sum(c[i] * s[j - i] for i in range(1, j))) % p)
+    return s[:count]
+
+
 def _linear_norm(c0: int, c1: int, f: Sequence[int], p: int) -> int:
     """The norm to F_p of c0 + c1*x, c1 != 0, in F_p[x]/(f), f monic of
     degree m: the product of c0 + c1*x_i over the roots x_i of f, which
@@ -479,22 +491,6 @@ class FieldContext:
         raise AssertionError("no primitive element found")  # unreachable
 
     @cached_property
-    def _basis_traces(self) -> list[int]:
-        """Tr(x^j) for j in [0, m).  The roots of the modulus f are the
-        conjugates of x, so these are the power sums s_j of its roots, by
-        Newton's identities: s_0 = m and, for 0 < j < m,
-        s_j = -(j*f_(m-j) + sum over 0 < i < j of f_(m-i)*s_(j-i))."""
-        p, m, f = self.p, self.m, self.modulus
-        s = [m % p]
-        for j in range(1, m):
-            s.append(-(j * f[m - j] + sum(f[m - i] * s[j - i] for i in range(1, j))) % p)
-        return s
-
-    def _trace_of(self, c: Sequence[int]) -> int:
-        """The trace of the element with polynomial-basis coefficients c."""
-        return sum(map(operator.mul, c, self._basis_traces)) % self.p
-
-    @cached_property
     def trace_exp(self) -> bytes | list[int]:
         """Tr(alpha^k) for k in [0, r - 1): ``bytes`` for p < 256, a list
         above.  Tr(a*x) for nonzero a, x is trace_exp at log a + log x,
@@ -509,8 +505,9 @@ class FieldContext:
         k = 1, (r - 1)/2 and r - 2 are checked by square-and-multiply."""
         p, m, rm1, f = self.p, self.m, self.r - 1, self.modulus
         a, power, seed = self.coeffs(self.alpha), [1] + [0] * (m - 1), []
+        basis = power_sums(f, p, m)  # Tr(c) = sum_i c_i * Tr(x^i)
         for _ in range(2 * m):
-            seed.append(self._trace_of(power))
+            seed.append(sum(map(operator.mul, power, basis)) % p)
             power = _poly_mul_mod(power, a, f, p)
         conn = _berlekamp_massey(seed, p)
         if len(conn) != m + 1:
@@ -521,7 +518,7 @@ class FieldContext:
                                    for q in prime_factors(rm1)):
             raise AssertionError("primitive element order check failed")
         for k in (1, rm1 // 2, rm1 - 1):
-            if s[k] != self._trace_of(_poly_powmod(a, k, f, p)):
+            if s[k] != sum(map(operator.mul, _poly_powmod(a, k, f, p), basis)) % p:
                 raise AssertionError(f"recurrence fill differs from alpha^{k}")
         del s[rm1:]
         return bytes(s) if p < 256 else s

@@ -65,6 +65,9 @@ CASES = {
     "verify-101-3-sums": ["verify", "--p", "101", "--m", "3", "--scope", "sums"],
     # p >= 256: trace_exp is a list, and the cyclotomic scan widens it by array
     "verify-257-2-sums": ["verify", "--p", "257", "--m", "2", "--scope", "sums"],
+    # Gauss-sum ladders to m = 12 and m = 8, past every other case's m <= 6
+    "verify-3-12-sums": ["verify", "--p", "3", "--m", "12", "--scope", "sums"],
+    "verify-5-8-sums": ["verify", "--p", "5", "--m", "8", "--scope", "sums"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
     # compact lines whose counts reach two digits, with a comparison block
     "sweep-11-13-d1": ["sweep", "--p-list", "11,13", "--m-list", "3",

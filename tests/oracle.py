@@ -252,6 +252,14 @@ def trace_table(ctx):
     return table
 
 
+def power_traces(ctx, count):
+    """Tr(x^j) for j in [0, count), x the class of x mod the modulus: each
+    power by square-and-multiply, its trace read from :func:`trace_table`."""
+    p = ctx.p
+    x = p if ctx.m > 1 else -ctx.modulus[0] % p  # x = -f_0 when f = x + f_0
+    return [trace_table(ctx)[_pow_raw(ctx, x, j)] for j in range(count)]
+
+
 # -- closed-form terms and the relabel fold, one term at a time -------------
 
 def expand_terms_per_pattern(p, m):

@@ -10,7 +10,9 @@ from tracecodes import (
     gauss_int,
     gauss_pair_int,
     gauss_sum_closed_cyclotomic,
+    gauss_sum_counted,
     gauss_sum_direct,
+    irreducible_polynomials,
     make_field,
     quadratic_exponential_sum,
     quadratic_exponential_sum_closed,
@@ -33,22 +35,79 @@ LIFT_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 
               for m in range(1, 10) if p**m <= 2 * 10**4]
 
 
-def test_gauss_verdicts_build_subfields_under_the_field_cap(monkeypatch):
-    """Each subfield of degree mm < m is built under the cap that admitted
-    F_(p^m), not the default 10^7, which degree 15 of (3,16) exceeds.
-    The closed form stands in for the direct sum: fields are built, and
-    nothing is summed."""
+def test_gauss_verdicts_at_degree_16_read_no_table():
+    """Every degree of the ladder is counted from a modulus's trace form,
+    so (3,16), whose degree-15 field exceeds the default size cap of 10^7,
+    passes all 48 verdicts without building its own trace_exp."""
     from tracecodes.verification import verify_gauss_sums
-    degrees = []
-
-    def closed(ctx):
-        degrees.append(ctx.m)
-        return gauss_sum_closed_cyclotomic(ctx.p, ctx.m)
-
-    monkeypatch.setattr(charsums, "gauss_sum_direct", closed)
-    verdicts = verify_gauss_sums(make_field(3, 16, size_cap=10**8))
-    assert degrees == list(range(1, 17))
+    ctx = make_field(3, 16, size_cap=10**8)
+    verdicts = verify_gauss_sums(ctx)
     assert len(verdicts) == 48 and all(v.passed for v in verdicts)
+    assert "trace_exp" not in vars(ctx)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(SMALL_PAIRS), data=st.data())
+def test_gauss_sum_counted_equals_oracle(pair, data):
+    """The counted Gauss sum of a modulus is the per-element eta-sum over
+    the field it defines, on default, drawn and non-primitive moduli."""
+    p, m = pair
+    kind = data.draw(st.sampled_from(["default", "drawn", "non-primitive"]), label="modulus")
+    tail = data.draw(st.integers(0, p**m - 1), label="tail")
+    modulus = None
+    if kind == "drawn":
+        modulus = oracle.irreducible_from(p, m, tail)
+    elif kind == "non-primitive" and m > 1:
+        modulus = oracle.non_primitive_modulus(p, m, tail)
+    ctx = make_field(p, m, modulus=modulus)
+    assert gauss_sum_counted(p, ctx.modulus) == oracle.gauss_sum_direct(ctx)
+
+
+@pytest.mark.parametrize("p,m", [(3, 20), (5, 12), (7, 10), (101, 4)])
+def test_gauss_sum_counted_equals_closed_past_any_table(p, m):
+    """Fields of 1.0*10^8 to 3.5*10^9 elements, past every table's size cap."""
+    modulus = next(irreducible_polynomials(p, m))
+    assert gauss_sum_counted(p, modulus) == gauss_sum_closed_cyclotomic(p, m)
+
+
+def test_gauss_ladder_fails_without_newton_terms_above_m(monkeypatch):
+    """With s_j = 0 for j > m, the Hankel entries Tr(x^(i+j)) above m are
+    wrong.  Where that flips the square class of the form's discriminant,
+    as at degrees 4 and 5 over F_7, the counted sum is -G and both its
+    closed-form and its sign verdicts fail; at (3,6) the wrong form is
+    degenerate, and counting it raises."""
+    from tracecodes import fields
+    from tracecodes.verification import verify_gauss_sums
+    ctx = make_field(7, 5)
+    assert all(v.passed for v in verify_gauss_sums(ctx))
+    original = fields.power_sums
+    monkeypatch.setattr(charsums, "power_sums",
+                        lambda f, p, count: (original(f, p, len(f)) + [0] * count)[:count])
+    failed = [v.name for v in verify_gauss_sums(ctx) if not v.passed]
+    assert failed == [f"gauss-sum{kind} p=7 m={mm}" for mm in (4, 5)
+                      for kind in ("", "-sign-convention")]
+    with pytest.raises(AssertionError, match="degenerate form"):
+        verify_gauss_sums(make_field(3, 6))
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (5, 4), (7, 3), (13, 3), (257, 2)])
+@pytest.mark.parametrize("where", ["last window", "a third in"])
+def test_quadratic_sums_fail_on_one_corrupt_trace(p, m, where):
+    """One wrong trace_exp entry, in the last fill window or a third of
+    the way in and away from the fill's spot checks at 1, (r - 1)/2 and
+    r - 2, moves the eta-sum G that the closed form reads, so the
+    completed-square identity fails."""
+    from tracecodes.verification import verify_quadratic_sums
+    ctx = make_field(p, m)
+    rm1 = ctx.r - 1
+    k = rm1 - 2 if where == "last window" else rm1 // 3
+    assert k not in (1, rm1 // 2, rm1 - 1)
+    tr = list(ctx.trace_exp)
+    tr[k] = (tr[k] + 1) % p
+    ctx.__dict__["trace_exp"] = bytes(tr) if p < 256 else tr  # the type the readers take
+    [verdict] = verify_quadratic_sums(ctx)
+    assert not verdict.passed
+    assert verdict.details == "completed-square identity failed"
 
 
 def test_gauss_direct_examples(fields):
@@ -80,16 +139,16 @@ def test_magnitude_verdict_is_exact(monkeypatch):
     ctx = make_field(37, 1)
     [verdict] = magnitudes(ctx)
     assert verdict.passed and verdict.details == "G*conj(G) = 37 in Z[zeta_p]"
-    original = charsums.gauss_sum_direct
-    monkeypatch.setattr(charsums, "gauss_sum_direct", lambda ctx: original(ctx) + 1)
+    original = charsums.gauss_sum_counted
+    monkeypatch.setattr(charsums, "gauss_sum_counted", lambda p, f: original(p, f) + 1)
     [verdict] = magnitudes(ctx)
     assert not verdict.passed and verdict.details.endswith("!= 37")
 
 
 @pytest.mark.parametrize("p,deviating", [(3, []), (7, [1, 3])])
 def test_sign_convention_verdict_reads_the_summed_value(monkeypatch, p, deviating):
-    """The quartic reading is compared with the summed value itself, so a
-    negated direct sum fails the verdict at every degree."""
+    """The quartic reading is compared with the counted value itself, so
+    a negated counted sum fails the verdict at every degree."""
     from tracecodes import charsums
     from tracecodes.verification import verify_gauss_sums
 
@@ -100,8 +159,8 @@ def test_sign_convention_verdict_reads_the_summed_value(monkeypatch, p, deviatin
     verdicts = signs(ctx)
     assert all(v.passed for v in verdicts)
     assert [mm for mm, v in enumerate(verdicts, 1) if v.data["deviates"]] == deviating
-    original = charsums.gauss_sum_direct
-    monkeypatch.setattr(charsums, "gauss_sum_direct", lambda ctx: -original(ctx))
+    original = charsums.gauss_sum_counted
+    monkeypatch.setattr(charsums, "gauss_sum_counted", lambda p, f: -original(p, f))
     assert not any(v.passed for v in signs(ctx))
 
 

@@ -140,6 +140,24 @@ def test_verify_all_enumerates_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scope", ["sums", "all"])
+def test_verify_builds_one_field_and_sums_eta_once(capsys, monkeypatch, scope):
+    """The Gauss-sum ladder counts each degree from a modulus, so the
+    only field built is the one the command names, and the only eta-sum
+    over its table is the quadratic sums' G."""
+    from tracecodes import charsums
+    from tracecodes.fields import FieldContext
+    built, summed = [], []
+    init, eta = FieldContext.__init__, charsums.gauss_sum_direct
+    monkeypatch.setattr(FieldContext, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(charsums, "gauss_sum_direct", lambda ctx: summed.append(ctx) or eta(ctx))
+    rc, out, _ = run(capsys, "verify", "--p", "3", "--m", "5", "--scope", scope)
+    assert rc == 0 and json.loads(out)["all_passed"] is True
+    assert built == [(3, 5)]
+    assert len(summed) == 1
+
+
 def test_verify_griesmer_fails_on_frequencies_no_code_has(capsys, monkeypatch):
     from tracecodes import codes
     original = codes.cwe_from_compositions

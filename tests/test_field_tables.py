@@ -23,13 +23,15 @@ EDGE_PAIRS = [(127, 2), (131, 2), (251, 2), (257, 2)]
 
 def _assert_tables_match_oracle(ctx):
     """trace_exp, a recurrence fill, is the oracle's trace table read
-    along the oracle's power walk.  The basis traces from Newton's
-    identities on the modulus are the oracle's traces of x^j, the index
-    p^j, summed over Frobenius conjugates.  The table is bytes wherever
+    along the oracle's power walk.  The power sums from Newton's
+    identities on the modulus are the oracle's traces of x^j, each summed
+    over Frobenius conjugates, for j up to 2m, past the j > m where the
+    identities lose their j*f_(m-j) term.  The table is bytes wherever
     a trace fits a byte, p < 256, and a list above."""
     exp, _ = oracle.power_tables(ctx)
     trace_table = oracle.trace_table(ctx)
-    assert ctx._basis_traces == [trace_table[ctx.p**j] for j in range(ctx.m)]
+    count = 2 * ctx.m + 1
+    assert fields.power_sums(ctx.modulus, ctx.p, count) == oracle.power_traces(ctx, count)
     assert type(ctx.trace_exp) is (bytes if ctx.p < 256 else list)
     assert list(ctx.trace_exp) == [trace_table[x] for x in exp]
 
