@@ -7,11 +7,15 @@ index 1 the multiplicative identity, and the indices below p are exactly
 the prime subfield.
 
 A :class:`FieldContext` fixes the modulus polynomial and a primitive
-element alpha; construction does nothing else.  Each table is built on
-first read.  The trace of alpha^k is a linear recurring sequence in k
-(Lidl-Niederreiter, *Finite Fields*, ch. 8): 2m polynomial products
-seed it, Berlekamp-Massey finds the recurrence, and window doubling
-fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
+element alpha; construction does nothing else.  Both rest on one
+quantity, the resultant Res(f, c) of the modulus f and a polynomial c
+(:func:`_norm`): nonzero exactly when c and f are coprime, which the
+irreducibility test asks, and on an irreducible f the norm of c to F_p,
+which settles alpha's order at every prime dividing p - 1.  Each table
+is built on first read.  The trace of alpha^k is a linear recurring
+sequence in k (Lidl-Niederreiter, *Finite Fields*, ch. 8): 2m polynomial
+products seed it, Berlekamp-Massey finds the recurrence, and window
+doubling fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
 the one element table, ``bytes`` for p < 256 and a ``list`` above.
 Two tables are read off it: ``trace_masks``, its level bitmasks, for
 the orbit walk, and ``square_forms``, Tr(alpha^e*x^2) diagonalised over
@@ -88,13 +92,6 @@ def legendre(a: int, p: int) -> int:
 # Dense polynomial helpers over F_p (coefficient lists, low degree first)
 # ----------------------------------------------------------------------
 
-def _poly_trim(a: Sequence[int]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
-
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     """(a * b) mod f for monic f of degree m; result has fixed length m."""
     m = len(f) - 1
@@ -127,26 +124,35 @@ def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[
     return result
 
 
-def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of a mod b; b need not be monic."""
-    a = list(_poly_trim(a))
-    b = _poly_trim(b)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
-        off = len(a) - 1 - db
-        for j in range(db + 1):
-            a[off + j] = (a[off + j] - c * b[j]) % p
-        a = list(_poly_trim(a))
-    return tuple(a)
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    a, b = _poly_trim(a), _poly_trim(b)
+def _norm(c: Sequence[int], f: Sequence[int], p: int) -> int:
+    """Res(f, c) for monic f over F_p, coefficients in [0, p): the product
+    of c(x_i) over the roots x_i of f, which is 0 exactly when c and f share a factor, and for
+    irreducible f the norm N(c) = c^((p^m - 1)/(p - 1)) of c in F_p[x]/(f)
+    (Lidl-Niederreiter, ch. 1-2).  By Euclid: with r = a mod b,
+    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r),
+    and Res(a, b0) = b0^(deg a) for a constant b0; each remainder is
+    computed in place."""
+    a, b = list(f), list(c)
+    while b and b[-1] == 0:
+        b.pop()
+    res = 1
     while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
+        da, db, lead = len(a) - 1, len(b) - 1, b[-1]
+        if db == 0:
+            return res * pow(lead, da, p) % p
+        inv = pow(lead, -1, p)
+        for i in range(da, db - 1, -1):
+            q = a[i] * inv % p
+            if q:
+                off = i - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - q * b[j]) % p
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        res = (-res if da * db & 1 else res) * pow(lead, da - len(a) + 1, p) % p
+        a, b = b, a
+    return 0
 
 
 def _frobenius_chain(f: Sequence[int], p: int) -> list[list[int]]:
@@ -163,7 +169,7 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 
     Uses the Frobenius criterion: f of degree m is irreducible iff
     x^(p^m) = x mod f and gcd(x^(p^(m/q)) - x, f) = 1 for every prime
-    q dividing m.
+    q dividing m, that is Res(f, x^(p^(m/q)) - x) != 0.
     """
     f = [c % p for c in coeffs]
     m = len(f) - 1
@@ -172,16 +178,12 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     if m == 1:
         return True
     frob = _frobenius_chain(f, p)
-    x_red = _poly_trim([0, 1])
-    if _poly_trim(frob[m]) != x_red:
+    if frob[m] != frob[0]:
         return False
     for q in prime_factors(m):
-        h = list(frob[m // q])
+        h = frob[m // q]
         h[1] = (h[1] - 1) % p
-        h = _poly_trim(h)
-        if not h:
-            return False
-        if len(_poly_gcd(h, f, p)) != 1:
+        if not _norm(h, f, p):
             return False
     return True
 
@@ -221,13 +223,6 @@ def power_sums(f: Sequence[int], p: int, count: int) -> list[int]:
     for j in range(1, count):
         s.append(-(j * c[j] + sum(c[i] * s[j - i] for i in range(1, j))) % p)
     return s[:count]
-
-
-def _linear_norm(c0: int, c1: int, f: Sequence[int], p: int) -> int:
-    """The norm to F_p of c0 + c1*x, c1 != 0, in F_p[x]/(f), f monic of
-    degree m: the product of c0 + c1*x_i over the roots x_i of f, which
-    is (-c1)^m * f(-c0/c1)."""
-    return pow(-c1, len(f) - 1, p) * _poly_eval(f, -c0 * pow(c1, -1, p), p) % p
 
 
 def check_characteristic(p: int) -> None:
@@ -467,26 +462,21 @@ class FieldContext:
 
         For q | p - 1, c^((r - 1)/q) is N(c)^((p - 1)/q), with N(c) =
         c^((r - 1)/(p - 1)) the norm to F_p, so those q ask only whether
-        N(c) generates F_p^*.  A candidate of degree at most 1 has its
-        norm from :func:`_linear_norm`, one Horner evaluation, and pays
-        square-and-multiply only for the q that do not divide p - 1;
-        every other candidate tests every q by square-and-multiply."""
+        N(c) generates F_p^*.  Every candidate has its norm from
+        :func:`_norm`, a resultant over F_p, and pays square-and-multiply
+        only for the q that do not divide p - 1."""
         p, m, f = self.p, self.m, self.modulus
         rm1 = self.r - 1
         primes = prime_factors(rm1)
-        cofactors = [rm1 // q for q in primes]
         outer = [rm1 // q for q in primes if (p - 1) % q]
         inner = [(p - 1) // q for q in primes if (p - 1) % q == 0]
         one = [1] + [0] * (m - 1)
         for cand in range(p if m > 1 else 2, self.r):
             c = self.coeffs(cand)
-            tested = cofactors
-            if cand < p * p:  # c0 at m = 1, else c0 + c1*x with c1 != 0
-                norm = c[0] if m == 1 else _linear_norm(c[0], c[1], f, p)
-                if any(pow(norm, e, p) == 1 for e in inner):
-                    continue
-                tested = outer
-            if all(_poly_powmod(c, cf, f, p) != one for cf in tested):
+            norm = _norm(c, f, p)
+            if any(pow(norm, e, p) == 1 for e in inner):
+                continue
+            if all(_poly_powmod(c, e, f, p) != one for e in outer):
                 return cand
         raise AssertionError("no primitive element found")  # unreachable
 
@@ -545,9 +535,9 @@ class FieldContext:
     @cached_property
     def prime_powers(self) -> list[int]:
         """alpha^(j*N) for j in [0, p - 1), N = (r - 1)/(p - 1): the powers
-        of g = alpha^N, a generator of F_p^*, from one ``_poly_powmod``."""
+        of g = alpha^N = N(alpha), a generator of F_p^*, from :func:`_norm`."""
         p = self.p
-        g = _poly_powmod(self.coeffs(self.alpha), (self.r - 1) // (p - 1), self.modulus, p)[0]
+        g = _norm(self.coeffs(self.alpha), self.modulus, p)
         return [pow(g, j, p) for j in range(p - 1)]
 
     def power(self, k: int) -> int:

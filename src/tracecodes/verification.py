@@ -52,8 +52,8 @@ def verify_gauss_sums(ctx: FieldContext) -> list[Verdict]:
         verdicts.append(Verdict(
             name=f"gauss-sum p={p} m={mm}",
             passed=ok,
-            details="direct summation equals closed form" if ok else "MISMATCH",
-            data=None if ok else {"direct": list(counted.coeffs),
+            details="trace-form count equals closed form" if ok else "MISMATCH",
+            data=None if ok else {"counted": list(counted.coeffs),
                                   "closed": list(closed.coeffs)}))
         norm = counted * counted.conjugate()
         mag_ok = norm == p**mm

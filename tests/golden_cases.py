@@ -53,6 +53,10 @@ CASES = {
                                 "--samples", "300", "--modulus", "3,0,0,0,1"],
     "verify-3-5-all-modulus": ["verify", "--p", "3", "--m", "5", "--scope", "all",
                                "--samples", "250", "--modulus", "2,2,0,0,0,1"],
+    # the default (3,8) modulus given explicitly: check_modulus runs the
+    # Frobenius test, and alpha = 38 lies beyond p^2 = 9
+    "verify-3-8-counts-modulus": ["verify", "--p", "3", "--m", "8", "--scope", "counts",
+                                  "--modulus", "2,0,1,0,0,0,0,0,1"],
     # the Gauss sign-convention verdicts at p = 5 and 7 mod 8, where the
     # quartic reading deviates at odd m, and at p = 1 mod 8, where it agrees
     "verify-13-3-sums": ["verify", "--p", "13", "--m", "3", "--scope", "sums"],

@@ -21,21 +21,40 @@ import cmath
 import itertools
 from functools import lru_cache
 
-from tracecodes import closedform, is_irreducible, make_field, prime_factors
+from tracecodes import closedform, make_field, prime_factors
 from tracecodes.errors import FrequencyMismatchError
 from tracecodes.cyclotomic import CyclotomicInteger
 from tracecodes.fields import _poly_powmod
 
 
+def _monic(p, d, tail):
+    """The monic polynomial of degree d whose tail, read low-degree-first
+    as a base-p integer, is ``tail``."""
+    return [(tail // p**j) % p for j in range(d)] + [1]
+
+
+def _divides(g, f, p):
+    """Whether monic g divides f over F_p, by long division."""
+    f, d = list(f), len(g) - 1
+    for i in range(len(f) - 1, d - 1, -1):
+        c = f[i] % p
+        if c:
+            for j in range(d + 1):
+                f[i - d + j] = (f[i - d + j] - c * g[j]) % p
+    return not any(f[:d])
+
+
 def irreducible_from(p, m, tail):
     """The first monic irreducible of degree m at or after the given tail,
     tails read low-degree-first as base-p integers and wrapping around;
-    at tail 0, the default modulus by a search with no root pre-filter."""
+    at tail 0, the default modulus.  Irreducibility is decided by trial
+    division by every monic polynomial of degree <= m/2, with no root
+    pre-filter and nothing from the package."""
     for k in range(p**m):
-        t = (tail + k) % p**m
-        coeffs = [(t // p**j) % p for j in range(m)] + [1]
-        if is_irreducible(coeffs, p):
-            return tuple(coeffs)
+        f = _monic(p, m, (tail + k) % p**m)
+        if not any(_divides(_monic(p, d, t), f, p)
+                   for d in range(1, m // 2 + 1) for t in range(p**d)):
+            return tuple(f)
     raise AssertionError("no irreducible polynomial")
 
 

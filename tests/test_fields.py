@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecodes import (
     irreducible_polynomials,
@@ -10,7 +12,7 @@ from tracecodes import (
     make_field,
     prime_factors,
 )
-from tracecodes.fields import _level_tables, _linear_norm, _poly_powmod, _times_tables
+from tracecodes.fields import _level_tables, _norm, _poly_powmod, _times_tables
 from tracecodes.errors import (
     DegreeTooSmallError,
     EvenCharacteristicError,
@@ -157,6 +159,10 @@ def test_irreducible_census():
     assert sum(1 for _ in irreducible_polynomials(3, 3)) == 8
     assert sum(1 for _ in irreducible_polynomials(3, 4)) == 18
     assert sum(1 for _ in irreducible_polynomials(5, 2)) == 10
+    # from m = 4 on the root filter lets products of factors of degree >= 2
+    # through, and the Frobenius test decides; (5,3) is the filter alone
+    for p, m, count in [(3, 5, 48), (3, 6, 116), (5, 3, 40), (5, 4, 150), (7, 4, 588)]:
+        assert sum(1 for _ in irreducible_polynomials(p, m)) == count, (p, m)
 
 
 def test_irreducible_against_root_search():
@@ -220,15 +226,72 @@ def test_primitive_search_on_drawn_moduli():
             oracle.first_primitive(p, m, modulus), (p, m, modulus)
 
 
-def test_linear_norm_is_the_norm():
-    """(-c1)^m * f(-c0/c1) is c^((r - 1)/(p - 1)) for every c = c0 + c1*x."""
-    for p, m in [(3, 3), (5, 4), (37, 3), (3, 8)]:
-        f = make_field(p, m).modulus
-        e = (p**m - 1) // (p - 1)
-        for c0 in range(p):
-            for c1 in range(1, p):
-                norm = _poly_powmod([c0, c1] + [0] * (m - 2), e, f, p)
-                assert norm == [_linear_norm(c0, c1, f, p)] + [0] * (m - 1), (p, m, c0, c1)
+# (p, m) with m <= 6 whose drawn moduli the trial-division oracle finds quickly
+NORM_PAIRS = [(p, m) for p in (3, 5, 7, 11, 13, 37) for m in range(1, 7) if p**m <= 2 * 10**5]
+
+
+def _drawn_poly(data, p, deg, label):
+    """A drawn polynomial of exact degree deg (low degree first); deg -1
+    is the zero polynomial."""
+    if deg < 0:
+        return []
+    tail = [data.draw(st.integers(0, p - 1), label=f"{label} coefficient") for _ in range(deg)]
+    return tail + [data.draw(st.integers(1, p - 1), label=f"{label} leading coefficient")]
+
+
+def _product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % p
+    return out
+
+
+def _gcd_degree(a, b, p):
+    """deg gcd(a, b) over F_p by Euclid, a and b not both zero."""
+    a, b = list(a), list(b)
+    while b:
+        while len(a) >= len(b):
+            c = a[-1] * pow(b[-1], -1, p) % p
+            off = len(a) - len(b)
+            a = [(x - c * b[i - off]) % p if i >= off else x for i, x in enumerate(a)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(NORM_PAIRS), data=st.data())
+def test_norm_is_the_norm(pair, data):
+    """On an irreducible modulus f, default or drawn, the resultant
+    Res(f, c) is the norm c^((p^m - 1)/(p - 1)) for c of every degree < m."""
+    p, m = pair
+    f = oracle.irreducible_from(p, m, data.draw(st.integers(0, p**m - 1), label="tail"))
+    e = (p**m - 1) // (p - 1)
+    for deg in range(-1, m):
+        c = _drawn_poly(data, p, deg, f"degree {deg}")
+        padded = c + [0] * (m - len(c))
+        assert [_norm(c, f, p)] + [0] * (m - 1) == _poly_powmod(padded, e, f, p), (f, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from([(p, m) for p, m in NORM_PAIRS if m <= 3]), data=st.data())
+def test_norm_is_zero_exactly_on_a_common_factor(pair, data):
+    """On a reducible f = g1 * g2, two drawn irreducibles, Res(f, h) is 0
+    exactly when gcd(h, f) != 1, for h drawn freely and as a multiple of g1."""
+    p, m1 = pair
+    m2 = data.draw(st.integers(1, m1), label="second degree")
+    g1, g2 = (oracle.irreducible_from(p, d, data.draw(st.integers(0, p**d - 1), label="tail"))
+              for d in (m1, m2))
+    f = _product(g1, g2, p)
+    n = m1 + m2
+    for deg in range(0, n):
+        h = _drawn_poly(data, p, deg, f"degree {deg}")
+        assert (_norm(h, f, p) == 0) == (_gcd_degree(h, f, p) > 0), (f, h)
+    for deg in range(0, n - m1):
+        h = _product(g1, _drawn_poly(data, p, deg, f"cofactor degree {deg}"), p)
+        assert _norm(h, f, p) == 0, (f, h)
 
 
 def test_element_encoding_roundtrip(fields):
