@@ -18,7 +18,7 @@ from operator import mul
 
 from .cyclotomic import CyclotomicInteger
 from .errors import ZeroLeadingCoefficientError
-from .fields import FieldContext, _diagonalize, legendre, power_sums
+from .fields import FieldContext, _diagonalize, _square_counts, legendre, power_sums
 
 
 @lru_cache(maxsize=None)
@@ -63,11 +63,12 @@ def gauss_sum_counted(p: int, f: tuple[int, ...]) -> CyclotomicInteger:
     """The quadratic Gauss sum of F_p[x]/(f), f monic irreducible of degree
     m, from no table: #{y : y^2 = x} = 1 + eta(x), so it sums zeta^Tr(y^2)
     over all y, and on the basis x^i the Gram matrix of Tr(y^2) is the
-    Hankel matrix Tr(x^(i+j)), whose values :func:`_diagonalize` counts."""
+    Hankel matrix Tr(x^(i+j)): :func:`_diagonalize` brings it to a
+    diagonal, whose values :func:`_square_counts` counts."""
     m = len(f) - 1
     s = power_sums(f, p, 2 * m - 1)
-    return CyclotomicInteger.from_exponent_counts(
-        p, _diagonalize([s[i:i + m] for i in range(m)], p)[2])
+    _, diagonal = _diagonalize([s[i:i + m] for i in range(m)], p)
+    return CyclotomicInteger.from_exponent_counts(p, _square_counts(diagonal, p))
 
 
 def quadratic_exponential_sum(ctx: FieldContext, l2: int | None, l1: int | None,
@@ -107,24 +108,19 @@ def quadratic_exponential_sum_closed(ctx: FieldContext, l2: int | None, l1: int 
 
     Read in logs: eta(a2) is -1 exactly when l2 is odd, and
     Tr(a1^2/(4*a2)) is trace_exp at 2*l1 - l2 - log 4, mod r - 1, with
-    log 4 the log of 4 mod p in F_p^*."""
+    log 4 the log of 4 mod p in F_p^*.  Times zeta^shift, G's exponent
+    counts rotate by the shift, as the direct side rotates its counts."""
     if l2 is None:
         raise ZeroLeadingCoefficientError("a2 must be nonzero")
-    out = gauss * CyclotomicInteger.zeta_power(ctx.p, completed_square_shift(ctx, l2, l1, l0))
-    if l2 % 2:
-        out = -out
-    return out
-
-
-def completed_square_shift(ctx: FieldContext, l2: int, l1: int | None, l0: int | None) -> int:
-    """Tr(a0 - a1^2/(4*a2)) mod p, the power of zeta in
-    :func:`quadratic_exponential_sum_closed`, which depends on the
-    coefficients only through it and the parity of l2."""
-    te = ctx.trace_exp
+    p, te = ctx.p, ctx.trace_exp
     shift = 0 if l0 is None else te[l0]
     if l1 is not None:
         shift -= te[(2 * l1 - l2 - ctx.prime_log(4)) % (ctx.r - 1)]
-    return shift % ctx.p
+    shift %= p
+    counts = (*gauss.coeffs, 0)
+    counts = counts[p - shift:] + counts[:p - shift]
+    top, sign = counts[-1], -1 if l2 % 2 else 1  # zeta^(p-1) = -(1 + ... + zeta^(p-2))
+    return CyclotomicInteger(p, [sign * (c - top) for c in counts[:-1]])
 
 
 # ----------------------------------------------------------------------

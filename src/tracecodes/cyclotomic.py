@@ -20,7 +20,7 @@ class CyclotomicInteger:
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for order {p}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicInteger is immutable")

@@ -14,8 +14,8 @@ irreducibility test asks, and on an irreducible f the norm of c to F_p,
 which settles alpha's order at every prime dividing p - 1.  Each table
 is built on first read.  The trace of alpha^k is a linear recurring
 sequence in k (Lidl-Niederreiter, *Finite Fields*, ch. 8): 2m polynomial
-products seed it, Berlekamp-Massey finds the recurrence, and window
-doubling fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
+products seed it, their diagonalised Hankel form gives the recurrence, and
+window doubling fills it in, in time linear in p^m.  That sequence, ``trace_exp``, is
 the one element table, ``bytes`` for p < 256 and a ``list`` above.
 Two tables are read off it: ``trace_masks``, its level bitmasks, for
 the orbit walk, and ``square_forms``, Tr(alpha^e*x^2) diagonalised over
@@ -252,35 +252,11 @@ def check_size(p: int, m: int, size_cap: int) -> int:
     return r
 
 
-def _berlekamp_massey(s: Sequence[int], p: int) -> list[int]:
-    """The connection polynomial C (low degree first, C[0] = 1, length
-    L + 1 for the linear complexity L) of the shortest recurrence
-    sum_i C[i] * s[k - i] = 0 mod p, k >= L, that generates s
-    (Massey 1969)."""
-    c, prev = [1], [1]
-    size, gap, prev_d = 0, 1, 1
-    for n, sn in enumerate(s):
-        d = (sn + sum(c[i] * s[n - i] for i in range(1, size + 1))) % p
-        if d == 0:
-            gap += 1
-            continue
-        coef = d * pow(prev_d, -1, p) % p
-        old = list(c)
-        c += [0] * (len(prev) + gap - len(c))
-        for i, v in enumerate(prev):
-            c[i + gap] = (c[i + gap] - coef * v) % p
-        if 2 * size <= n:
-            size, prev, prev_d, gap = n + 1 - size, old, d, 1
-        else:
-            gap += 1
-    return (c + [0] * size)[:size + 1]
-
-
-def _diagonalize(a: Sequence[Sequence[int]], p: int) -> tuple[list, list[int], list[int]]:
+def _diagonalize(a: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """The nondegenerate quadratic form c^T a c over F_p, a symmetric,
     written as sum_t d_t * z_t^2 with c = sum_t z_t * v_t (Lidl-Niederreiter,
-    ch. 6).  Returns the pivot vectors v_t, -1/(4*d_t) for each pivot, and
-    counts[w], the number of z with sum_t d_t * z_t^2 = w.
+    ch. 6): the pivot vectors v_t and the d_t, V^T a V = D.  A degenerate
+    form raises; the trace form on any basis is nondegenerate.
 
     The working matrix holds v_i^T a v_j, from v_i = e_i.  A pivot k with
     d = a_kk != 0 turns each v_j still left into v_j - (a_kj/d)*v_k, which
@@ -294,7 +270,8 @@ def _diagonalize(a: Sequence[Sequence[int]], p: int) -> tuple[list, list[int], l
         k = next((i for i in left if a[i][i]), None)
         if k is None:
             k, j = next(((i, j) for i in left for j in left if a[i][j]), (None, None))
-            assert k is not None, "degenerate form"  # the trace form has rank m
+            if k is None:
+                raise AssertionError(f"degenerate form of rank {len(pivots)} < {m}")
             vecs[k] = [(x + y) % p for x, y in zip(vecs[k], vecs[j])]
             a[k] = [(x + y) % p for x, y in zip(a[k], a[j])]
             a[k][k] = (a[k][k] + a[k][j]) % p
@@ -306,11 +283,28 @@ def _diagonalize(a: Sequence[Sequence[int]], p: int) -> tuple[list, list[int], l
             a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
         pivots.append(vecs[k])
         diagonal.append(row[k])
-    counts = [1] + [0] * (p - 1)  # z in F_p^0
-    for d in diagonal:  # counts[w - d*z^2] summed over z in F_p
-        counts = [sum(col) for col in zip(*(counts[p - s:] + counts[:p - s]
-                                            for s in (d * z * z % p for z in range(p))))]
-    return pivots, [-pow(4 * d, -1, p) % p for d in diagonal], counts
+    return pivots, diagonal
+
+
+def _square_counts(diagonal: Sequence[int], p: int) -> list[int]:
+    """counts[w], the number of z with sum_t d_t * z_t^2 = w, for k >= 1
+    nonzero d_t: the convolution of the tables #{z : d_t * z^2 = v}.  The
+    first is the count list itself, and each further one adds the list
+    rotated by v per nonzero entry v, so a few lists of p counts are held."""
+    def hits(d: int) -> list[int]:
+        table = [0] * p
+        for z in range(p):
+            table[d * z * z % p] += 1
+        return table
+
+    counts = hits(diagonal[0])
+    for d in diagonal[1:]:
+        total = [0] * p
+        for v, c in enumerate(hits(d)):
+            if c:
+                total = [x + c * y for x, y in zip(total, counts[p - v:] + counts[:p - v])]
+        counts = total
+    return counts
 
 
 def _times_tables(p: int) -> list[bytes]:
@@ -486,23 +480,25 @@ class FieldContext:
         above.  Tr(a*x) for nonzero a, x is trace_exp at log a + log x,
         mod r - 1, so sums and codewords read rotated slices of it.
 
-        The traces of alpha^k for k < 2m seed the fill, and Berlekamp-Massey
-        on them finds its characteristic polynomial h, alpha's minimal
-        polynomial (Lidl-Niederreiter, ch. 8).  m consecutive traces fix
-        alpha^k (the trace form is nondegenerate), so their linear
-        complexity is m, and the m terms at k repeat those at 0 exactly
+        The traces s of alpha^k for k < 2m seed the fill, whose characteristic
+        polynomial h, alpha's minimal polynomial, has sum_i h_i * s[k + i] =
+        -s[k + m] for k < m (Lidl-Niederreiter, ch. 8).  H = [s[i + j]], the
+        trace form's Gram matrix on the basis alpha^i, is nondegenerate for
+        alpha of degree m, and :func:`_diagonalize` gives V^T H V = D, so
+        h = -V D^-1 V^T s[m:2m].  The m terms at k repeat those at 0 exactly
         when alpha^k = 1: at k = r - 1, and at no (r - 1)/q.  The terms at
-        k = 1, (r - 1)/2 and r - 2 are checked by square-and-multiply."""
+        k = 1, (r - 1)/2 and r - 2, checked by square-and-multiply, check h too."""
         p, m, rm1, f = self.p, self.m, self.r - 1, self.modulus
         a, power, seed = self.coeffs(self.alpha), [1] + [0] * (m - 1), []
         basis = power_sums(f, p, m)  # Tr(c) = sum_i c_i * Tr(x^i)
         for _ in range(2 * m):
             seed.append(sum(map(operator.mul, power, basis)) % p)
             power = _poly_mul_mod(power, a, f, p)
-        conn = _berlekamp_massey(seed, p)
-        if len(conn) != m + 1:
-            raise AssertionError(f"linear complexity {len(conn) - 1} != m = {m}")
-        s = _recurrence_fill(seed, conn[::-1], rm1 + m, p)
+        pivots, diagonal = _diagonalize([seed[i:i + m] for i in range(m)], p)
+        w = [sum(map(operator.mul, v, seed[m:])) * pow(-d, -1, p)
+             for v, d in zip(pivots, diagonal)]
+        h = [sum(map(operator.mul, col, w)) % p for col in zip(*pivots)] + [1]
+        s = _recurrence_fill(seed, h, rm1 + m, p)
         start = s[:m]
         if s[rm1:] != start or any(s[rm1 // q:rm1 // q + m] == start
                                    for q in prime_factors(rm1)):
@@ -526,11 +522,13 @@ class FieldContext:
         """For each parity e, :func:`_diagonalize` of Tr(alpha^e * x^2)
         on the basis alpha^i, x = sum_i c_i * alpha^i: its Gram matrix is
         the Hankel matrix trace_exp[e + i + j] (e + 2m - 2 < r - 1).
-        ``square_forms[e]`` is (pivot vectors, -1/(4*d_t) per pivot,
-        value counts); only the quadratic sums read it."""
-        te, m = self.trace_exp, self.m
-        return tuple(_diagonalize([te[e + i:e + i + m] for i in range(m)], self.p)
-                     for e in (0, 1))
+        ``square_forms[e]`` is (pivot vectors v_t, -1/(4*d_t) per pivot,
+        the :func:`_square_counts` of the d_t); only the quadratic sums
+        read it."""
+        te, m, p = self.trace_exp, self.m, self.p
+        forms = (_diagonalize([te[e + i:e + i + m] for i in range(m)], p) for e in (0, 1))
+        return tuple((v, [-pow(4 * d, -1, p) % p for d in diag], _square_counts(diag, p))
+                     for v, diag in forms)
 
     @cached_property
     def prime_powers(self) -> list[int]:

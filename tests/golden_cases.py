@@ -11,12 +11,18 @@ any interpreter.  To regenerate them after an intended output change, run
 from the repository root:
 
     PYTHONPATH=src python tests/golden_cases.py
+
+and to replay every case through the ``tracecodes`` script on PATH, as
+the CI workflow does after installing the package:
+
+    python tests/golden_cases.py --replay
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,6 +53,8 @@ CASES = {
     # the counts check in regimes 1 and 4, which no other golden reaches
     "verify-3-6-counts": ["verify", "--p", "3", "--m", "6", "--scope", "counts"],
     "verify-7-3-counts": ["verify", "--p", "7", "--m", "3", "--scope", "counts"],
+    # the counts check in regime 3 (odd m, p | m), with its trace-pair and S_mix branches
+    "verify-5-5-counts": ["verify", "--p", "5", "--m", "5", "--scope", "counts"],
     "verify-5-4-equivalence": ["verify", "--p", "5", "--m", "4", "--scope", "equivalence"],
     "verify-5-3-b2-cwe": ["verify", "--p", "5", "--m", "3", "--b", "2", "--scope", "cwe"],
     "verify-5-4-sums-modulus": ["verify", "--p", "5", "--m", "4", "--scope", "sums",
@@ -72,6 +80,9 @@ CASES = {
     # Gauss-sum ladders to m = 12 and m = 8, past every other case's m <= 6
     "verify-3-12-sums": ["verify", "--p", "3", "--m", "12", "--scope", "sums"],
     "verify-5-8-sums": ["verify", "--p", "5", "--m", "8", "--scope", "sums"],
+    # m = 1: a 1 x 1 form, one-variable counts, a list trace_exp and 100 closed
+    # values rotated from G's counts
+    "verify-1031-1-sums": ["verify", "--p", "1031", "--m", "1", "--scope", "sums"],
     "sweep-3-5-7-b2": ["sweep", "--p-list", "3,5,7", "--m-list", "3", "--b", "2"],
     # compact lines whose counts reach two digits, with a comparison block
     "sweep-11-13-d1": ["sweep", "--p-list", "11,13", "--m-list", "3",
@@ -147,5 +158,33 @@ def regenerate() -> None:
         print(f"wrote {path.name}", file=sys.stderr)
 
 
+def replay() -> None:
+    """Run every case through the ``tracecodes`` script on PATH and compare
+    the pinned stream, stdout or, for the parse errors, stderr, with its
+    golden file and the exit code with the expected one; exit with an
+    error naming every case that differs."""
+    env = {**os.environ, "COLUMNS": "80"}
+    failed = []
+    for name, argv, code, suffix in [
+            *((n, a, 0, "out") for n, a in [*CASES.items(), *HELP_CASES.items()]),
+            *((n, a, 0, "sha256") for n, a in DIGEST_CASES.items()),
+            *((n, a, 2, "err") for n, a in ERROR_CASES.items())]:
+        proc = subprocess.run(["tracecodes", *argv], capture_output=True, env=env)
+        got = proc.stderr if suffix == "err" else proc.stdout
+        if suffix == "sha256":
+            got = digest_line(got.decode()).encode()
+        ok = proc.returncode == code and got == (GOLDEN / f"{name}.{suffix}").read_bytes()
+        if not ok:
+            failed.append(name)
+        print(f"{'ok' if ok else 'FAIL'} {name}", file=sys.stderr)
+    if failed:
+        sys.exit(f"{len(failed)} golden cases differ: {', '.join(failed)}")
+
+
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["--replay"]:
+        replay()
+    elif sys.argv[1:]:
+        sys.exit("usage: golden_cases.py [--replay]")
+    else:
+        regenerate()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,12 +298,39 @@ def test_diagonalize_the_hyperbolic_plane(p):
     """2*c0*c1 has no diagonal pivot: v_0 = e_0 + e_1 gives d_0 = 2, and
     v_1 = e_1 - v_0/2 then d_1 = -1/2.  The plane takes 0 at 2p - 1
     points and each other value at p - 1."""
-    from tracecodes.fields import _diagonalize
+    from tracecodes.fields import _diagonalize, _square_counts
     half = pow(2, -1, p)
-    pivots, scales, counts = _diagonalize([[0, 1], [1, 0]], p)
+    pivots, diagonal = _diagonalize([[0, 1], [1, 0]], p)
     assert pivots == [[1, 1], [-half % p, half]]
-    assert scales == [-pow(4 * d, -1, p) % p for d in (2, -half)]
-    assert counts == [2 * p - 1] + [p - 1] * (p - 1)
+    assert diagonal == [2, -half % p]
+    assert _square_counts(diagonal, p) == [2 * p - 1] + [p - 1] * (p - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_square_counts_match_enumeration(p, k):
+    """The convolved counts of sum_t d_t * z_t^2 are its values over all
+    of F_p^k, on diagonals drawn from both square classes."""
+    from itertools import product
+    from tracecodes.fields import _square_counts
+    rng = random.Random(100 * p + k)
+    for _ in range(2):
+        diagonal = [rng.randrange(1, p) for _ in range(k)]
+        values = [0] * p
+        for z in product(range(p), repeat=k):
+            values[sum(d * x * x for d, x in zip(diagonal, z)) % p] += 1
+        assert _square_counts(diagonal, p) == values, diagonal
+
+
+def test_square_counts_of_one_variable_at_65537():
+    """d*z^2 takes 0 once and each of the (p - 1)/2 values d times a
+    nonzero square twice."""
+    from tracecodes.fields import _square_counts
+    p = 65537
+    counts = _square_counts([3], p)
+    assert sum(counts) == p and counts[0] == 1
+    assert set(counts[1:]) == {0, 2} and counts.count(2) == (p - 1) // 2
+    assert counts[3] == 2
 
 
 def test_square_forms_diagonalise_the_trace_form(fields):

@@ -1,6 +1,7 @@
 """Field tables and table-free addition against the oracle."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,18 +37,49 @@ def _assert_tables_match_oracle(ctx):
     assert list(ctx.trace_exp) == [trace_table[x] for x in exp]
 
 
+def _draw_modulus(data, p, m):
+    """None for the default modulus, or a drawn irreducible, or one on
+    which x is not primitive."""
+    kind = data.draw(st.sampled_from(["default", "drawn", "non-primitive"]), label="modulus")
+    tail = data.draw(st.integers(0, p**m - 1), label="tail")
+    if kind == "drawn":
+        return oracle.irreducible_from(p, m, tail)
+    if kind == "non-primitive" and m > 1:
+        return oracle.non_primitive_modulus(p, m, tail)
+    return None
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS + EDGE_PAIRS), data=st.data())
 def test_tables_match_oracle(pair, data):
     p, m = pair
-    kind = data.draw(st.sampled_from(["default", "drawn", "non-primitive"]), label="modulus")
-    tail = data.draw(st.integers(0, p**m - 1), label="tail")
-    modulus = None
-    if kind == "drawn":
-        modulus = oracle.irreducible_from(p, m, tail)
-    elif kind == "non-primitive" and m > 1:
-        modulus = oracle.non_primitive_modulus(p, m, tail)
-    _assert_tables_match_oracle(make_field(p, m, modulus=modulus))
+    _assert_tables_match_oracle(make_field(p, m, modulus=_draw_modulus(data, p, m)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from([(p, m) for p, m in PAIRS if m <= 6]), data=st.data())
+def test_fill_recurrence_is_alphas_minimal_polynomial(pair, data):
+    """The h that trace_exp solves for from the diagonalised Hankel form
+    of its seed is monic of degree m, and sum_i h_i * alpha^i = 0 under
+    the oracle's own power table and addition."""
+    p, m = pair
+    modulus = _draw_modulus(data, p, m)
+    seen, original = [], fields._recurrence_fill
+
+    def spy(seed, h, n, prime):
+        seen.append(list(h))
+        return original(seed, h, n, prime)
+
+    with mock.patch.object(fields, "_recurrence_fill", spy):
+        ctx = make_field(p, m, modulus=modulus)
+        ctx.trace_exp
+    [h] = seen
+    assert len(h) == m + 1 and h[m] == 1, h
+    exp, _ = oracle.power_tables(ctx)
+    total = 0
+    for i, hi in enumerate(h):
+        total = oracle.add(p, total, oracle.mul(ctx, hi, exp[i]))
+    assert total == 0, h
 
 
 @pytest.mark.parametrize("p,m", EDGE_PAIRS)
@@ -147,9 +179,9 @@ def test_non_primitive_alpha_fails_the_order_check(monkeypatch):
     monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: square)
     with pytest.raises(AssertionError, match="primitive element order check failed"):
         make_field(3, 4).trace_exp
-    # 2 lies in F_3: Tr(2^k) has linear complexity 1
+    # 2 lies in F_3: Tr(2^k) has linear complexity 1, the rank of its Hankel form
     monkeypatch.setattr(FieldContext, "_find_primitive", lambda self: 2)
-    with pytest.raises(AssertionError, match="linear complexity 1 != m = 4"):
+    with pytest.raises(AssertionError, match="degenerate form of rank 1 < 4"):
         make_field(3, 4).trace_exp
 
 
